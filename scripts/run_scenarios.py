@@ -5,8 +5,8 @@ import argparse
 import math
 
 from uastrack import scenesim
-from uastrack.cli import run_sim, tracker_config, load_config, _tracking_errors
-from uastrack.tracker import STATUS_MISS, STATUS_REDETECTING, STATUS_TRACKING, OpticsConfig
+from uastrack.sim import run_sim, scenario_optics
+from uastrack.tracker import TrackerConfig
 
 
 def main() -> None:
@@ -19,21 +19,15 @@ def main() -> None:
           f"{'track err':>10s} {'center err':>11s} {'ms/frame':>9s}")
     for name in scenesim.BUILTIN_NAMES:
         sc = scenesim.make_scenario(name, frames=args.frames, seed=args.seed)
-        optics = OpticsConfig(hfov=sc.hfov, frame_w=sc.frame_w, frame_h=sc.frame_h)
-        cfg = tracker_config(load_config(None), optics=optics)
-        result = run_sim(sc, cfg)
-        outcomes = result.outcomes
-        tracked = sum(1 for o in outcomes if o.status == STATUS_TRACKING)
-        missed = sum(1 for o in outcomes if o.status == STATUS_MISS)
-        redet = sum(1 for o in outcomes if o.status == STATUS_REDETECTING)
-        errors = _tracking_errors(result)
-        track_err = sum(errors) / len(errors) if errors else float("nan")
+        result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
+        r = result.report
+        track_err = r.mean_abs_pixel_error if r.mean_abs_pixel_error is not None else math.nan
+        # centering error once the loop has settled: frames 30 onward
         cx, cy = (sc.frame_w - 1) / 2, (sc.frame_h - 1) / 2
         centering = [math.hypot(gx - cx, gy - cy) for gx, gy, _ in result.truths[30:]]
-        center_err = sum(centering) / len(centering)
-        ms = 1000.0 * result.elapsed_s / len(outcomes)
-        print(f"{name:20s} {tracked:8d} {missed:5d} {redet:6d} "
-              f"{track_err:9.2f}px {center_err:10.2f}px {ms:9.1f}")
+        center_err = sum(centering) / len(centering) if centering else math.nan
+        print(f"{name:20s} {r.tracked_count:8d} {r.miss_count:5d} {r.redetect_count:6d} "
+              f"{track_err:9.2f}px {center_err:10.2f}px {r.ms_per_frame:9.1f}")
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ trusts the prediction and shrinks it.
 """
 
 import argparse
+import math
 
 from uastrack import scenesim
-from uastrack.cli import run_sim
 from uastrack.ekf import NoiseConfig
-from uastrack.tracker import STATUS_TRACKING, OpticsConfig, TrackerConfig
+from uastrack.sim import run_sim, scenario_optics
+from uastrack.tracker import TrackerConfig
 
 
 def main() -> None:
@@ -23,18 +24,17 @@ def main() -> None:
 
     sigmas = [float(s) for s in args.sigmas.split(",")]
     sc = scenesim.make_scenario(args.scenario, frames=args.frames)
-    optics = OpticsConfig(hfov=sc.hfov, frame_w=sc.frame_w, frame_h=sc.frame_h)
+    optics = scenario_optics(sc)
 
     print(f"{'sigma':>6s} {'tracked':>8s} {'mean win area':>14s} {'max win area':>13s} {'ms/frame':>9s}")
     for sigma in sigmas:
-        cfg = TrackerConfig(noise=NoiseConfig(sigma=sigma), optics=optics)
-        result = run_sim(sc, cfg)
-        outcomes = result.outcomes
-        tracked = sum(1 for o in outcomes if o.status == STATUS_TRACKING)
-        areas = [o.window.area for o in outcomes[1:]]
-        ms = 1000.0 * result.elapsed_s / len(outcomes)
-        print(f"{sigma:6.2f} {tracked:8d} {sum(areas) / len(areas):14.0f} "
-              f"{max(areas):13d} {ms:9.1f}")
+        result = run_sim(sc, TrackerConfig(noise=NoiseConfig(sigma=sigma), optics=optics))
+        r = result.report
+        areas = [o.window.area for o in result.outcomes[1:]]  # frame 0 is the full-frame acquisition
+        mean_area = sum(areas) / len(areas) if areas else math.nan
+        max_area = max(areas, default=math.nan)
+        print(f"{sigma:6.2f} {r.tracked_count:8d} {mean_area:14.0f} "
+              f"{max_area:13.0f} {r.ms_per_frame:9.1f}")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,11 @@ from .ekf import NoiseConfig, TrackState
 from .imagebuf import GrayImage, Rect, crop, load_pgm, region_mean, save_pgm
 from .matcher import Detection, MatchPoint, detect, scan, zmncc
 from .tracker import OpticsConfig, TrackerConfig, TrackerSession, gimbal_offset
-from .warp import AffineMap, TemplateBank, apply_map, build_bank, warp_patch
+from .warp import TemplateBank, build_bank, warp_patch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "Detection",
     "GrayImage",
     "MatchPoint",
@@ -27,7 +26,6 @@ __all__ = [
     "TrackState",
     "TrackerConfig",
     "TrackerSession",
-    "apply_map",
     "build_bank",
     "crop",
     "detect",

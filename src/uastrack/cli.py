@@ -19,12 +19,11 @@ from typing import Optional
 from . import groundlink, matcher, scenesim
 from .ekf import NoiseConfig
 from .errors import ConfigError, ProtocolError, ScenarioError, UastrackError
-from .gimbal import GimbalState, command
-from .imagebuf import GrayImage, Rect, crop, load_pgm, save_pgm
+from .gimbal import GimbalState
+from .imagebuf import GrayImage, Rect, load_pgm, save_pgm
+from .sim import LinkRuntime, RunReport, print_outcome, run_sim, scenario_optics
 from .tracker import (
-    STATUS_MISS,
-    STATUS_REDETECTING,
-    STATUS_TRACKING,
+    DEFAULT_HFOV_DEG,
     OpticsConfig,
     TrackerConfig,
     TrackerSession,
@@ -32,22 +31,6 @@ from .tracker import (
     write_log,
 )
 from .warp import build_bank
-
-CONFIG_DEFAULTS = {
-    "threshold": 0.9,
-    "sigma": 0.4,
-    "r_pos": 1.0,
-    "kappa": 3.0,
-    "miss_limit": 5,
-    "bank_count": 36,
-    "bank_step_deg": 10.0,
-    "hfov_deg": 30.0,
-    "frame_w": 320,
-    "frame_h": 240,
-    "p0_vel_var": 25.0,
-    "sample_every": 4,
-}
-
 
 class UsageError(UastrackError):
     """Bad command line; maps to exit code 1."""
@@ -58,31 +41,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    frames_processed: int
-    tracked_count: int
-    miss_count: int
-    redetect_count: int
-    mean_abs_pixel_error: Optional[float]
-    ms_per_frame: float
-
-    def summary(self) -> str:
-        err = (
-            f"{self.mean_abs_pixel_error:.2f}px"
-            if self.mean_abs_pixel_error is not None
-            else "n/a"
-        )
-        return (
-            f"frames={self.frames_processed} tracked={self.tracked_count} "
-            f"miss={self.miss_count} redetect={self.redetect_count} "
-            f"mean_abs_err={err} ms_per_frame={self.ms_per_frame:.2f}"
-        )
+def _config_defaults() -> dict:
+    """Config-file keys with the defaults of the tracker's config dataclasses."""
+    cfg = TrackerConfig()
+    return {
+        "threshold": cfg.threshold,
+        "sigma": cfg.noise.sigma,
+        "r_pos": cfg.noise.r_pos,
+        "kappa": cfg.noise.kappa,
+        "miss_limit": cfg.miss_limit,
+        "bank_count": cfg.bank_count,
+        "bank_step_deg": cfg.bank_step_deg,
+        "hfov_deg": DEFAULT_HFOV_DEG,
+        "frame_w": cfg.optics.frame_w,
+        "frame_h": cfg.optics.frame_h,
+        "p0_vel_var": cfg.p0_vel_var,
+        "sample_every": 4,
+    }
 
 
 def load_config(path: Optional[str]) -> dict:
     """Merge a JSON config over the defaults; unknown keys are rejected."""
-    merged = dict(CONFIG_DEFAULTS)
+    merged = _config_defaults()
     if path is None:
         return merged
     with open(path) as fh:
@@ -92,7 +72,7 @@ def load_config(path: Optional[str]) -> dict:
             raise ConfigError(f"config {path}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_DEFAULTS))
+    unknown = sorted(set(data) - set(merged))
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {unknown}")
     for key, value in data.items():
@@ -141,26 +121,14 @@ def _frame_paths(frames_arg: str) -> list[Path]:
     return paths
 
 
-def _report(outcomes: list[TrackOutcome], errors: list[float], elapsed_s: float) -> RunReport:
-    tracked = sum(1 for o in outcomes if o.status == STATUS_TRACKING)
-    missed = sum(1 for o in outcomes if o.status == STATUS_MISS)
-    redetect = sum(1 for o in outcomes if o.status == STATUS_REDETECTING)
-    mean_err = sum(errors) / len(errors) if errors else None
-    n = max(len(outcomes), 1)
-    return RunReport(len(outcomes), tracked, missed, redetect, mean_err, 1000.0 * elapsed_s / n)
-
-
-def _print_frame(out: TrackOutcome, quiet: bool) -> None:
-    if quiet:
-        return
-    if out.detection is not None:
-        print(
-            f"frame {out.frame_index:4d} {out.status:12s} "
-            f"({out.detection.x:7.2f},{out.detection.y:7.2f}) "
-            f"score={out.detection.best_score:.3f} angle={out.detection.best_angle_deg:g}"
-        )
-    else:
-        print(f"frame {out.frame_index:4d} {out.status:12s} window={out.window}")
+def _finish(args, outcomes: list[TrackOutcome], report: RunReport) -> int:
+    """Write the log if asked, print the summary; 3 when nothing was acquired."""
+    if args.log:
+        write_log(outcomes, args.log)
+    print(report.summary())
+    if all(o.state is None for o in outcomes):
+        return 3
+    return 0
 
 
 def cmd_track(args) -> int:
@@ -174,82 +142,14 @@ def cmd_track(args) -> int:
         frame = _read_pgm_file(str(path))
         out = session.process(frame, args.dt)
         outcomes.append(out)
-        _print_frame(out, args.quiet)
+        if not args.quiet:
+            print_outcome(out)
     elapsed = time.perf_counter() - t0
-    if args.log:
-        write_log(outcomes, args.log)
-    report = _report(outcomes, [], elapsed)
-    print(report.summary())
-    if all(o.state is None for o in outcomes):
-        return 3
-    return 0
+    return _finish(args, outcomes, RunReport.of(outcomes, [], elapsed))
 
 
-@dataclass(frozen=True)
-class SimResult:
-    outcomes: list[TrackOutcome]
-    truths: list[tuple[float, float, float]]      # per scenario frame
-    outcome_frames: list[int]                     # scenario frame per outcome
-    elapsed_s: float
-
-
-def run_sim(
-    scenario: scenesim.Scenario,
-    cfg: TrackerConfig,
-    dt: float = 1.0,
-    dump_dir: Optional[str] = None,
-    quiet: bool = True,
-    link: Optional["_LinkRuntime"] = None,
-) -> SimResult:
-    """Closed-loop run: render, track, and actuate the simulated gimbal."""
-    if link is not None and link.await_roi:
-        session = TrackerSession(None, cfg)  # template arrives over the link
-    else:
-        bank = build_bank(scenesim.target_patch(scenario), cfg.bank_count, cfg.bank_step_deg)
-        session = TrackerSession(bank, cfg)
-    gimbal = GimbalState()
-    outcomes: list[TrackOutcome] = []
-    outcome_frames: list[int] = []
-    truths: list[tuple[float, float, float]] = []
-    dump = Path(dump_dir) if dump_dir else None
-    if dump:
-        dump.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    for k in range(scenario.frames):
-        frame = scenesim.render(scenario, gimbal, k)
-        truths.append(scenesim.ground_truth(scenario, gimbal, k))
-        if dump:
-            (dump / f"frame_{k:05d}.pgm").write_bytes(save_pgm(frame))
-        if link is not None:
-            link.on_frame(k, frame, session)
-        if session.bank is None:
-            continue
-        out = session.process(frame, dt)
-        outcomes.append(out)
-        outcome_frames.append(k)
-        _print_frame(out, quiet)
-        if out.gimbal_cmd is not None:
-            gimbal = command(gimbal, *out.gimbal_cmd)
-    elapsed = time.perf_counter() - t0
-    if dump:
-        with open(dump / "ground_truth.csv", "w") as fh:
-            fh.write("frame,x,y,angle_deg\n")
-            for k, (gx, gy, ga) in enumerate(truths):
-                fh.write(f"{k},{gx},{gy},{ga}\n")
-    return SimResult(outcomes, truths, outcome_frames, elapsed)
-
-
-def _tracking_errors(result: SimResult) -> list[float]:
-    errors = []
-    for o, k in zip(result.outcomes, result.outcome_frames):
-        if o.detection is None:
-            continue
-        gx, gy, _ = result.truths[k]
-        errors.append(math.hypot(o.detection.x - gx, o.detection.y - gy))
-    return errors
-
-
-def cmd_sim(args) -> int:
+def _scenario_setup(args) -> tuple[dict, scenesim.Scenario, TrackerConfig]:
+    """Config map, scenario and tracker config of a ``sim`` or ``serve`` run."""
     cfg_map = load_config(args.config)
     scenario = scenesim.make_scenario(
         args.scenario,
@@ -258,21 +158,13 @@ def cmd_sim(args) -> int:
         frames=args.frames,
         seed=args.seed,
     )
-    optics = OpticsConfig(
-        hfov=scenario.hfov,
-        frame_w=scenario.frame_w,
-        frame_h=scenario.frame_h,
-        counts_per_radian=scenario.counts_per_radian,
-    )
-    cfg = tracker_config(cfg_map, optics=optics)
+    return cfg_map, scenario, tracker_config(cfg_map, scenario_optics(scenario))
+
+
+def cmd_sim(args) -> int:
+    _, scenario, cfg = _scenario_setup(args)
     result = run_sim(scenario, cfg, dt=args.dt, dump_dir=args.dump_frames, quiet=args.quiet)
-    if args.log:
-        write_log(result.outcomes, args.log)
-    report = _report(result.outcomes, _tracking_errors(result), result.elapsed_s)
-    print(report.summary())
-    if all(o.state is None for o in result.outcomes):
-        return 3
-    return 0
+    return _finish(args, result.outcomes, result.report)
 
 
 def cmd_bank(args) -> int:
@@ -358,34 +250,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-class _LinkRuntime:
-    """Ground-link side of a serve run: frames out, ROI/patch in."""
-
-    def __init__(self, sock, sample_every: int, peer=None, await_roi: bool = False):
-        self.sock = sock
-        self.sample_every = max(1, sample_every)
-        self.peer = peer
-        self.await_roi = await_roi
-
-    def on_frame(self, k: int, frame: GrayImage, session: TrackerSession) -> None:
-        for msg, addr in groundlink.poll_messages(self.sock):
-            self.peer = addr
-            if isinstance(msg, groundlink.RoiSelect):
-                full = groundlink.rescale_rect(msg.rect, self.sample_every)
-                try:
-                    session.apply_template(crop(frame, full))
-                except UastrackError:
-                    continue  # stale or out-of-frame ROI: ignore, keep tracking
-            elif isinstance(msg, groundlink.PatchUpload):
-                session.apply_template(msg.image)
-        if self.peer is not None and k % self.sample_every == 0:
-            small = groundlink.decimate(frame, self.sample_every)
-            try:
-                self.sock.sendto(groundlink.encode_frame_sample(k, small), self.peer)
-            except (ProtocolError, OSError):
-                pass  # oversize or transient send failure: drop this sample
-
-
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
@@ -394,24 +258,10 @@ def _parse_addr(text: str) -> tuple[str, int]:
 
 
 def cmd_serve(args) -> int:
-    cfg_map = load_config(args.config)
-    scenario = scenesim.make_scenario(
-        args.scenario,
-        frame_w=int(cfg_map["frame_w"]),
-        frame_h=int(cfg_map["frame_h"]),
-        frames=args.frames,
-        seed=args.seed,
-    )
-    optics = OpticsConfig(
-        hfov=scenario.hfov,
-        frame_w=scenario.frame_w,
-        frame_h=scenario.frame_h,
-        counts_per_radian=scenario.counts_per_radian,
-    )
-    cfg = tracker_config(cfg_map, optics=optics)
+    cfg_map, scenario, cfg = _scenario_setup(args)
     sock = groundlink.open_socket(_parse_addr(args.listen))
     peer = _parse_addr(args.peer) if args.peer else None
-    link = _LinkRuntime(
+    link = LinkRuntime(
         sock, int(cfg_map["sample_every"]), peer=peer, await_roi=args.await_roi
     )
     print(f"serving scenario {scenario.name!r} on {args.listen}")
@@ -419,9 +269,7 @@ def cmd_serve(args) -> int:
         result = run_sim(scenario, cfg, dt=args.dt, quiet=args.quiet, link=link)
     finally:
         sock.close()
-    if args.log:
-        write_log(result.outcomes, args.log)
-    print(_report(result.outcomes, _tracking_errors(result), result.elapsed_s).summary())
+    _finish(args, result.outcomes, result.report)
     return 0
 
 

@@ -80,23 +80,22 @@ def process_jacobian(dt: float) -> np.ndarray:
 def process_noise(dt: float, cfg: NoiseConfig) -> np.ndarray:
     """Process covariance added per prediction.
 
-    Diagonal position terms a_i = dt*sigma_i + dt^3*sigma_{i+2}/3, velocity
-    terms dt*sigma_i, and position-velocity coupling b_i = dt^2*sigma_i/2
-    at (0,2)/(2,0) and (1,3)/(3,1).
+    Diagonal position terms a = dt*sigma + dt^3*sigma/3, velocity terms
+    v = dt*sigma, and position-velocity coupling b = dt^2*sigma/2 at
+    (0,2)/(2,0) and (1,3)/(3,1).
     """
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    s1 = s2 = s3 = s4 = cfg.sigma
-    a1 = dt * s1 + (dt ** 3) * s3 / 3.0
-    a2 = dt * s2 + (dt ** 3) * s4 / 3.0
-    b3 = 0.5 * dt * dt * s3
-    b4 = 0.5 * dt * dt * s4
+    s = cfg.sigma
+    a = dt * s + (dt ** 3) * s / 3.0
+    b = 0.5 * dt * dt * s
+    v = dt * s
     return np.array(
         [
-            [a1, 0.0, b3, 0.0],
-            [0.0, a2, 0.0, b4],
-            [b3, 0.0, dt * s3, 0.0],
-            [0.0, b4, 0.0, dt * s4],
+            [a, 0.0, b, 0.0],
+            [0.0, a, 0.0, b],
+            [b, 0.0, v, 0.0],
+            [0.0, b, 0.0, v],
         ]
     )
 
@@ -121,7 +120,8 @@ def update(s: TrackState, z: tuple[float, float], cfg: NoiseConfig) -> TrackStat
     s10 = P[1, 0]
     s11 = P[1, 1] + cfg.r_pos
     det = s00 * s11 - s01 * s10
-    assert det > 0.0, "innovation covariance must be positive definite"
+    if not det > 0.0:  # also rejects NaN
+        raise ValueError(f"innovation covariance must be positive definite, det={det}")
     s_inv = np.array([[s11, -s01], [-s10, s00]]) / det
     K = P[:, :2] @ s_inv
     innov = np.array([z[0] - s.x, z[1] - s.y])

@@ -112,10 +112,6 @@ class GrayImage:
         return hash((self.pixels.shape, self.pixels.tobytes()))
 
     @classmethod
-    def from_list(cls, rows) -> "GrayImage":
-        return cls(np.array(rows, dtype=np.uint8))
-
-    @classmethod
     def full(cls, width: int, height: int, value: int) -> "GrayImage":
         return cls(np.full((height, width), value, dtype=np.uint8))
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, get_args, get_type_hints
 
 from . import ekf, matcher
-from .errors import ConfigError
+from .errors import BoundsError, ConfigError
 from .imagebuf import GrayImage, Rect
 from .matcher import Detection
 from .util import round_half_away
@@ -28,30 +28,16 @@ STATUS_MISS = "miss"
 STATUS_REDETECTING = "redetecting"
 STATUS_LOST = "lost"
 
-LOG_COLUMNS = (
-    "frame",
-    "time_s",
-    "status",
-    "x",
-    "y",
-    "score",
-    "angle_deg",
-    "support",
-    "win_x",
-    "win_y",
-    "win_w",
-    "win_h",
-    "pan_counts",
-    "tilt_counts",
-    "trace_P",
-)
+# the config file states the field of view in degrees; radians(30.0) does not
+# round-trip through degrees() exactly, so the degree value is the source
+DEFAULT_HFOV_DEG = 30.0
 
 
 @dataclass(frozen=True)
 class OpticsConfig:
     """Camera geometry used to turn pixel errors into encoder counts."""
 
-    hfov: float = math.radians(30.0)  # horizontal field of view, radians
+    hfov: float = math.radians(DEFAULT_HFOV_DEG)  # horizontal field of view, radians
     frame_w: int = 320
     frame_h: int = 240
     counts_per_radian: float = 1e4    # 100 microradians per count
@@ -79,7 +65,6 @@ class TrackerConfig:
     bank_step_deg: float = 10.0
     optics: OpticsConfig = field(default_factory=OpticsConfig)
     p0_vel_var: float = 25.0
-    log_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
@@ -134,7 +119,7 @@ class TrackerSession:
             return matcher.valid_center_rect(
                 self.bank.base_width, self.bank.base_height, frame.width, frame.height
             )
-        except Exception as e:
+        except BoundsError as e:
             raise ConfigError(str(e)) from None
 
     def initialize(self, frame: GrayImage) -> TrackOutcome:
@@ -231,6 +216,10 @@ class LogRow:
     trace_P: Optional[float]
 
 
+_LOG_FIELDS = tuple(get_type_hints(LogRow).items())
+LOG_COLUMNS = tuple(name for name, _ in _LOG_FIELDS)
+
+
 def outcome_to_row(o: TrackOutcome) -> LogRow:
     d = o.detection
     return LogRow(
@@ -269,34 +258,21 @@ def write_log(outcomes: Iterable[TrackOutcome], path: str) -> None:
             w.writerow([_cell(getattr(r, col)) for col in LOG_COLUMNS])
 
 
+def _parse_cell(text: str, hint):
+    """A log cell as its ``LogRow`` field type; empty is None only for Optional fields."""
+    optional = get_args(hint)  # Optional[X] is Union[X, None]
+    if optional:
+        return optional[0](text) if text != "" else None
+    return hint(text)
+
+
 def read_log(path: str) -> list[LogRow]:
     """Parse a track log back into rows; exact for every written value."""
-    rows: list[LogRow] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != LOG_COLUMNS:
             raise ValueError(f"unexpected log columns: {reader.fieldnames}")
-        for rec in reader:
-            def opt(key: str, conv):
-                return conv(rec[key]) if rec[key] != "" else None
-
-            rows.append(
-                LogRow(
-                    frame=int(rec["frame"]),
-                    time_s=float(rec["time_s"]),
-                    status=rec["status"],
-                    x=opt("x", float),
-                    y=opt("y", float),
-                    score=opt("score", float),
-                    angle_deg=opt("angle_deg", float),
-                    support=opt("support", int),
-                    win_x=int(rec["win_x"]),
-                    win_y=int(rec["win_y"]),
-                    win_w=int(rec["win_w"]),
-                    win_h=int(rec["win_h"]),
-                    pan_counts=opt("pan_counts", int),
-                    tilt_counts=opt("tilt_counts", int),
-                    trace_P=opt("trace_P", float),
-                )
-            )
-    return rows
+        return [
+            LogRow(**{name: _parse_cell(rec[name], hint) for name, hint in _LOG_FIELDS})
+            for rec in reader
+        ]

@@ -1,10 +1,8 @@
 """Rotational image warping and the rotated template bank.
 
-The forward point map is the homogeneous transform
-``[[s*cos(a), s*sin(a), tx], [-s*sin(a), s*cos(a), ty], [0, 0, 1]]``
-(y grows downward). Patches are resampled by inverse-mapping each output
-pixel through a pure rotation about the patch center and sampling the
-source by bilinear interpolation.
+Patches are resampled by inverse-mapping each output pixel through a pure
+rotation about the patch center (y grows downward) and sampling the source
+by bilinear interpolation.
 """
 
 from __future__ import annotations
@@ -20,36 +18,6 @@ from .imagebuf import GrayImage
 # Positions whose inverse map lands this far past the source border still
 # count as inside; absorbs floating-point noise at exact 90-degree multiples.
 _EDGE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Scale + rotation + translation as a single homogeneous transform."""
-
-    s: float = 1.0
-    alpha: float = 0.0
-    tx: float = 0.0
-    ty: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.s <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.s}")
-
-    def matrix(self) -> np.ndarray:
-        """The 3x3 homogeneous matrix of this map."""
-        c = self.s * math.cos(self.alpha)
-        s = self.s * math.sin(self.alpha)
-        return np.array([[c, s, self.tx], [-s, c, self.ty], [0.0, 0.0, 1.0]])
-
-
-def apply_map(m: AffineMap, x: float, y: float) -> tuple[float, float]:
-    """Forward-map a point: scale, rotate by ``alpha``, then translate."""
-    c = math.cos(m.alpha)
-    s = math.sin(m.alpha)
-    return (
-        m.s * c * x + m.s * s * y + m.tx,
-        -m.s * s * x + m.s * c * y + m.ty,
-    )
 
 
 @dataclass(frozen=True)

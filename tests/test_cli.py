@@ -2,11 +2,12 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from uastrack import scenesim
-from uastrack.cli import load_config, main, run_bench
+from uastrack.cli import load_config, main, run_bench, tracker_config
 from uastrack.errors import ConfigError
 from uastrack.groundlink import (
     FrameSample,
@@ -15,6 +16,7 @@ from uastrack.groundlink import (
     encode_roi_select,
 )
 from uastrack.imagebuf import GrayImage, Rect, load_pgm, save_pgm
+from uastrack.tracker import OpticsConfig, TrackerConfig
 
 
 @pytest.fixture
@@ -31,6 +33,18 @@ class TestConfig:
         assert cfg["threshold"] == 0.9
         assert cfg["sigma"] == 0.4
         assert cfg["miss_limit"] == 5
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        optics = OpticsConfig(frame_w=640, frame_h=480)
+        assert tracker_config(load_config(None), optics) == TrackerConfig(optics=optics)
+        assert tracker_config(load_config(None)) == TrackerConfig()
+
+    def test_defaults_match_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        # compare as JSON text so 10 vs 10.0 or 29.999999999999996 vs 30.0 differ
+        documented = json.dumps(json.loads(block), sort_keys=True)
+        assert json.dumps(load_config(None), sort_keys=True) == documented
 
     def test_merge_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"

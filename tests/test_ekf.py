@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import kalman_1d_posterior
+import uastrack
 from uastrack.ekf import (
     NoiseConfig,
     TrackState,
@@ -133,6 +136,12 @@ class TestUpdate:
         out = update(make_state(misses=4), (0.0, 0.0), CFG)
         assert out.misses == 0
 
+    @pytest.mark.parametrize("p00", [-1.0, math.nan])
+    def test_rejects_non_positive_definite_innovation(self, p00):
+        s = make_state(p=np.diag([p00, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="positive definite"):
+            update(s, (1.0, 1.0), CFG)
+
 
 class TestFilterProperties:
     def test_long_random_sequence_stays_sane(self, rng):
@@ -209,3 +218,14 @@ class TestInitialState:
             NoiseConfig(sigma=0.0)
         with pytest.raises(ConfigError):
             NoiseConfig(r_pos=-1.0)
+
+
+def test_package_checks_are_not_asserts():
+    """``python -O`` strips assert statements, so no check in the package may be one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(uastrack.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,0 +1,32 @@
+"""Smoke tests: the scripts run end to end, also at horizons too short for some columns."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from uastrack import scenesim
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def table_rows(script: str, *args: str) -> list[list[str]]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()[1:]]
+
+
+def test_run_scenarios_shorter_than_settling_time():
+    rows = table_rows("run_scenarios.py", "--frames", "20")
+    assert [r[0] for r in rows] == list(scenesim.BUILTIN_NAMES)
+    assert all(r[5] == "nanpx" for r in rows)   # centering counts from frame 30
+
+
+def test_sigma_sweep_single_frame():
+    rows = table_rows("sigma_sweep.py", "--frames", "1")
+    assert [float(r[0]) for r in rows] == [0.1, 0.2, 0.4, 0.8, 1.6]
+    assert all(r[2:4] == ["nan", "nan"] for r in rows)  # no stepped frames

@@ -5,9 +5,9 @@ import pytest
 
 from uastrack import scenesim
 from uastrack.errors import ConfigError
-from uastrack.gimbal import GimbalState, command
 from uastrack.imagebuf import GrayImage
 from uastrack.matcher import Detection, template_origin
+from uastrack.sim import run_sim, scenario_optics
 from uastrack.tracker import (
     STATUS_INITIALIZED,
     STATUS_LOST,
@@ -115,20 +115,8 @@ class TestInitialize:
 
 def run_scenario(name, frames, seed=7, miss_limit=5, frame_w=320, frame_h=240):
     sc = scenesim.make_scenario(name, frame_w=frame_w, frame_h=frame_h, frames=frames, seed=seed)
-    optics = OpticsConfig(hfov=sc.hfov, frame_w=sc.frame_w, frame_h=sc.frame_h)
-    cfg = TrackerConfig(optics=optics, miss_limit=miss_limit)
-    session = TrackerSession(build_bank(scenesim.target_patch(sc)), cfg)
-    gimbal = GimbalState()
-    outcomes = []
-    truths = []
-    for k in range(frames):
-        frame = scenesim.render(sc, gimbal, k)
-        truths.append(scenesim.ground_truth(sc, gimbal, k))
-        out = session.process(frame, 1.0)
-        outcomes.append(out)
-        if out.gimbal_cmd is not None:
-            gimbal = command(gimbal, *out.gimbal_cmd)
-    return outcomes, truths
+    result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc), miss_limit=miss_limit))
+    return result.outcomes, result.truths
 
 
 class TestStep:
@@ -225,6 +213,18 @@ class TestLog:
             assert r.x is None and r.y is None and r.score is None
             assert r.pan_counts is None
             assert r.win_w > 0 and r.trace_P is not None
+
+    @pytest.mark.parametrize("column", ["frame", "win_w"])
+    def test_empty_required_field_rejected(self, tmp_path, column):
+        outcomes, _ = run_scenario("cv", 2)
+        path = tmp_path / "log.csv"
+        write_log(outcomes, str(path))
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = ""
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError):
+            read_log(str(path))
 
     def test_roundtrip_reproduces_outcomes_exactly(self, tmp_path):
         outcomes, _ = run_scenario("cv", 40)

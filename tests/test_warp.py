@@ -2,51 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from oracles import rotate_patch_loops
 from uastrack.errors import ConfigError
 from uastrack.imagebuf import GrayImage
-from uastrack.warp import AffineMap, apply_map, build_bank, warp_patch
-
-
-class TestApplyMap:
-    def test_identity(self):
-        assert apply_map(AffineMap(), 3.5, -2.0) == (3.5, -2.0)
-
-    def test_quarter_turn(self):
-        x, y = apply_map(AffineMap(alpha=math.pi / 2), 1.0, 0.0)
-        assert x == pytest.approx(0.0, abs=1e-12)
-        assert y == pytest.approx(-1.0, abs=1e-12)
-
-    def test_scale_then_translate(self):
-        assert apply_map(AffineMap(s=2.0, tx=1.0, ty=1.0), 1.0, 1.0) == (3.0, 3.0)
-
-    def test_matrix_matches_pointwise(self):
-        m = AffineMap(s=1.5, alpha=0.3, tx=-2.0, ty=4.0)
-        H = m.matrix()
-        v = H @ np.array([2.0, -1.0, 1.0])
-        assert apply_map(m, 2.0, -1.0) == pytest.approx((v[0], v[1]), abs=1e-12)
-
-    @given(
-        alpha=st.floats(-math.pi, math.pi),
-        x=st.floats(-100, 100),
-        y=st.floats(-100, 100),
-    )
-    def test_pure_rotation_is_isometry(self, alpha, x, y):
-        xx, yy = apply_map(AffineMap(alpha=alpha), x, y)
-        assert math.hypot(xx, yy) == pytest.approx(math.hypot(x, y), abs=1e-9)
-
-    @given(
-        alpha=st.floats(-math.pi, math.pi),
-        x=st.floats(-100, 100),
-        y=st.floats(-100, 100),
-    )
-    def test_rotation_inverts(self, alpha, x, y):
-        xx, yy = apply_map(AffineMap(alpha=alpha), x, y)
-        bx, by = apply_map(AffineMap(alpha=-alpha), xx, yy)
-        assert bx == pytest.approx(x, abs=1e-9)
-        assert by == pytest.approx(y, abs=1e-9)
+from uastrack.warp import build_bank, warp_patch
 
 
 class TestWarpPatch:
