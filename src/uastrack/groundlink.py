@@ -33,6 +33,11 @@ TYPE_ROI_SELECT = 0x02
 TYPE_PATCH_UPLOAD = 0x03
 
 MAX_DATAGRAM = 65_507
+
+# Most datagrams one ``poll_messages`` call reads. The rest stay queued in the
+# socket for the next call, so a flood of uplink traffic cannot stall a frame.
+MAX_POLL_DATAGRAMS = 64
+
 _HEADER = struct.Struct(">2sBB")
 
 
@@ -176,14 +181,15 @@ def open_socket(listen: Optional[tuple[str, int]] = None) -> socket.socket:
 
 
 def poll_messages(sock: socket.socket) -> list[tuple[Message, tuple]]:
-    """Drain pending datagrams; malformed ones are dropped silently."""
+    """Read up to ``MAX_POLL_DATAGRAMS`` pending datagrams; malformed ones are dropped silently."""
     out = []
-    while True:
+    for _ in range(MAX_POLL_DATAGRAMS):
         try:
             data, addr = sock.recvfrom(MAX_DATAGRAM + 1)
         except BlockingIOError:
-            return out
+            break
         try:
             out.append((decode(data), addr))
         except ProtocolError:
             continue
+    return out

@@ -122,11 +122,15 @@ class LinkRuntime:
         self.await_roi = await_roi
 
     def on_frame(self, k: int, frame: GrayImage, session: TrackerSession) -> None:
+        # Only the last valid template of a poll survives, so only it builds a bank.
+        patch = None
         for msg, addr in groundlink.poll_messages(self.sock):
             self.peer = addr
-            patch = self._template(msg, frame)
-            if patch is not None:
-                session.apply_template(patch)
+            chosen = self._template(msg, frame)
+            if chosen is not None:
+                patch = chosen
+        if patch is not None:
+            session.apply_template(patch)
         if self.peer is not None and k % self.sample_every == 0:
             small = groundlink.decimate(frame, self.sample_every)
             try:

@@ -8,7 +8,7 @@ by bilinear interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,9 @@ class TemplateBank:
     entries: tuple[BankEntry, ...]
     base_width: int
     base_height: int
+    # Template-side constants of the correlation kernel, filled lazily by
+    # ``matcher`` on the first scan; derived data, so not compared or shown.
+    kernel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -20,6 +20,7 @@ from uastrack.ekf import (
 )
 from uastrack.errors import ConfigError
 from uastrack.imagebuf import Rect
+from uastrack.matcher import valid_center_rect
 
 CFG = NoiseConfig()  # sigma 0.4, r_pos 1.0, kappa 3.0
 
@@ -154,6 +155,33 @@ class TestFilterProperties:
             s = update(s, (float(z[0]), float(z[1])), CFG)
             assert np.abs(s.P - s.P.T).max() <= 1e-9
             assert s.P.diagonal().min() > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_steps_keep_covariance_pd_and_window_in_frame(self, seed):
+        # 2 x 50,000 seeded steps in random order: predict with random dt,
+        # update with a noisy or wild measurement, or mark a miss. Each track
+        # restarts after 2,000 steps, with a fresh noise setting.
+        rng = np.random.default_rng(seed)
+        configs = [CFG, NoiseConfig(sigma=6.0, r_pos=0.05, kappa=3.0), NoiseConfig(0.01, 25.0, 1.5)]
+        full = valid_center_rect(22, 36, 320, 240)
+        for _ in range(25):
+            cfg = configs[int(rng.integers(len(configs)))]
+            s = initial_state(*rng.uniform(0.0, 320.0, 2), cfg, float(rng.uniform(0.1, 100.0)))
+            for action, dt, noise in zip(
+                rng.choice(3, 2000, p=[0.5, 0.3, 0.2]),
+                rng.uniform(0.05, 3.0, 2000),
+                rng.standard_cauchy((2000, 2)),
+            ):
+                if action == 0:
+                    s = predict(s, float(dt), cfg)
+                elif action == 1:
+                    s = update(s, (s.x + float(noise[0]), s.y + float(noise[1])), cfg)
+                else:
+                    s = mark_miss(s)
+                assert np.array_equal(s.P, s.P.T)
+                np.linalg.cholesky(s.P)  # raises unless positive definite
+                win = search_window(s, 22, 36, 320, 240, cfg)
+                assert win.area > 0 and full.contains(win)
 
     def test_converges_on_noiseless_constant_velocity(self):
         # exact simulation of the linear system: position error -> ~0,

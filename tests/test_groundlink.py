@@ -1,3 +1,5 @@
+import select
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from uastrack.errors import ProtocolError
 from uastrack.groundlink import (
     MAX_DATAGRAM,
+    MAX_POLL_DATAGRAMS,
     FrameSample,
     PatchUpload,
     RoiSelect,
@@ -13,6 +16,8 @@ from uastrack.groundlink import (
     encode_frame_sample,
     encode_patch_upload,
     encode_roi_select,
+    open_socket,
+    poll_messages,
     rescale_rect,
 )
 from uastrack.imagebuf import GrayImage, Rect
@@ -149,3 +154,23 @@ def test_every_strict_prefix_rejected(w, h, seed):
     for cut in range(len(data)):
         with pytest.raises(ProtocolError):
             decode(data[:cut])
+
+
+class TestPollMessages:
+    def test_flood_is_read_at_most_the_cap_per_call(self):
+        payload = open_socket(("127.0.0.1", 0))
+        operator = open_socket(("127.0.0.1", 0))
+        try:
+            sent = MAX_POLL_DATAGRAMS + 5
+            for k in range(sent):
+                operator.sendto(encode_roi_select(k, Rect(1, 2, 3, 4)), payload.getsockname())
+            assert select.select([payload], [], [], 5.0)[0]
+            first = poll_messages(payload)
+            assert [m.frame_id for m, _ in first] == list(range(MAX_POLL_DATAGRAMS))
+            assert select.select([payload], [], [], 5.0)[0], "leftovers left the socket"
+            rest = poll_messages(payload)
+            assert [m.frame_id for m, _ in rest] == list(range(MAX_POLL_DATAGRAMS, sent))
+            assert poll_messages(payload) == []
+        finally:
+            payload.close()
+            operator.close()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import zmncc_loops
+from uastrack import matcher
 from uastrack.errors import BoundsError
 from uastrack.imagebuf import GrayImage, Rect
 from uastrack.matcher import (
@@ -148,7 +150,130 @@ class TestScan:
         points = scan(frame, bank, Rect(40, 40, 9, 9), -1.0)
         for p in points:
             best = max(zmncc(frame, e.patch, p.u, p.v) for e in bank.entries)
-            assert p.score == pytest.approx(best, abs=1e-9)
+            assert p.score == best
+
+
+def scan_by(route, img, bank, window, threshold, chunk_elems=matcher._CHUNK_ELEMS):
+    """``scan`` forced onto one numerator route: "fft", "matmul" or "auto".
+
+    A ``chunk_elems`` of 1 makes every chunk one bank entry (FFT) or one
+    row of positions (matmul).
+    """
+    limit = {"fft": 0, "matmul": 1 << 62, "auto": matcher._FFT_MIN_POSITIONS}[route]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcher, "_FFT_MIN_POSITIONS", limit)
+        mp.setattr(matcher, "_CHUNK_ELEMS", chunk_elems)
+        return scan(img, bank, window, threshold)
+
+
+def best_of_bank(img, bank, u, v):
+    """Max zmncc over the bank and the lowest angle reaching it."""
+    scores = [zmncc(img, e.patch, u, v) for e in bank.entries]
+    best = max(scores)
+    return best, bank.angles[scores.index(best)]
+
+
+@st.composite
+def scan_cases(draw, min_frame, max_frame):
+    """Random frame with uniform and 0/255 blocks, a bank of 1, 4 or 36 entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tw, th = draw(st.integers(2, 9)), draw(st.integers(2, 9))  # odd and even
+    w = draw(st.integers(max(tw, min_frame), max_frame))
+    h = draw(st.integers(max(th, min_frame), max_frame))
+    px = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    for fill in (lambda shape: np.uint8(rng.integers(0, 256)),
+                 lambda shape: (rng.integers(0, 2, shape) * 255).astype(np.uint8)):
+        bw, bh = int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1))
+        x, y = int(rng.integers(0, w - bw + 1)), int(rng.integers(0, h - bh + 1))
+        px[y : y + bh, x : x + bw] = fill((bh, bw))
+    kind = draw(st.sampled_from(["random", "uniform", "saturated", "frame"]))
+    if kind == "random":
+        tpx = rng.integers(0, 256, (th, tw), dtype=np.uint8)
+    elif kind == "uniform":
+        tpx = np.full((th, tw), rng.integers(0, 256), dtype=np.uint8)
+    elif kind == "saturated":
+        tpx = (rng.integers(0, 2, (th, tw)) * 255).astype(np.uint8)
+    else:  # a copy of the frame: exact matches and ties
+        tpx = px[:th, :tw].copy()
+    count = draw(st.sampled_from([1, 4, 36]))
+    bank = build_bank(GrayImage(tpx), count, 360.0 / count)
+    threshold = draw(st.sampled_from([0.9, 0.0, -1.0]))
+    return GrayImage(px), bank, threshold
+
+
+class TestScanExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(scan_cases(min_frame=2, max_frame=22))
+    def test_both_routes_equal_zmncc_at_every_position(self, case):
+        img, bank, threshold = case
+        full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
+        expected = []
+        for v in range(full.y, full.y2):
+            for u in range(full.x, full.x2):
+                best, angle = best_of_bank(img, bank, u, v)
+                if best >= threshold:
+                    expected.append(MatchPoint(u, v, best, angle))
+        for route in ("fft", "matmul"):
+            assert scan_by(route, img, bank, full, threshold) == expected
+            assert scan_by(route, img, bank, full, threshold, chunk_elems=1) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(scan_cases(min_frame=68, max_frame=90), st.booleans())
+    def test_routes_agree_on_both_sides_of_the_crossover(self, case, large):
+        img, bank, threshold = case
+        assert 30 * 30 < matcher._FFT_MIN_POSITIONS <= 60 * 60
+        full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
+        side = 60 if large else 30
+        window = Rect(full.x, full.y, side, side)
+        assert full.contains(window)
+        points = scan_by("auto", img, bank, window, threshold)
+        assert scan_by("fft", img, bank, window, threshold) == points
+        assert scan_by("matmul", img, bank, window, threshold) == points
+        for p in points[:: max(1, len(points) // 25)]:
+            assert (p.score, p.angle_deg) == best_of_bank(img, bank, p.u, p.v)
+
+    @pytest.mark.parametrize("route", ["fft", "matmul"])
+    def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, route):
+        bank = build_bank(checker22x36, 4, 90.0)
+        frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
+        window = Rect(30, 30, 9, 9)
+        for u, v in ((32, 33), (35, 31), (38, 38)):
+            s, _ = best_of_bank(frame, bank, u, v)
+            at = {(p.u, p.v) for p in scan_by(route, frame, bank, window, s)}
+            above = {(p.u, p.v) for p in scan_by(route, frame, bank, window, np.nextafter(s, 2))}
+            assert (u, v) in at
+            assert (u, v) not in above
+
+    def test_fft_residual_check_raises(self, rng, checker22x36, monkeypatch):
+        bank = build_bank(checker22x36, 4, 90.0)
+        frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
+        monkeypatch.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
+        with pytest.raises(ArithmeticError, match="integer"):
+            scan_by("fft", frame, bank, frame.rect, 0.9)
+
+    def test_bank_caches_whole_frame_spectra_only(self, rng, checker22x36):
+        bank = build_bank(checker22x36, 4, 90.0)
+        assert bank.kernel_cache == {}  # building a bank transforms nothing
+        frame = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
+        scan_by("fft", frame, bank, frame.rect, 0.9)
+        shape = bank.kernel_cache["spectra"][0]
+        assert shape == (120, 160)
+        scan_by("fft", frame, bank, Rect(40, 40, 30, 30), 0.9)
+        assert bank.kernel_cache["spectra"][0] == shape
+        assert bank == build_bank(checker22x36, 4, 90.0)
+        assert "kernel_cache" not in repr(bank)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 97, 240, 241, 299, 445, 619])
+    def test_fft_length_is_smallest_5_smooth(self, size):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        got = matcher._smooth5(size)
+        assert got >= size and smooth(got)
+        assert not any(smooth(k) for k in range(size, got))
 
 
 class TestDetect:

@@ -2,7 +2,7 @@ import select
 
 import pytest
 
-from uastrack import groundlink, scenesim
+from uastrack import groundlink, scenesim, tracker
 from uastrack.gimbal import GimbalState
 from uastrack.imagebuf import GrayImage
 from uastrack.sim import LinkRuntime, scenario_optics
@@ -46,3 +46,22 @@ class TestLinkRuntime:
         link.on_frame(2, frame, session)
         assert session.bank.entries[0].patch == patch
         assert session.state is None
+
+    def test_burst_of_uploads_builds_one_bank(self, sockets, monkeypatch):
+        payload, operator = sockets
+        sc = scenesim.make_scenario("cv", frames=2)
+        session = TrackerSession(None, TrackerConfig(optics=scenario_optics(sc)))
+        built = []
+
+        def counting_build_bank(*args):
+            built.append(args[0])
+            return build_bank(*args)
+
+        monkeypatch.setattr(tracker, "build_bank", counting_build_bank)
+        patches = [scenesim.default_target_patch(seed) for seed in range(1, 6)]
+        for patch in patches:
+            operator.sendto(groundlink.encode_patch_upload(patch), payload.getsockname())
+        assert select.select([payload], [], [], 5.0)[0]
+        LinkRuntime(payload, sample_every=4).on_frame(0, scenesim.render(sc, GimbalState(), 0), session)
+        assert built == [patches[-1]]
+        assert session.bank.entries[0].patch == patches[-1]
