@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import groundlink, matcher, scenesim
 from .ekf import NoiseConfig
 from .errors import ConfigError, ProtocolError, ScenarioError, UastrackError
@@ -186,6 +188,8 @@ class BenchResult:
     speedup: float          # full_ms / windowed_ms
     windowed_fps: float
     full_cold_ms: float     # the bank's first full-frame scan, which fills its caches
+    workers: int            # scan worker threads: the CPUs this process may run on
+    numpy: str              # numpy version, which sets the FFT's speed
 
 
 def run_bench(
@@ -243,6 +247,8 @@ def run_bench(
         speedup=full_ms / windowed_ms if windowed_ms > 0 else float("inf"),
         windowed_fps=1000.0 / windowed_ms if windowed_ms > 0 else float("inf"),
         full_cold_ms=full_cold_ms,
+        workers=matcher._WORKERS,
+        numpy=np.__version__,
     )
 
 
@@ -256,7 +262,8 @@ def cmd_bench(args) -> int:
         f"full-frame {r.full_ms:.1f} ms/frame (first scan {r.full_cold_ms:.1f} ms), "
         f"windowed({args.window}px) "
         f"{r.windowed_ms:.2f} ms/frame, speedup {r.speedup:.1f}x, "
-        f"windowed throughput {r.windowed_fps:.1f} fps"
+        f"windowed throughput {r.windowed_fps:.1f} fps, "
+        f"workers {r.workers}, numpy {r.numpy}"
     )
     return 0
 

@@ -12,10 +12,11 @@ centered at integer ``u`` covers columns ``[u - (tw-1)//2, u - (tw-1)//2 + tw)``
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundsError
 from .imagebuf import GrayImage, Rect
@@ -24,15 +25,32 @@ from .warp import TemplateBank
 DEFAULT_THRESHOLD = 0.9
 
 # Cap on the elements of each array a scan chunk materializes (~16 MB of
-# float64); a chunk holds a few such arrays at once.
+# float64); a chunk holds a few such arrays at once, and one chunk per
+# worker is in flight.
 _CHUNK_ELEMS = 2_000_000
-
-# Windows of at least this many center positions take the FFT numerator.
-# Both numerator routes give the same exact integers, so this sets speed only.
-_FFT_MIN_POSITIONS = 2_500
 
 # Largest distance from an integer accepted for an FFT correlation value.
 _FFT_MAX_RESIDUAL = 0.25
+
+# Budget for the spectra a bank keeps at tracking-window shapes, least
+# recently used evicted first. The common 1,551-position window of a 22x36
+# template pads to 90x54, whose 36 spectra take 1.5 MB. The whole-frame
+# spectra are kept apart and never evicted by window scans.
+_WINDOW_SPECTRA_BYTES = 16 << 20
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on every platform
+        return os.cpu_count() or 1
+
+
+# Scan worker threads: one per CPU this process may run on. With one, the
+# bank's chunks run inline on the calling thread.
+_WORKERS = _cpu_count()
+_pool = None
+_pool_lock = threading.Lock()
 
 # Candidate margin of the pooled pre-test in ``scan``. The pooled score
 # num * (1/sqrt(var_t)), its bar (threshold - margin) * sqrt(var_f) and
@@ -143,7 +161,7 @@ def _clamp_window(window: Rect, tpl_w: int, tpl_h: int, frame_w: int, frame_h: i
 class _BankConstants:
     """Template-side terms of the score, cached on the bank by ``_bank_constants``."""
 
-    weights: np.ndarray  # (K, n) n*t - sum(t): integers with sum 0
+    weights: np.ndarray  # (K, th, tw) n*t - sum(t): integers with sum 0
     var_t: np.ndarray    # (K,) n*sum(t*t) - sum(t)**2, an integer
     inv_sd_t: np.ndarray # (K,) 1/sqrt(var_t), 0 for a flat template
     angles: np.ndarray
@@ -153,13 +171,12 @@ def _bank_constants(bank: TemplateBank) -> _BankConstants:
     consts = bank.kernel_cache.get("constants")
     if consts is None:
         t = np.stack([e.patch.pixels for e in bank.entries]).astype(np.int64)
-        t = t.reshape(len(bank), -1)
-        n = t.shape[1]
-        st = t.sum(axis=1)
-        var_t = (n * (t * t).sum(axis=1) - st * st).astype(np.float64)
+        n = bank.base_width * bank.base_height
+        st = t.sum(axis=(1, 2))
+        var_t = (n * (t * t).sum(axis=(1, 2)) - st * st).astype(np.float64)
         with np.errstate(divide="ignore"):
             inv_sd_t = np.where(var_t > 0.0, 1.0 / np.sqrt(var_t), 0.0)
-        weights = (n * t - st[:, None]).astype(np.float64)
+        weights = (n * t - st[:, None, None]).astype(np.float64)
         consts = _BankConstants(weights, var_t, inv_sd_t, np.array(bank.angles))
         bank.kernel_cache["constants"] = consts
     return consts
@@ -177,12 +194,6 @@ def _window_sums(sub: np.ndarray, tw: int, th: int) -> tuple[np.ndarray, np.ndar
     return box(f), box(f * f)
 
 
-def _chunks(total: int, per_chunk: int) -> list[tuple[int, int]]:
-    """``[start, stop)`` ranges of at most ``per_chunk`` (at least 1) covering ``total``."""
-    step = max(1, per_chunk)
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
-
-
 def _smooth5(size: int) -> int:
     """Smallest 2**a * 3**b * 5**c at or above ``size``: a fast FFT length."""
     while True:
@@ -195,66 +206,112 @@ def _smooth5(size: int) -> int:
         size += 1
 
 
-# The numerator routes below yield (position slice, bank slice, num[k, m]):
-# the exact integer n*sum(f*t) - sum(f)*sum(t) of k bank entries at m window
-# positions (row-major), as the correlation of f with the weights n*t - sum(t).
-# |num| <= n**2 * 255**2, which float64 holds exactly for any template under
-# 370,000 pixels.
+def _cached_spectra(bank: TemplateBank, shape: tuple, whole: tuple) -> np.ndarray | None:
+    """The bank's conjugate spectra at padded ``shape``, if it keeps them."""
+    cache = bank.kernel_cache
+    if shape == whole:
+        kept = cache.get("frame")
+        return kept[1] if kept is not None and kept[0] == shape else None
+    windows = cache.get("windows", {})
+    spectra = windows.pop(shape, None)
+    if spectra is not None:
+        windows[shape] = spectra  # most recently used last
+    return spectra
 
 
-def _numerator_matmul(sub: np.ndarray, bank: TemplateBank, consts: _BankConstants):
-    """Materialized windows times the weights, in row chunks.
+def _keep_spectra(bank: TemplateBank, shape: tuple, whole: tuple, spectra: np.ndarray) -> None:
+    """Keep whole-frame spectra in their own slot, window spectra within budget."""
+    cache = bank.kernel_cache
+    if shape == whole:
+        cache["frame"] = (shape, spectra)
+        return
+    windows = cache.setdefault("windows", {})
+    windows[shape] = spectra
+    while sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
+        del windows[next(iter(windows))]
 
-    Every product and partial sum is an integer no larger than that bound, so
-    the float64 matmul is exact in any summation order.
+
+@dataclass(frozen=True)
+class _ScanJob:
+    """What every chunk of one scan shares; chunks write disjoint entries of
+    ``spectra`` when ``fresh`` and read nothing another chunk writes."""
+
+    frame: np.ndarray    # rfft2 of the mean-centred sub-image at ``shape``
+    spectra: np.ndarray  # (K, shape[0], shape[1]//2 + 1) conjugate bank spectra
+    fresh: bool          # spectra still to be computed, each chunk its own
+    shape: tuple
+    nv: int
+    nu: int
+    consts: _BankConstants
+    var_f: np.ndarray    # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
+    bar: np.ndarray | None  # pooled pre-test bar per position, None to score all
+
+
+def _score_chunk(job: _ScanJob, k0: int, k1: int):
+    """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
+
+    The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
+    with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
+    which float64 holds exactly for any template under 370,000 pixels. It is
+    computed as a circular FFT correlation at the padded shape, at least the
+    sub-image's, so no valid window wraps around, and rounded to integers.
+    The weights sum to 0, so centring the frame first changes no sum but
+    shrinks the transform's rounding error, which stays orders of magnitude
+    below 0.5 for 8-bit samples; a value further than ``_FFT_MAX_RESIDUAL``
+    from an integer raises ``ArithmeticError``.
     """
-    th, tw = bank.base_height, bank.base_width
-    windows = sliding_window_view(sub.astype(np.float64), (th, tw))
-    nv, nu = windows.shape[:2]
-    for r0, r1 in _chunks(nv, _CHUNK_ELEMS // (nu * tw * th)):
-        block = windows[r0:r1].reshape((r1 - r0) * nu, tw * th)
-        yield slice(r0 * nu, r1 * nu), slice(0, len(bank)), consts.weights @ block.T
+    c = job.consts
+    if job.fresh:
+        block = job.spectra[k0:k1]
+        block[...] = np.fft.rfft2(c.weights[k0:k1], job.shape)
+        np.conjugate(block, out=block)
+    # irfft2, dropping between its two passes the rows no valid position needs
+    corr = np.fft.irfft(
+        np.fft.ifft(job.spectra[k0:k1] * job.frame, axis=1)[:, : job.nv], job.shape[1], axis=2
+    )[:, :, : job.nu]
+    num = np.rint(corr)
+    corr -= num
+    residual = max(float(corr.max()), -float(corr.min()))
+    if not residual <= _FFT_MAX_RESIDUAL:
+        raise ArithmeticError(
+            f"FFT correlation lies {residual:g} from an integer "
+            f"(limit {_FFT_MAX_RESIDUAL}); its sums would not be exact"
+        )
+    num = num.reshape(k1 - k0, job.nv * job.nu)
+    at = np.arange(job.nv * job.nu)
+    # Above a positive threshold, only positions whose pooled score
+    # max_k(num_k / sqrt(var_t_k)) / sqrt(var_f) comes within _POOL_MARGIN of
+    # it are scored exactly; the rest cannot reach it.
+    if job.bar is not None:
+        at = np.flatnonzero((num * c.inv_sd_t[k0:k1, None]).max(axis=0) >= job.bar)
+        num = num[:, at]
+    # as zmncc: a zero-variance region or template (den == 0) scores 0
+    den = np.sqrt(c.var_t[k0:k1, None] * job.var_f[at])
+    scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    return at, scores.max(axis=0), scores.argmax(axis=0) + k0
 
 
-def _numerator_fft(sub: np.ndarray, bank: TemplateBank, consts: _BankConstants, keep: bool):
-    """Circular FFT cross-correlation at a padded shape, rounded to integers.
+def _executor():
+    """The scan worker pool, started on first use: importing starts no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-    The padded shape is at least ``sub``'s, so no valid window wraps around.
-    The weights sum to 0, so subtracting the mean of ``sub`` first changes no
-    sum but shrinks the transform's rounding error, which stays orders of
-    magnitude below 0.5 for 8-bit samples; a value further than
-    ``_FFT_MAX_RESIDUAL`` from an integer raises ``ArithmeticError``.
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="uastrack-scan")
+        return _pool
 
-    The bank is transformed in chunks of about ``_CHUNK_ELEMS`` samples. Its
-    spectra at the padded shape are cached on the bank when ``keep`` is set,
-    replacing any other shape's.
-    """
-    th, tw = bank.base_height, bank.base_width
-    nv, nu = sub.shape[0] - th + 1, sub.shape[1] - tw + 1
-    shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-    chunks = _chunks(len(bank), _CHUNK_ELEMS // (shape[0] * shape[1]))
-    cached = bank.kernel_cache.get("spectra")
-    if cached is None or cached[0] != shape:
-        weights = consts.weights.reshape(len(bank), th, tw)
-        spectra = np.empty((len(bank), shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-        for k0, k1 in chunks:
-            spectra[k0:k1] = np.fft.rfft2(weights[k0:k1], shape)
-        cached = (shape, np.conjugate(spectra, out=spectra))
-        if keep:
-            bank.kernel_cache["spectra"] = cached
-    spectra = cached[1]
-    frame = np.fft.rfft2(sub - sub.mean(), shape)
-    for k0, k1 in chunks:
-        corr = np.fft.irfft2(spectra[k0:k1] * frame, shape)[:, :nv, :nu]
-        num = np.rint(corr)
-        corr -= num
-        residual = max(float(corr.max()), -float(corr.min()))
-        if not residual <= _FFT_MAX_RESIDUAL:
-            raise ArithmeticError(
-                f"FFT correlation lies {residual:g} from an integer "
-                f"(limit {_FFT_MAX_RESIDUAL}); its sums would not be exact"
-            )
-        yield slice(0, nv * nu), slice(k0, k1), num.reshape(k1 - k0, nv * nu)
+
+def _run_chunks(job: _ScanJob, bounds: list[tuple[int, int]]) -> list:
+    """``_score_chunk`` of every bank range, results in range order."""
+    if _WORKERS == 1 or len(bounds) == 1:
+        return [_score_chunk(job, k0, k1) for k0, k1 in bounds]
+    from concurrent.futures import wait
+
+    futures = [_executor().submit(_score_chunk, job, k0, k1) for k0, k1 in bounds]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def scan(
@@ -275,8 +332,9 @@ def scan(
     empty list.
 
     Window sums come from summed-area tables and the correlation numerator
-    from a matmul (small windows) or an FFT (large ones); both give the same
-    exact integers, so the route never changes the result.
+    from an exact FFT correlation. The bank is split into chunks of entries
+    scored on the worker threads; the chunks' results are merged in entry
+    order, so the split never changes the result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -291,36 +349,32 @@ def scan(
     consts = _bank_constants(bank)
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
-
-    # Above a positive threshold, only positions whose pooled score
-    # max_k(num_k / sqrt(var_t_k)) / sqrt(var_f) comes within _POOL_MARGIN of
-    # it are scored exactly; the rest cannot reach it. Otherwise every
-    # position is scored exactly.
-    pooled = threshold - _POOL_MARGIN > 0.0
-    if pooled:
+    bar = None
+    if threshold - _POOL_MARGIN > 0.0:
         bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
+
+    whole = (_smooth5(img.height), _smooth5(img.width))
+    shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
+    spectra = _cached_spectra(bank, shape, whole)
+    fresh = spectra is None
+    if fresh:
+        spectra = np.empty((len(bank), shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    frame = np.fft.rfft2(sub - sub.mean(), shape)
+    job = _ScanJob(frame, spectra, fresh, shape, nv, nu, consts, var_f, bar)
+    k = len(bank)
+    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
+    count = min(k, max(_WORKERS, -(-k // per_chunk)))
+    bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
+    results = _run_chunks(job, bounds)
+    if fresh:
+        _keep_spectra(bank, shape, whole, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best_idx = np.zeros(nv * nu, dtype=np.intp)
-    if nv * nu >= _FFT_MIN_POSITIONS:
-        # Whole-frame scans (acquisition, re-detection) repeat one padded
-        # shape, so only theirs is cached; tracking windows change size.
-        numerators = _numerator_fft(sub, bank, consts, keep=sub.shape == img.pixels.shape)
-    else:
-        numerators = _numerator_matmul(sub, bank, consts)
-    for pos, ks, num in numerators:
-        at = np.arange(pos.start, pos.stop)
-        if pooled:
-            cand = np.flatnonzero((num * consts.inv_sd_t[ks, None]).max(axis=0) >= bar[pos])
-            num, at = num[:, cand], at[cand]
-        # as zmncc: a zero-variance region or template (den == 0) scores 0
-        den = np.sqrt(consts.var_t[ks, None] * var_f[at])
-        scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-        np.clip(scores, -1.0, 1.0, out=scores)
-        top = scores.max(axis=0)
+    for at, top, idx in results:
         better = top > best[at]  # earlier chunks hold lower angles and win ties
         best[at[better]] = top[better]
-        best_idx[at[better]] = scores.argmax(axis=0)[better] + ks.start
+        best_idx[at[better]] = idx[better]
 
     hits = np.flatnonzero(best >= threshold)
     return [

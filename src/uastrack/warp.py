@@ -33,8 +33,8 @@ class TemplateBank:
     entries: tuple[BankEntry, ...]
     base_width: int
     base_height: int
-    # Template-side constants of the correlation kernel, filled lazily by
-    # ``matcher`` on the first scan; derived data, so not compared or shown.
+    # Template-side constants and spectra of the correlation kernel, filled
+    # lazily by ``matcher`` as it scans; derived data, so not compared or shown.
     kernel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -59,13 +59,12 @@ def _bilinear(src: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     return top * (1.0 - fy) + bot * fy
 
 
-def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
-    """Rotate a patch by ``alpha`` radians about its center.
+def _rotations(src: GrayImage, alphas: list[float]) -> np.ndarray:
+    """Copies of ``src`` rotated by each of ``alphas`` radians: a (K, h, w) uint8 stack.
 
-    Output has the source dimensions. Each output pixel is inverse-mapped
-    through the rotation and bilinearly sampled; positions falling outside
-    the source are filled with the source mean so they stay neutral under
-    zero-mean correlation. Samples are rounded to the nearest gray level.
+    Every angle runs the same elementwise float64 operations as a single
+    one, with its cosine and sine taken from ``math``, so each copy is
+    bit-identical to rotating by that angle alone.
     """
     h, w = src.height, src.width
     f = src.as_float()
@@ -74,8 +73,8 @@ def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
     dx, dy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     rx = dx - cx
     ry = dy - cy
-    c = math.cos(alpha)
-    s = math.sin(alpha)
+    c = np.array([math.cos(a) for a in alphas])[:, None, None]
+    s = np.array([math.sin(a) for a in alphas])[:, None, None]
     # inverse of the forward rotation: R(alpha)^-1 == R(-alpha)
     sx = cx + c * rx - s * ry
     sy = cy + s * rx + c * ry
@@ -88,20 +87,33 @@ def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
     sxc = np.clip(sx, 0.0, float(w - 1))
     syc = np.clip(sy, 0.0, float(h - 1))
     vals = np.where(inside, _bilinear(f, sxc, syc), f.mean())
-    return GrayImage(np.clip(np.floor(vals + 0.5), 0.0, 255.0).astype(np.uint8))
+    return np.clip(np.floor(vals + 0.5), 0.0, 255.0).astype(np.uint8)
+
+
+def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
+    """Rotate a patch by ``alpha`` radians about its center.
+
+    Output has the source dimensions. Each output pixel is inverse-mapped
+    through the rotation and bilinearly sampled; positions falling outside
+    the source are filled with the source mean so they stay neutral under
+    zero-mean correlation. Samples are rounded to the nearest gray level.
+    """
+    return GrayImage(_rotations(src, [alpha])[0])
 
 
 def build_bank(patch: GrayImage, count: int = 36, step_deg: float = 10.0) -> TemplateBank:
     """Generate ``count`` rotated copies at ``step_deg`` spacing covering 360 degrees.
 
     Entry k holds angle ``k * step_deg``; entry 0 is the unmodified patch.
+    All other entries come from one batched rotation, each equal to
+    ``warp_patch`` at its angle.
     """
     if count < 1 or count * step_deg != 360.0:
         raise ConfigError(
             f"bank must cover exactly 360 degrees, got {count} x {step_deg}"
         )
+    angles = [k * step_deg for k in range(1, count)]
+    stack = _rotations(patch, [math.radians(a) for a in angles])
     entries = [BankEntry(0.0, patch)]
-    for k in range(1, count):
-        angle = k * step_deg
-        entries.append(BankEntry(angle, warp_patch(patch, math.radians(angle))))
+    entries += [BankEntry(a, GrayImage(px)) for a, px in zip(angles, stack)]
     return TemplateBank(tuple(entries), patch.width, patch.height)

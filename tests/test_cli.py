@@ -4,9 +4,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uastrack import scenesim
+from uastrack import matcher, scenesim
 from uastrack.cli import load_config, main, run_bench, tracker_config
 from uastrack.errors import ConfigError
 from uastrack.groundlink import (
@@ -189,7 +190,7 @@ class TestBank:
         assert len(files) == 36
         assert files[0].name == "bank_00_000deg.pgm"
         first = load_pgm(files[0].read_bytes())
-        assert first == load_pgm(open(template_file, "rb").read())
+        assert first == load_pgm(Path(template_file).read_bytes())
 
 
 class TestBench:
@@ -197,6 +198,14 @@ class TestBench:
         r = run_bench(320, 240, scenesim.default_target_patch(7), window_px=48, reps=1)
         assert r.full_ms > r.windowed_ms
         assert r.speedup > 1.0
+
+    def test_prints_timings_with_core_count_and_numpy_version(self, capsys):
+        assert main(["bench", "--width", "160", "--height", "120", "--reps", "1"]) == 0
+        line = capsys.readouterr().out.strip()
+        fields = dict(part.strip().rsplit(" ", 1) for part in line.split(",")[-2:])
+        assert fields == {"workers": str(matcher._WORKERS), "numpy": np.__version__}
+        assert int(fields["workers"]) >= 1
+        assert line.startswith("full-frame ") and "speedup " in line
 
 
 class TestServe:

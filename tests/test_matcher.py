@@ -1,4 +1,10 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from uastrack.matcher import (
     valid_center_rect,
     zmncc,
 )
+from uastrack.scenesim import default_target_patch
 from uastrack.warp import build_bank, warp_patch
 
 
@@ -153,15 +160,13 @@ class TestScan:
             assert p.score == best
 
 
-def scan_by(route, img, bank, window, threshold, chunk_elems=matcher._CHUNK_ELEMS):
-    """``scan`` forced onto one numerator route: "fft", "matmul" or "auto".
+def scan_with(img, bank, window, threshold, workers, chunk_elems=matcher._CHUNK_ELEMS):
+    """``scan`` on ``workers`` scan threads (1 runs every chunk inline).
 
-    A ``chunk_elems`` of 1 makes every chunk one bank entry (FFT) or one
-    row of positions (matmul).
+    A ``chunk_elems`` of 1 makes every chunk one bank entry.
     """
-    limit = {"fft": 0, "matmul": 1 << 62, "auto": matcher._FFT_MIN_POSITIONS}[route]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matcher, "_FFT_MIN_POSITIONS", limit)
+        mp.setattr(matcher, "_WORKERS", workers)
         mp.setattr(matcher, "_CHUNK_ELEMS", chunk_elems)
         return scan(img, bank, window, threshold)
 
@@ -201,10 +206,17 @@ def scan_cases(draw, min_frame, max_frame):
     return GrayImage(px), bank, threshold
 
 
+windows = st.lists(
+    st.tuples(st.integers(-5, 90), st.integers(-5, 90), st.integers(1, 70), st.integers(1, 70)),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestScanExactness:
     @settings(max_examples=40, deadline=None)
     @given(scan_cases(min_frame=2, max_frame=22))
-    def test_both_routes_equal_zmncc_at_every_position(self, case):
+    def test_pooled_and_inline_scans_equal_zmncc_at_every_position(self, case):
         img, bank, threshold = case
         full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
         expected = []
@@ -213,34 +225,59 @@ class TestScanExactness:
                 best, angle = best_of_bank(img, bank, u, v)
                 if best >= threshold:
                     expected.append(MatchPoint(u, v, best, angle))
-        for route in ("fft", "matmul"):
-            assert scan_by(route, img, bank, full, threshold) == expected
-            assert scan_by(route, img, bank, full, threshold, chunk_elems=1) == expected
+        for workers in (1, 2):
+            assert scan_with(img, bank, full, threshold, workers) == expected
+            assert scan_with(img, bank, full, threshold, workers, chunk_elems=1) == expected
 
     @settings(max_examples=12, deadline=None)
-    @given(scan_cases(min_frame=68, max_frame=90), st.booleans())
-    def test_routes_agree_on_both_sides_of_the_crossover(self, case, large):
+    @given(scan_cases(min_frame=68, max_frame=90), windows)
+    def test_whole_frame_spectra_survive_window_scans(self, case, rects):
         img, bank, threshold = case
-        assert 30 * 30 < matcher._FFT_MIN_POSITIONS <= 60 * 60
+        assert bank.kernel_cache == {}  # building a bank transforms nothing
         full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
-        side = 60 if large else 30
-        window = Rect(full.x, full.y, side, side)
-        assert full.contains(window)
-        points = scan_by("auto", img, bank, window, threshold)
-        assert scan_by("fft", img, bank, window, threshold) == points
-        assert scan_by("matmul", img, bank, window, threshold) == points
-        for p in points[:: max(1, len(points) // 25)]:
+        whole = scan(img, bank, full, threshold)
+        kept = bank.kernel_cache["frame"]
+        assert kept[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
+        for workers, rect in zip([1, 2] * len(rects), rects):
+            window = Rect(*rect)
+            inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
+            assert scan_with(img, bank, window, threshold, workers) == inside
+            assert bank.kernel_cache["frame"] is kept
+        for p in whole[:: max(1, len(whole) // 25)]:
             assert (p.score, p.angle_deg) == best_of_bank(img, bank, p.u, p.v)
+        assert bank == build_bank(bank.entries[0].patch, len(bank), 360.0 / len(bank))
+        assert "kernel_cache" not in repr(bank)
 
-    @pytest.mark.parametrize("route", ["fft", "matmul"])
-    def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, route):
+    def test_window_spectra_stay_within_their_budget(self, rng, checker22x36, monkeypatch):
+        bank = build_bank(checker22x36, 4, 90.0)
+        frame = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
+        scan(frame, bank, frame.rect, 0.0)
+        kept = bank.kernel_cache["frame"]
+        budget = 600_000  # two or three of the shapes below
+        monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", budget)
+        for side in range(1, 60, 3):
+            window = Rect(40, 40, side, side)
+            fresh = build_bank(checker22x36, 4, 90.0)
+            assert scan(frame, bank, window, 0.0) == scan(frame, fresh, window, 0.0)
+            shapes = bank.kernel_cache["windows"]
+            assert 0 < sum(s.nbytes for s in shapes.values()) <= budget
+            assert bank.kernel_cache["frame"] is kept
+        assert len(shapes) >= 2
+        assert list(shapes)[-1] == (matcher._smooth5(58 + 35), matcher._smooth5(58 + 21))
+        monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", 0)
+        scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
+        assert bank.kernel_cache["windows"] == {}
+        assert bank.kernel_cache["frame"] is kept
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, workers):
         bank = build_bank(checker22x36, 4, 90.0)
         frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
         window = Rect(30, 30, 9, 9)
         for u, v in ((32, 33), (35, 31), (38, 38)):
             s, _ = best_of_bank(frame, bank, u, v)
-            at = {(p.u, p.v) for p in scan_by(route, frame, bank, window, s)}
-            above = {(p.u, p.v) for p in scan_by(route, frame, bank, window, np.nextafter(s, 2))}
+            at = {(p.u, p.v) for p in scan_with(frame, bank, window, s, workers)}
+            above = {(p.u, p.v) for p in scan_with(frame, bank, window, np.nextafter(s, 2), workers)}
             assert (u, v) in at
             assert (u, v) not in above
 
@@ -248,20 +285,74 @@ class TestScanExactness:
         bank = build_bank(checker22x36, 4, 90.0)
         frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
-        with pytest.raises(ArithmeticError, match="integer"):
-            scan_by("fft", frame, bank, frame.rect, 0.9)
+        raised = {}
+        score_chunk = matcher._score_chunk
 
-    def test_bank_caches_whole_frame_spectra_only(self, rng, checker22x36):
-        bank = build_bank(checker22x36, 4, 90.0)
-        assert bank.kernel_cache == {}  # building a bank transforms nothing
-        frame = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
-        scan_by("fft", frame, bank, frame.rect, 0.9)
-        shape = bank.kernel_cache["spectra"][0]
-        assert shape == (120, 160)
-        scan_by("fft", frame, bank, Rect(40, 40, 30, 30), 0.9)
-        assert bank.kernel_cache["spectra"][0] == shape
-        assert bank == build_bank(checker22x36, 4, 90.0)
-        assert "kernel_cache" not in repr(bank)
+        def recording(job, k0, k1):
+            try:
+                return score_chunk(job, k0, k1)
+            except ArithmeticError as exc:
+                raised[k0] = (exc, threading.current_thread())
+                raise
+
+        monkeypatch.setattr(matcher, "_score_chunk", recording)
+        with pytest.raises(ArithmeticError, match="integer") as excinfo:
+            scan_with(frame, bank, frame.rect, 0.9, workers=2, chunk_elems=1)
+        assert sorted(raised) == [0, 1, 2, 3]  # every chunk ran, each on a worker
+        assert all(thread is not threading.main_thread() for _, thread in raised.values())
+        assert excinfo.value is raised[0][0]  # the first chunk's error, unchanged
+        assert "frame" not in bank.kernel_cache  # a failed scan keeps no spectra
+
+    @pytest.mark.parametrize(
+        "workers, chunk_elems, expected",
+        [
+            (1, matcher._CHUNK_ELEMS, [(0, 36)]),
+            (2, matcher._CHUNK_ELEMS, [(0, 18), (18, 36)]),
+            (5, matcher._CHUNK_ELEMS, [(0, 7), (7, 14), (14, 21), (21, 28), (28, 36)]),
+            # a cap of 5 entries at 90x54 needs 8 chunks
+            (2, 5 * 90 * 54, [(0, 4), (4, 9), (9, 13), (13, 18), (18, 22), (22, 27), (27, 31), (31, 36)]),
+        ],
+    )
+    def test_bank_splits_evenly_into_chunks_within_the_cap(
+        self, rng, workers, chunk_elems, expected, monkeypatch
+    ):
+        bank = build_bank(default_target_patch(7))
+        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        window = Rect(100, 80, 33, 47)  # pads to 90x54
+        ran = []
+        score_chunk = matcher._score_chunk
+
+        def recording(job, k0, k1):
+            ran.append((k0, k1))
+            return score_chunk(job, k0, k1)
+
+        monkeypatch.setattr(matcher, "_score_chunk", recording)
+        points = scan_with(frame, bank, window, 0.0, workers, chunk_elems)
+        assert sorted(ran) == expected
+        assert points == scan_with(frame, build_bank(default_target_patch(7)), window, 0.0, 1)
+
+    def test_pool_starts_on_the_first_split_scan(self, rng, checker22x36, monkeypatch):
+        probe = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "import uastrack.cli\n"
+            "from uastrack import matcher, warp\n"
+            "from uastrack.imagebuf import GrayImage\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+            "matcher._WORKERS = 2\n"
+            "img = GrayImage(np.arange(1600, dtype=np.uint8).reshape(40, 40))\n"
+            "matcher.scan(img, warp.build_bank(GrayImage(img.pixels[:5, :7]), 4, 90.0), img.rect)\n"
+            "print(threading.active_count())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(matcher.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        imported, before, after = out.stdout.split()
+        assert (imported, before) == ("False", "1")  # importing starts no thread
+        assert int(after) > 1
+        monkeypatch.setattr(matcher, "_executor", lambda: pytest.fail("one worker started a pool"))
+        frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
+        scan_with(frame, build_bank(checker22x36, 4, 90.0), frame.rect, 0.9, workers=1, chunk_elems=1)
 
     @pytest.mark.parametrize("size", [1, 7, 8, 97, 240, 241, 299, 445, 619])
     def test_fft_length_is_smallest_5_smooth(self, size):
@@ -274,6 +365,25 @@ class TestScanExactness:
         got = matcher._smooth5(size)
         assert got >= size and smooth(got)
         assert not any(smooth(k) for k in range(size, got))
+
+
+def test_scan_makes_no_blas_call():
+    """No matrix product of any size in ``matcher``: no ``@``, ``np.dot`` or ``np.matmul``.
+
+    A float64 matmul numerator for small windows woke OpenBLAS's threads,
+    which then kept the second core busy: the next full-frame scan slowed
+    from ~43 to 58-84 ms, and ``test_c09_windowed_speedup`` (>= 20x)
+    failed in 11 of 14 solo runs at 7.8-10.7x, passing with
+    ``OPENBLAS_NUM_THREADS=1``. The scan's one numerator route is the FFT.
+    """
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(Path(matcher.__file__).read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in blas
+    ]
+    assert found == []
 
 
 class TestDetect:

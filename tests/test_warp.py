@@ -59,3 +59,14 @@ class TestBuildBank:
         for e in bank.entries:
             assert (e.patch.width, e.patch.height) == (bank.base_width, bank.base_height)
         assert all(a < b for a, b in zip(bank.angles, bank.angles[1:]))
+
+    @pytest.mark.parametrize("shape", [(36, 22), (13, 9), (8, 8), (2, 5), (1, 1)])
+    def test_entries_equal_warp_patch_at_their_angles(self, rng, shape):
+        patch = GrayImage(rng.integers(0, 256, shape, dtype=np.uint8))
+        for count, step in ((36, 10.0), (4, 90.0), (24, 15.0)):
+            bank = build_bank(patch, count, step)
+            assert {90.0, 180.0, 270.0} <= set(bank.angles)
+            for e in bank.entries:
+                assert e.patch == warp_patch(patch, math.radians(e.angle_deg))
+        half_turn = build_bank(patch).entries[18]
+        assert np.array_equal(half_turn.patch.pixels, patch.pixels[::-1, ::-1])
