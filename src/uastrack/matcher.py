@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsError
 from .imagebuf import GrayImage, Rect
+from .util import LazyPool
 from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
@@ -49,8 +49,7 @@ def _cpu_count() -> int:
 # Scan worker threads: one per CPU this process may run on. With one, the
 # bank's chunks run inline on the calling thread.
 _WORKERS = _cpu_count()
-_pool = None
-_pool_lock = threading.Lock()
+_pool = LazyPool("uastrack-scan")
 
 # Candidate margin of the pooled pre-test in ``scan``. The pooled score
 # num * (1/sqrt(var_t)), its bar (threshold - margin) * sqrt(var_f) and
@@ -294,13 +293,7 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
 
 def _executor():
     """The scan worker pool, started on first use: importing starts no thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="uastrack-scan")
-        return _pool
+    return _pool.get(_WORKERS)
 
 
 def _run_chunks(job: _ScanJob, bounds: list[tuple[int, int]]) -> list:

@@ -6,21 +6,27 @@ of the pixel-error-to-counts mapping, so a correct pointing command recenters
 a static target. Rendering is a pure function of (scenario, gimbal state,
 frame index): noise comes from a counter-based generator keyed on
 (seed, stream, frame), never from evaluation order.
+
+A render of frame k hands the noise draw of frame k + 1 to one background
+thread, as a camera reads out its next frame while the tracker works on
+this one; see ``_NoiseAhead``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional, Union
+from functools import lru_cache, partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import ScenarioError
 from .gimbal import GimbalState, pan_signed
 from .imagebuf import GrayImage, Rect
-from .util import round_half_away
+from .util import LazyPool, round_half_away
 from .warp import warp_patch
 
 _STREAM_WORLD = 1
@@ -297,6 +303,59 @@ def target_patch(sc: Scenario) -> GrayImage:
     return default_target_patch(sc.seed, sc.patch_w, sc.patch_h)
 
 
+# Sized so the 120 poses of a 3 degree/frame spin stay cached.
+@lru_cache(maxsize=128)
+def _sprite(sc: Scenario, angle_deg: float) -> np.ndarray:
+    """The target as composited at ``angle_deg``; one that does not spin is warped once."""
+    return warp_patch(target_patch(sc), math.radians(angle_deg)).pixels
+
+
+def _draw_noise(seed: int, frame_index: int, shape: tuple[int, int], sigma: float) -> np.ndarray:
+    """Sensor noise of one frame, a function of its arguments only."""
+    return _philox(seed, _STREAM_NOISE, frame_index).normal(0.0, sigma, shape)
+
+
+class _NoiseAhead:
+    """Draws frame k + 1's noise on a background thread while frame k is tracked.
+
+    A render of frame k takes the draw in flight if its key (seed, frame
+    index, shape, sigma) equals frame k's and hands frame k + 1's to the
+    thread; every other render (frame 0, an out-of-order or repeated frame,
+    another scenario) draws inline. The last frame of a horizon hands
+    nothing on. numpy's generators release the interpreter lock while they
+    fill an array, so the draw runs alongside the scan. The thread starts
+    with the first noisy render that has a next frame; a forked child drops
+    the draw it inherited.
+    """
+
+    def __init__(self) -> None:
+        self._pool = LazyPool("uastrack-noise")
+        self._forget()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        self._lock = threading.Lock()
+        self._pending = None  # (key, future) of the draw in flight
+
+    def take(self, key: tuple, ahead: tuple | None) -> Callable[[], np.ndarray]:
+        """A call returning the noise for ``key``; starts the draw for ``ahead``
+        unless it is None. The call waits for a draw in flight and re-raises
+        its error, so a render makes it as late as it can."""
+        with self._lock:
+            pending, self._pending = self._pending, None
+            if ahead is not None:
+                self._pending = (ahead, self._pool.get(1).submit(_draw_noise, *ahead))
+        if pending is not None:
+            if pending[0] == key:
+                return pending[1].result
+            pending[1].cancel()
+        return partial(_draw_noise, *key)
+
+
+_noise_ahead = _NoiseAhead()
+
+
 def camera_origin(sc: Scenario, gimbal: GimbalState) -> tuple[int, int]:
     """World position of the frame's top-left for a given gimbal state."""
     g = _geometry(sc)
@@ -331,15 +390,21 @@ def render(sc: Scenario, gimbal: GimbalState, frame_index: int) -> GrayImage:
         raise ScenarioError(
             f"frame {frame_index} outside scenario horizon [0, {sc.frames})"
         )
+    noise = None
+    if sc.noise_sigma > 0.0:
+        shape = (sc.frame_h, sc.frame_w)
+        ahead = (sc.seed, frame_index + 1, shape, sc.noise_sigma)
+        noise = _noise_ahead.take(
+            (sc.seed, frame_index, shape, sc.noise_sigma),
+            ahead if frame_index + 1 < sc.frames else None,
+        )
     g = _geometry(sc)
     world = _world_cached(sc.seed, g.world_w, g.world_h)
     ox, oy = camera_origin(sc, gimbal)
     frame = world[oy : oy + sc.frame_h, ox : ox + sc.frame_w].astype(np.float64)
 
     # composite the rotated target (full sprite rectangle, mean-filled corners)
-    sprite = warp_patch(
-        target_patch(sc), math.radians(target_angle_deg(sc, frame_index))
-    ).pixels
+    sprite = _sprite(sc, target_angle_deg(sc, frame_index))
     wx, wy = target_world_center(sc, frame_index)
     left = wx - (sc.patch_w - 1) // 2 - ox
     top = wy - (sc.patch_h - 1) // 2 - oy
@@ -358,11 +423,15 @@ def render(sc: Scenario, gimbal: GimbalState, frame_index: int) -> GrayImage:
             if x0 < x1 and y0 < y1:
                 frame[y0:y1, x0:x1] = float(occ.fill)
 
-    vals = sc.gain.at(frame_index) * frame + sc.offset.at(frame_index)
-    if sc.noise_sigma > 0.0:
-        rng = _philox(sc.seed, _STREAM_NOISE, frame_index)
-        vals = vals + rng.normal(0.0, sc.noise_sigma, vals.shape)
-    return GrayImage(np.clip(np.floor(vals + 0.5), 0.0, 255.0).astype(np.uint8))
+    # gain * frame + offset + noise, rounded half up and clipped, in place
+    frame *= sc.gain.at(frame_index)
+    frame += sc.offset.at(frame_index)
+    if noise is not None:
+        frame += noise()
+    frame += 0.5
+    np.floor(frame, out=frame)
+    np.clip(frame, 0.0, 255.0, out=frame)
+    return GrayImage(frame.astype(np.uint8))
 
 
 def _center_occlusion(frame_w: int, frame_h: int, start: int, end: int, size: int = 120) -> Occlusion:

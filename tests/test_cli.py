@@ -199,6 +199,27 @@ class TestBench:
         assert r.full_ms > r.windowed_ms
         assert r.speedup > 1.0
 
+    def test_first_window_scan_is_timed_apart(self, monkeypatch):
+        """A slow first window scan lands in ``windowed_cold_ms``, not in the warm mean."""
+        patch = scenesim.default_target_patch(7)
+        full = matcher.valid_center_rect(patch.width, patch.height, 160, 120)
+        real_scan = matcher.scan
+        windows = []
+
+        def counting_scan(img, bank, window, threshold):
+            if window != full:
+                windows.append(window)
+                if len(windows) == 1:
+                    time.sleep(0.3)
+            return real_scan(img, bank, window, threshold)
+
+        monkeypatch.setattr(matcher, "scan", counting_scan)
+        r = run_bench(160, 120, patch, window_px=48, reps=2)
+        assert len(windows) == 3  # the first scan, then reps timed ones
+        assert r.windowed_cold_ms >= 300.0
+        assert r.windowed_ms < 150.0
+        assert r.speedup == r.full_ms / r.windowed_ms
+
     def test_prints_timings_with_core_count_and_numpy_version(self, capsys):
         assert main(["bench", "--width", "160", "--height", "120", "--reps", "1"]) == 0
         line = capsys.readouterr().out.strip()

@@ -1,0 +1,56 @@
+"""A process forked after the package started its threads can still scan and render."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from uastrack import matcher
+
+# The parent starts both pools, holds a noise draw in flight on its noise
+# thread, and forks. The child inherits the pool objects but none of their
+# threads; it must scan and render on its own, within SIGALRM's 10 s.
+PROBE = """
+import os, signal, threading
+import numpy as np
+from uastrack import matcher, scenesim, warp
+from uastrack.gimbal import GimbalState
+from uastrack.imagebuf import GrayImage
+
+matcher._WORKERS = 2
+img = GrayImage(np.random.default_rng(5).integers(0, 256, (60, 80), dtype=np.uint8))
+bank = warp.build_bank(GrayImage(img.pixels[:9, :7]), 4, 90.0)
+points = matcher.scan(img, bank, img.rect, 0.5)
+sc = scenesim.make_scenario("cv", frames=4)
+g = GimbalState()
+frame = scenesim.render(sc, g, 1)
+
+release = threading.Event()
+draw = scenesim._draw_noise
+
+def held(*key):
+    if threading.current_thread().name.startswith("uastrack-noise"):
+        release.wait()
+    return draw(*key)
+
+scenesim._draw_noise = held
+scenesim.render(sc, g, 0)  # frame 1's draw waits on the noise thread
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    same = matcher.scan(img, bank, img.rect, 0.5) == points
+    same = scenesim.render(sc, g, 1) == frame and same
+    os._exit(0 if same else 1)
+release.set()
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_scans_and_renders_after_fork():
+    env = {**os.environ, "PYTHONPATH": str(Path(matcher.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0"]  # -14: SIGALRM ended a child that hung
