@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,19 @@ from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
 
-# Cap on the elements of each array a scan chunk materializes (~16 MB of
-# float64); a chunk holds a few such arrays at once, and one chunk per
-# worker is in flight.
-_CHUNK_ELEMS = 2_000_000
+# Cap on the elements (entries x padded area) of one chunk of the bank. A
+# chunk's complex arrays hold about half as many complex values, 8 bytes per
+# counted element, so each takes at most 1.4 MB, within a core's 2 MiB L2
+# cache. The cap holds the whole 36-entry bank of a common tracking window
+# at 90x54, 7 entries at 180x125 and 2 at 240x320; a larger entry makes a
+# chunk of its own. Chosen by measurement (README, "Scan kernel").
+_CHUNK_ELEMS = 174_960
+
+# Transform work (entries x padded area) below which a scan whose bank
+# spectra are cached runs inline on the calling thread: 36 entries at 90x54
+# (174,960) and 90x60 do, and leave the other core to the next frame's noise
+# draw; from 96x72 (248,832) on, windows that grew after misses split.
+_INLINE_ELEMS = 230_000
 
 # Largest distance from an integer accepted for an FFT correlation value.
 _FFT_MAX_RESIDUAL = 0.25
@@ -50,6 +60,9 @@ def _cpu_count() -> int:
 # bank's chunks run inline on the calling thread.
 _WORKERS = _cpu_count()
 _pool = LazyPool("uastrack-scan")
+
+# Each thread's chunk arrays, reused from chunk to chunk and scan to scan.
+_scratch = threading.local()
 
 # Candidate margin of the pooled pre-test in ``scan``. The pooled score
 # num * (1/sqrt(var_t)), its bar (threshold - margin) * sqrt(var_f) and
@@ -246,9 +259,38 @@ class _ScanJob:
     bar: np.ndarray | None  # pooled pre-test bar per position, None to score all
 
 
+def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
+    """This thread's array ``name`` viewed at ``shape``; grown only when too small.
+
+    A chunk's arrays hold at most ``_CHUNK_ELEMS`` elements, or one bank
+    entry's padded area if that is more, which bounds these too.
+    """
+    size = math.prod(shape)
+    held = getattr(_scratch, name, None)
+    if held is None or held.size < size:
+        held = np.empty(size, dtype)
+        setattr(_scratch, name, held)
+    return held[:size].reshape(shape)
+
+
+def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.fft.rfft2(weights, shape)`` bit for bit, by a cheaper route.
+
+    The padded rows past the template's height are zero and transform to
+    zero, so the width transform runs on the template's rows only; the
+    height transform then runs along contiguous memory of a transposed copy.
+    Each is the same one-dimensional transform of the same values as in
+    ``rfft2``. Returns a transposed view.
+    """
+    rows = np.fft.rfft(weights, shape[1], axis=2)
+    cols = np.fft.fft(np.ascontiguousarray(rows.transpose(0, 2, 1)), shape[0], axis=2)
+    return cols.transpose(0, 2, 1)
+
+
 def _score_chunk(job: _ScanJob, k0: int, k1: int):
     """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
 
+    Positions are None when the chunk scored every position of the window.
     The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
     with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
     which float64 holds exactly for any template under 370,000 pixels. It is
@@ -257,18 +299,22 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
     The weights sum to 0, so centring the frame first changes no sum but
     shrinks the transform's rounding error, which stays orders of magnitude
     below 0.5 for 8-bit samples; a value further than ``_FFT_MAX_RESIDUAL``
-    from an integer raises ``ArithmeticError``.
+    from an integer raises ``ArithmeticError``. The transforms write into
+    this thread's scratch arrays; what the chunk returns is its own.
     """
     c = job.consts
+    kc, (h, w), nv, nu = k1 - k0, job.shape, job.nv, job.nu
     if job.fresh:
-        block = job.spectra[k0:k1]
-        block[...] = np.fft.rfft2(c.weights[k0:k1], job.shape)
-        np.conjugate(block, out=block)
+        np.conjugate(_bank_spectra(c.weights[k0:k1], job.shape), out=job.spectra[k0:k1])
+    product = _scratch_array("product", np.complex128, (kc, h, w // 2 + 1))
+    np.multiply(job.spectra[k0:k1], job.frame, out=product)
     # irfft2, dropping between its two passes the rows no valid position needs
-    corr = np.fft.irfft(
-        np.fft.ifft(job.spectra[k0:k1] * job.frame, axis=1)[:, : job.nv], job.shape[1], axis=2
-    )[:, :, : job.nu]
-    num = np.rint(corr)
+    spectrum = _scratch_array("ifft", np.complex128, product.shape)
+    np.fft.ifft(product, axis=1, out=spectrum)
+    corr = _scratch_array("irfft", np.float64, (kc, nv, w))
+    np.fft.irfft(spectrum[:, :nv], w, axis=2, out=corr)
+    corr = corr[:, :, :nu]
+    num = np.rint(corr, out=_scratch_array("rint", np.float64, (kc, nv, nu)))
     corr -= num
     residual = max(float(corr.max()), -float(corr.min()))
     if not residual <= _FFT_MAX_RESIDUAL:
@@ -276,16 +322,18 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
             f"FFT correlation lies {residual:g} from an integer "
             f"(limit {_FFT_MAX_RESIDUAL}); its sums would not be exact"
         )
-    num = num.reshape(k1 - k0, job.nv * job.nu)
-    at = np.arange(job.nv * job.nu)
+    num = num.reshape(kc, nv * nu)
+    at = None
+    var_f = job.var_f
     # Above a positive threshold, only positions whose pooled score
     # max_k(num_k / sqrt(var_t_k)) / sqrt(var_f) comes within _POOL_MARGIN of
     # it are scored exactly; the rest cannot reach it.
     if job.bar is not None:
         at = np.flatnonzero((num * c.inv_sd_t[k0:k1, None]).max(axis=0) >= job.bar)
         num = num[:, at]
+        var_f = var_f[at]
     # as zmncc: a zero-variance region or template (den == 0) scores 0
-    den = np.sqrt(c.var_t[k0:k1, None] * job.var_f[at])
+    den = np.sqrt(c.var_t[k0:k1, None] * var_f)
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
     return at, scores.max(axis=0), scores.argmax(axis=0) + k0
@@ -296,9 +344,12 @@ def _executor():
     return _pool.get(_WORKERS)
 
 
-def _run_chunks(job: _ScanJob, bounds: list[tuple[int, int]]) -> list:
-    """``_score_chunk`` of every bank range, results in range order."""
-    if _WORKERS == 1 or len(bounds) == 1:
+def _run_chunks(job: _ScanJob, bounds: list[tuple[int, int]], split: bool) -> list:
+    """``_score_chunk`` of every bank range, results in range order.
+
+    The chunks run on the worker pool when ``split``, else on this thread.
+    """
+    if not split or _WORKERS == 1 or len(bounds) == 1:
         return [_score_chunk(job, k0, k1) for k0, k1 in bounds]
     from concurrent.futures import wait
 
@@ -326,8 +377,11 @@ def scan(
 
     Window sums come from summed-area tables and the correlation numerator
     from an exact FFT correlation. The bank is split into chunks of entries
-    scored on the worker threads; the chunks' results are merged in entry
-    order, so the split never changes the result.
+    within ``_CHUNK_ELEMS``. A scan whose spectra are cached and whose work
+    is under ``_INLINE_ELEMS`` scores its chunks on the calling thread; any
+    other scan, including every whole-frame scan, on the worker threads. The
+    chunks' results are merged in entry order, so neither choice changes the
+    result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -355,19 +409,23 @@ def scan(
     frame = np.fft.rfft2(sub - sub.mean(), shape)
     job = _ScanJob(frame, spectra, fresh, shape, nv, nu, consts, var_f, bar)
     k = len(bank)
-    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
+    area = shape[0] * shape[1]
+    per_chunk = max(1, _CHUNK_ELEMS // area)
     count = min(k, max(_WORKERS, -(-k // per_chunk)))
     bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
-    results = _run_chunks(job, bounds)
+    split = fresh or shape == whole or k * area >= _INLINE_ELEMS
+    results = _run_chunks(job, bounds, split)
     if fresh:
         _keep_spectra(bank, shape, whole, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best_idx = np.zeros(nv * nu, dtype=np.intp)
     for at, top, idx in results:
-        better = top > best[at]  # earlier chunks hold lower angles and win ties
-        best[at[better]] = top[better]
-        best_idx[at[better]] = idx[better]
+        # earlier chunks hold lower angles and win ties
+        better = top > (best if at is None else best[at])
+        where = better if at is None else at[better]
+        best[where] = top[better]
+        best_idx[where] = idx[better]
 
     hits = np.flatnonzero(best >= threshold)
     return [

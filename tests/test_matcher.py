@@ -367,6 +367,127 @@ class TestScanExactness:
         assert not any(smooth(k) for k in range(size, got))
 
 
+def expected_points(img, bank, window, threshold):
+    """Brute-force ``scan``: ``best_of_bank`` at every valid position of ``window``."""
+    tw, th = bank.base_width, bank.base_height
+    u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+    expected = []
+    for v in range(v0, v1 + 1):
+        for u in range(u0, u1 + 1):
+            best, angle = best_of_bank(img, bank, u, v)
+            if best >= threshold:
+                expected.append(MatchPoint(u, v, best, angle))
+    return expected
+
+
+def chunk_threads(monkeypatch):
+    """The threads that score each chunk from now on, recorded in call order."""
+    threads = []
+    score_chunk = matcher._score_chunk
+
+    def recording(job, k0, k1):
+        threads.append(threading.current_thread())
+        return score_chunk(job, k0, k1)
+
+    monkeypatch.setattr(matcher, "_score_chunk", recording)
+    return threads
+
+
+def on_workers(threads):
+    return bool(threads) and all(t is not threading.main_thread() for t in threads)
+
+
+scan_steps = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # which bank
+        st.one_of(st.none(), st.tuples(st.integers(-3, 30), st.integers(-3, 30),
+                                       st.integers(1, 30), st.integers(1, 30))),  # None: whole frame
+        st.sampled_from([0.9, 0.0, -1.0]),
+        st.sampled_from([matcher._CHUNK_ELEMS, 1]),
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+class TestReusedBuffersAndWhereChunksRun:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), scan_steps)
+    def test_scan_sequences_stay_exact_on_reused_buffers(self, seed, steps):
+        rng = np.random.default_rng(seed)
+        h, w = (int(x) for x in rng.integers(12, 30, 2))
+        px = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        px[: h // 3, : w // 3] = rng.integers(0, 256)  # a flat block: zero-variance windows
+        img = GrayImage(px)
+        patches = [GrayImage(px[2:7, 3:9].copy()), GrayImage(rng.integers(0, 256, (8, 3), dtype=np.uint8))]
+        counts = [4, 1]
+        references = {}
+        for workers in (1, 2):
+            banks = [build_bank(p, c, 360.0 / c) for p, c in zip(patches, counts)]
+            for which, rect, threshold, chunk_elems in steps:
+                bank = banks[which]
+                window = img.rect if rect is None else Rect(*rect)
+                got = scan_with(img, bank, window, threshold, workers, chunk_elems)
+                fresh = build_bank(patches[which], counts[which], 360.0 / counts[which])
+                assert got == scan(img, fresh, window, threshold)
+                key = (which, window, threshold)
+                if key not in references:
+                    references[key] = expected_points(img, bank, window, threshold)
+                assert got == references[key]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_after_a_failed_chunk_is_exact(self, rng, checker22x36, workers, monkeypatch):
+        bank = build_bank(checker22x36, 4, 90.0)
+        frame = GrayImage(plant(rng.integers(0, 256, (80, 90), dtype=np.uint8), checker22x36, 45, 40))
+        window = Rect(38, 33, 15, 15)
+        whole = scan_with(frame, bank, frame.rect, 0.0, workers)  # spectra now cached
+        inside = scan_with(frame, bank, window, 0.3, workers)
+        with monkeypatch.context() as mp:
+            mp.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
+            for rect, threshold in ((window, 0.3), (frame.rect, 0.0)):
+                with pytest.raises(ArithmeticError):
+                    scan_with(frame, bank, rect, threshold, workers, chunk_elems=1)
+        assert scan_with(frame, bank, window, 0.3, workers) == inside
+        assert scan_with(frame, bank, frame.rect, 0.0, workers) == whole
+        assert inside == expected_points(frame, bank, window, 0.3)
+        assert any((p.u, p.v, p.score) == (45, 40, 1.0) for p in whole)
+
+    def test_warm_tracking_window_runs_on_the_calling_thread(self, rng, monkeypatch):
+        bank = build_bank(default_target_patch(7))
+        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        window = Rect(100, 80, 33, 47)  # 36 entries at 90x54, under the cutoff
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        first = scan(frame, bank, window, 0.0)  # cold: fills the spectra
+        threads = chunk_threads(monkeypatch)
+        monkeypatch.setattr(matcher, "_executor", lambda: pytest.fail("a warm window split"))
+        assert 36 * 90 * 54 < matcher._INLINE_ELEMS
+        assert scan(frame, bank, window, 0.0) == first
+        assert threads and all(t is threading.main_thread() for t in threads)
+
+    def test_cold_grown_and_whole_frame_scans_split(self, rng, monkeypatch):
+        bank = build_bank(default_target_patch(7))
+        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        threads = chunk_threads(monkeypatch)
+        grown = Rect(90, 70, 51, 61)  # 36 entries at 96x72, over the cutoff
+        assert 36 * 96 * 72 >= matcher._INLINE_ELEMS
+        for window in (Rect(100, 80, 33, 47), grown, grown, frame.rect, frame.rect):
+            threads.clear()
+            scan(frame, bank, window, 0.9)  # cold, then warm for the last two
+            assert on_workers(threads), window
+        small = GrayImage(rng.integers(0, 256, (40, 30), dtype=np.uint8))
+        small_bank = build_bank(GrayImage(small.pixels[:5, :7]), 4, 90.0)
+        for _ in range(2):  # a whole frame splits even when warm and small
+            threads.clear()
+            scan(small, small_bank, small.rect, 0.0)
+            assert on_workers(threads)
+
+    @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
+    def test_pruned_bank_spectra_equal_rfft2(self, shape):
+        weights = matcher._bank_constants(build_bank(default_target_patch(7))).weights
+        assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
+
+
 def test_scan_makes_no_blas_call():
     """No matrix product of any size in ``matcher``: no ``@``, ``np.dot`` or ``np.matmul``.
 
