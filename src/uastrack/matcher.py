@@ -17,6 +17,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundsError
 from .imagebuf import GrayImage, Rect
@@ -70,6 +71,18 @@ _scratch = threading.local()
 # u = 2**-53, so any position whose ``zmncc`` score is >= threshold passes
 # the test once the margin exceeds 9u (1e-15). 1e-12 is far above that.
 _POOL_MARGIN = 1e-12
+
+# Images in the basis that window scans correlate in place of the bank's
+# entries (``_bank_basis``): a third of a 36-entry bank's transforms. At 12
+# the largest relative residual of a builtin target's bank is 0.07-0.30.
+_BASIS_RANK = 12
+
+# Bound on an FFT correlation value's absolute error, per unit of
+# log2(area) * ||x|| * ||b||_1 (argued at ``_basis_margin``).
+_FFT_ERROR = 32 * 2.0**-53
+
+# Added to each squared relative residual of the basis (``_bank_basis``).
+_RESID_ALLOWANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -218,29 +231,121 @@ def _smooth5(size: int) -> int:
         size += 1
 
 
-def _cached_spectra(bank: TemplateBank, shape: tuple, whole: tuple) -> np.ndarray | None:
-    """The bank's conjugate spectra at padded ``shape``, if it keeps them."""
+def _cached_spectra(bank: TemplateBank, key: tuple, whole: tuple) -> np.ndarray | None:
+    """The bank's conjugate spectra under ``key``, if it keeps them.
+
+    The key of the weights' spectra is their padded shape, and that of the
+    basis images' spectra is ``("basis", shape)``.
+    """
     cache = bank.kernel_cache
-    if shape == whole:
+    if key == whole:
         kept = cache.get("frame")
-        return kept[1] if kept is not None and kept[0] == shape else None
+        return kept[1] if kept is not None and kept[0] == key else None
     windows = cache.get("windows", {})
-    spectra = windows.pop(shape, None)
+    spectra = windows.pop(key, None)
     if spectra is not None:
-        windows[shape] = spectra  # most recently used last
+        windows[key] = spectra  # most recently used last
     return spectra
 
 
-def _keep_spectra(bank: TemplateBank, shape: tuple, whole: tuple, spectra: np.ndarray) -> None:
+def _keep_spectra(bank: TemplateBank, key: tuple, whole: tuple, spectra: np.ndarray) -> None:
     """Keep whole-frame spectra in their own slot, window spectra within budget."""
     cache = bank.kernel_cache
-    if shape == whole:
-        cache["frame"] = (shape, spectra)
+    if key == whole:
+        cache["frame"] = (key, spectra)
         return
     windows = cache.setdefault("windows", {})
-    windows[shape] = spectra
+    windows[key] = spectra
     while sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
         del windows[next(iter(windows))]
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A bank's low-rank basis, cached on the bank by ``_bank_basis``."""
+
+    images: np.ndarray  # (r, th, tw) orthonormal, each summing to 0
+    coef: np.ndarray    # (K, r) entry k's coordinates a_k over the images, / ||w_k||
+    resid: np.ndarray   # (K,) ||w_k - a_k B|| / ||w_k||; 0 for a flat template
+
+
+def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
+    """The weights' top angle-Fourier modes, orthonormalised, and each entry's residual.
+
+    A rotated bank's weights vary smoothly with the angle, so their
+    Karhunen-Loeve basis is close to the Fourier series over the angle
+    (Uenohara & Kanade 1997): the rfft along the angle axis, whose modes,
+    taken in order of energy, each give a real and an imaginary image. Up
+    to ``_BASIS_RANK`` of these are made orthonormal by Gram-Schmidt, with
+    a second pass wherever the first removed more than half the norm
+    (Daniel, Gragg, Kaufman & Stewart 1976); an image with almost nothing
+    left is skipped. Each image sums to 0, as the weights do. A residual
+    comes from ||w_k||**2 - ||a_k||**2 plus an allowance, so it bounds the
+    exact ||w_k - a_k B|| from above. Element-wise products and sums only:
+    no BLAS call.
+    """
+    basis = bank.kernel_cache.get("basis")
+    if basis is not None:
+        return basis
+    w = consts.weights.reshape(len(bank), -1)
+    modes = np.fft.rfft(w, axis=0)
+    order = np.argsort(-(modes.real**2 + modes.imag**2).sum(axis=1), kind="stable")
+    images = np.empty((_BASIS_RANK, w.shape[1]))
+    r = 0
+    for part in (p for j in order for p in (modes[j].real, modes[j].imag)):
+        if r == _BASIS_RANK:
+            break
+        v = np.array(part)
+        norm = left = math.sqrt(float((v * v).sum()))
+        for _ in range(2):  # a second pass only if the first removed much (DGKS)
+            v -= ((images[:r] * v).sum(axis=1)[:, None] * images[:r]).sum(axis=0)
+            before, left = left, math.sqrt(float((v * v).sum()))
+            if left > 0.5 * before:
+                break
+        if left > 1e-6 * norm:
+            images[r] = v / left
+            r += 1
+    inv_norm = consts.inv_sd_t / math.sqrt(w.shape[1])  # 1/||w_k||, as var_t = ||w_k||**2 / n
+    coef = np.empty((len(w), r))
+    for j in range(r):
+        coef[:, j] = (w * images[j]).sum(axis=1)
+    coef *= inv_norm[:, None]
+    # ||e_k||**2 = ||w_k||**2 - ||a_k||**2 for orthonormal images; the
+    # allowance covers their rounding and that of the sums, both under 1e-13.
+    resid = np.sqrt(np.maximum(1.0 - (coef * coef).sum(axis=1), 0.0) + _RESID_ALLOWANCE)
+    basis = _Basis(
+        images[:r].reshape(r, bank.base_height, bank.base_width),
+        coef,
+        np.where(inv_norm > 0.0, resid, 0.0),
+    )
+    bank.kernel_cache["basis"] = basis
+    return basis
+
+
+def _basis_margin(x: np.ndarray, area: int, n: int, r: int) -> float:
+    """Margin of the low-rank bounds for FFT rounding, in units of score.
+
+    Each basis correlation c_j is computed by three transforms of ``area``
+    points and a product. Each transform stage adds at most about 7u
+    (u = 2**-53) of the norm (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 24.1), and the image spectrum is at most
+    ||b_j||_1 <= sqrt(n) in size, so every c_j is within
+    eta = 32u * log2(area) * ||x|| * sqrt(n) of its exact value, where x is
+    the centred sub-image. The largest error measured, on 0/255 noise at
+    320x240, is 3.3e-13, under 1e-4 of eta there.
+
+    A flat window is never scored. Any other has var_f >= n - 1, an
+    integer, so ||f_c||**2 = var_f / n >= 1/2, and eta becomes a relative
+    error. With r images and every ||a_k|| <= ||w_k||, a projected score
+    moves by at most sqrt(2r)*eta; ||P f_c||**2 moves by at most
+    2 sqrt(2r) eta + 2 r eta**2 in units of ||f_c||**2, and since
+    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the residual factor
+    sqrt(1 - rho**2) moves by at most the root of that. ``_POOL_MARGIN``
+    covers the rounding of the bounds' own few operations.
+    """
+    eta = _FFT_ERROR * math.log2(area) * math.sqrt(float((x * x).sum()) * n)
+    spread = math.sqrt(2 * r) * eta
+    return spread + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _POOL_MARGIN
 
 
 @dataclass(frozen=True)
@@ -249,13 +354,14 @@ class _ScanJob:
     ``spectra`` when ``fresh`` and read nothing another chunk writes."""
 
     frame: np.ndarray    # rfft2 of the mean-centred sub-image at ``shape``
-    spectra: np.ndarray  # (K, shape[0], shape[1]//2 + 1) conjugate bank spectra
+    spectra: np.ndarray  # (K, shape[0], shape[1]//2 + 1) conjugate spectra of ``kernels``
     fresh: bool          # spectra still to be computed, each chunk its own
+    kernels: np.ndarray  # (K, th, tw) the bank's weights or its basis images
     shape: tuple
     nv: int
     nu: int
-    consts: _BankConstants
-    var_f: np.ndarray    # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
+    consts: _BankConstants | None  # the rest is read only when scoring the weights
+    var_f: np.ndarray | None  # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
     bar: np.ndarray | None  # pooled pre-test bar per position, None to score all
 
 
@@ -287,25 +393,17 @@ def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     return cols.transpose(0, 2, 1)
 
 
-def _score_chunk(job: _ScanJob, k0: int, k1: int):
-    """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
+def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
+    """The frame correlated with kernels ``[k0, k1)`` at every valid position.
 
-    Positions are None when the chunk scored every position of the window.
-    The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
-    with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
-    which float64 holds exactly for any template under 370,000 pixels. It is
-    computed as a circular FFT correlation at the padded shape, at least the
-    sub-image's, so no valid window wraps around, and rounded to integers.
-    The weights sum to 0, so centring the frame first changes no sum but
-    shrinks the transform's rounding error, which stays orders of magnitude
-    below 0.5 for 8-bit samples; a value further than ``_FFT_MAX_RESIDUAL``
-    from an integer raises ``ArithmeticError``. The transforms write into
-    this thread's scratch arrays; what the chunk returns is its own.
+    A circular FFT correlation at the padded shape, at least the
+    sub-image's, so no valid window wraps around. The transforms write
+    into this thread's scratch arrays, and the result, (k1 - k0, nv, nu),
+    is a view of one of them.
     """
-    c = job.consts
-    kc, (h, w), nv, nu = k1 - k0, job.shape, job.nv, job.nu
+    kc, (h, w), nv = k1 - k0, job.shape, job.nv
     if job.fresh:
-        np.conjugate(_bank_spectra(c.weights[k0:k1], job.shape), out=job.spectra[k0:k1])
+        np.conjugate(_bank_spectra(job.kernels[k0:k1], job.shape), out=job.spectra[k0:k1])
     product = _scratch_array("product", np.complex128, (kc, h, w // 2 + 1))
     np.multiply(job.spectra[k0:k1], job.frame, out=product)
     # irfft2, dropping between its two passes the rows no valid position needs
@@ -313,8 +411,31 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
     np.fft.ifft(product, axis=1, out=spectrum)
     corr = _scratch_array("irfft", np.float64, (kc, nv, w))
     np.fft.irfft(spectrum[:, :nv], w, axis=2, out=corr)
-    corr = corr[:, :, :nu]
-    num = np.rint(corr, out=_scratch_array("rint", np.float64, (kc, nv, nu)))
+    return corr[:, :, : job.nu]
+
+
+def _basis_chunk(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
+    """The correlations with basis images ``[k0, k1)``, a copy the caller keeps."""
+    return _correlation(job, k0, k1).copy()
+
+
+def _score_chunk(job: _ScanJob, k0: int, k1: int):
+    """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
+
+    Positions are None when the chunk scored every position of the window.
+    The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
+    with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
+    which float64 holds exactly for any template under 370,000 pixels; the
+    FFT correlation is rounded to integers. The weights sum to 0, so
+    centring the frame first changes no sum but shrinks the transform's
+    rounding error, which stays orders of magnitude below 0.5 for 8-bit
+    samples; a value further than ``_FFT_MAX_RESIDUAL`` from an integer
+    raises ``ArithmeticError``. What the chunk returns is its own.
+    """
+    c = job.consts
+    corr = _correlation(job, k0, k1)
+    kc, nv, nu = corr.shape
+    num = np.rint(corr, out=_scratch_array("rint", np.float64, corr.shape))
     corr -= num
     residual = max(float(corr.max()), -float(corr.min()))
     if not residual <= _FFT_MAX_RESIDUAL:
@@ -325,11 +446,15 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
     num = num.reshape(kc, nv * nu)
     at = None
     var_f = job.var_f
-    # Above a positive threshold, only positions whose pooled score
-    # max_k(num_k / sqrt(var_t_k)) / sqrt(var_f) comes within _POOL_MARGIN of
-    # it are scored exactly; the rest cannot reach it.
+    # The entry bound of ``_low_rank_top`` with the weights as the basis:
+    # every residual is 0 and the numerators are exact, so entry k's bound
+    # is its score; scaled by sqrt(var_f), num_k / sqrt(var_t_k). Only
+    # positions where some entry reaches the bar are scored exactly. The
+    # scaled scores go to the ``irfft`` scratch, whose residuals are spent.
     if job.bar is not None:
-        at = np.flatnonzero((num * c.inv_sd_t[k0:k1, None]).max(axis=0) >= job.bar)
+        bound = _scratch_array("irfft", np.float64, num.shape)
+        np.multiply(num, c.inv_sd_t[k0:k1, None], out=bound)
+        at = np.flatnonzero(bound.max(axis=0) >= job.bar)
         num = num[:, at]
         var_f = var_f[at]
     # as zmncc: a zero-variance region or template (den == 0) scores 0
@@ -344,18 +469,104 @@ def _executor():
     return _pool.get(_WORKERS)
 
 
-def _run_chunks(job: _ScanJob, bounds: list[tuple[int, int]], split: bool) -> list:
-    """``_score_chunk`` of every bank range, results in range order.
+def _run_chunks(task, job: _ScanJob, bounds: list[tuple[int, int]], split: bool) -> list:
+    """``task(job, k0, k1)`` of every kernel range, results in range order.
 
     The chunks run on the worker pool when ``split``, else on this thread.
     """
     if not split or _WORKERS == 1 or len(bounds) == 1:
-        return [_score_chunk(job, k0, k1) for k0, k1 in bounds]
+        return [task(job, k0, k1) for k0, k1 in bounds]
     from concurrent.futures import wait
 
-    futures = [_executor().submit(_score_chunk, job, k0, k1) for k0, k1 in bounds]
+    futures = [_executor().submit(task, job, k0, k1) for k0, k1 in bounds]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def _correlate(bank, key, whole, task, kernels, frame, shape, nv, nu,
+               consts=None, var_f=None, bar=None):
+    """``task`` over chunks of ``kernels``: (results in kernel order, new spectra).
+
+    The spectra of ``kernels`` at ``shape`` are the bank's, kept under
+    ``key``; the new spectra are None when they were kept already, and the
+    caller keeps them once the scan has succeeded. The kernels are split
+    evenly into chunks within ``_CHUNK_ELEMS``, at least one per worker. A
+    scan whose spectra are kept, at a shape other than the whole frame's and
+    whose work (kernels x padded area) is under ``_INLINE_ELEMS`` runs its
+    chunks on the calling thread; any other on the workers.
+    """
+    spectra = _cached_spectra(bank, key, whole)
+    fresh = spectra is None
+    k = len(kernels)
+    if fresh:
+        spectra = np.empty((k, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    job = _ScanJob(frame, spectra, fresh, kernels, shape, nv, nu, consts, var_f, bar)
+    area = shape[0] * shape[1]
+    per_chunk = max(1, _CHUNK_ELEMS // area)
+    count = min(k, max(_WORKERS, -(-k // per_chunk)))
+    bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
+    split = fresh or shape == whole or k * area >= _INLINE_ELEMS
+    return _run_chunks(task, job, bounds, split), spectra if fresh else None
+
+
+def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
+    """Exact top scores where the low-rank bounds reach ``threshold``: (positions, top, entry).
+
+    Entry k's weights are w_k = a_k B + e_k, with e_k orthogonal to the
+    basis images B, and f_c is a window minus its mean. The images sum to
+    0, so the correlations ``c`` of the centred sub-image are B f_c, and
+    rho = ||P f_c|| / ||f_c|| with ||f_c||**2 = var_f / n, exact from the
+    summed-area tables. By Cauchy-Schwarz, entry k scores at most
+    a_k c / (||w_k|| ||f_c||) + eps_k sqrt(1 - rho**2). A position is kept if
+    rho + max(eps) sqrt(1 - rho**2) reaches threshold - ``margin``, and an
+    entry there if its own bound does (all scaled by ||f_c||), which a
+    looser bound from two of the coordinates screens first. Only these
+    pairs are scored, exactly, from the pixels and the integer weights:
+    every product and partial sum is an integer below 2**53. An exact score
+    further than its residual term plus ``margin`` from its projected score
+    means the correlations are wrong, and raises ``ArithmeticError``.
+    """
+    th, tw = consts.weights.shape[1:]
+    c = c.reshape(len(c), -1)
+    norm_f = np.sqrt(var_f / (th * tw))
+    inside = (c * c).sum(axis=0)
+    outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
+    bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
+    at = np.flatnonzero(np.sqrt(inside) + basis.resid.max() * outside >= bar)
+    c, outside, bar = c[:, at], outside[at], bar[at]
+    # The entry bound in two steps: every entry at every kept position with
+    # the two leading coordinates exact and the rest by Cauchy-Schwarz, then
+    # with all of them for the pairs that passed (2 products a pair, not 12).
+    coef, resid = basis.coef, basis.resid
+    head = resid[:, None] * outside
+    for j in range(min(2, len(c))):
+        head += coef[:, j, None] * c[j]
+    head += np.sqrt((coef[:, 2:] ** 2).sum(axis=1))[:, None] * np.sqrt((c[2:] ** 2).sum(axis=0))
+    ks, cols = np.nonzero(head >= bar)
+    proj = (coef[ks] * c[:, cols].T).sum(axis=1)
+    slack = resid[ks] * outside[cols]
+    keep = proj + slack >= bar[cols]
+    ks, cols, proj, slack = ks[keep], cols[keep], proj[keep], slack[keep]
+    pos = at[cols]
+    windows = sliding_window_view(sub, (th, tw))
+    num = np.empty(len(pos))
+    step = max(1, _CHUNK_ELEMS // (th * tw))
+    for i in range(0, len(pos), step):
+        p, k = pos[i : i + step], ks[i : i + step]
+        num[i : i + step] = (windows[p // nu, p % nu] * consts.weights[k]).sum(axis=(1, 2))
+    den = np.sqrt(consts.var_t[ks] * var_f[pos])
+    scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    off = np.abs(scores * norm_f[pos] - proj) - slack - margin * norm_f[pos]
+    if len(off) and not off.max() <= 0.0:
+        raise ArithmeticError(
+            f"an exact score lies {off.max():g} past its low-rank bound; "
+            "the basis correlations are wrong"
+        )
+    # each position's top score, from its lowest entry on ties
+    order = np.lexsort((ks, -scores, pos))
+    first = order[np.flatnonzero(np.diff(pos[order], prepend=-1))]
+    return pos[first], scores[first], ks[first]
 
 
 def scan(
@@ -376,12 +587,16 @@ def scan(
     empty list.
 
     Window sums come from summed-area tables and the correlation numerator
-    from an exact FFT correlation. The bank is split into chunks of entries
-    within ``_CHUNK_ELEMS``. A scan whose spectra are cached and whose work
-    is under ``_INLINE_ELEMS`` scores its chunks on the calling thread; any
-    other scan, including every whole-frame scan, on the worker threads. The
-    chunks' results are merged in entry order, so neither choice changes the
-    result.
+    from an exact FFT correlation with the bank's weights, its rank-K route.
+    A window scan (not the whole frame) of a bank with more entries and
+    pixels than ``_BASIS_RANK``, at a threshold above the bank's largest
+    basis residual, takes the rank-r route instead: it correlates the
+    basis images, bounds every entry's score, and scores exactly only the
+    entries whose bound reaches the threshold (``_low_rank_top``). Its
+    bounds and exact scores run on the calling thread and grow with the
+    window, so a window whose basis correlation is not under
+    ``_INLINE_ELEMS`` keeps the rank-K route, which splits. Neither route,
+    nor where its chunks run (``_correlate``), changes the result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -396,27 +611,32 @@ def scan(
     consts = _bank_constants(bank)
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
-    bar = None
-    if threshold - _POOL_MARGIN > 0.0:
-        bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
 
     whole = (_smooth5(img.height), _smooth5(img.width))
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-    spectra = _cached_spectra(bank, shape, whole)
-    fresh = spectra is None
-    if fresh:
-        spectra = np.empty((len(bank), shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-    frame = np.fft.rfft2(sub - sub.mean(), shape)
-    job = _ScanJob(frame, spectra, fresh, shape, nv, nu, consts, var_f, bar)
-    k = len(bank)
+    centred = sub - sub.mean()
+    frame = np.fft.rfft2(centred, shape)
     area = shape[0] * shape[1]
-    per_chunk = max(1, _CHUNK_ELEMS // area)
-    count = min(k, max(_WORKERS, -(-k // per_chunk)))
-    bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
-    split = fresh or shape == whole or k * area >= _INLINE_ELEMS
-    results = _run_chunks(job, bounds, split)
-    if fresh:
-        _keep_spectra(bank, shape, whole, spectra)
+    basis = None
+    if (shape != whole and min(len(bank), n) > _BASIS_RANK
+            and _BASIS_RANK * area < _INLINE_ELEMS and threshold > 0.0):
+        basis = _bank_basis(bank, consts)
+    if basis is not None and len(basis.images) and threshold > basis.resid.max():
+        key = ("basis", shape)
+        margin = _basis_margin(centred, area, n, len(basis.images))
+        parts, fresh = _correlate(bank, key, whole, _basis_chunk, basis.images, frame, shape, nv, nu)
+        c = np.concatenate(parts)
+        results = [_low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu)]
+    else:
+        key = shape
+        bar = None
+        if threshold - _POOL_MARGIN > 0.0:
+            bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
+        results, fresh = _correlate(
+            bank, key, whole, _score_chunk, consts.weights, frame, shape, nv, nu, consts, var_f, bar
+        )
+    if fresh is not None:
+        _keep_spectra(bank, key, whole, fresh)
 
     best = np.full(nv * nu, -np.inf)
     best_idx = np.zeros(nv * nu, dtype=np.intp)

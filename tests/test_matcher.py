@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -168,6 +169,13 @@ def scan_with(img, bank, window, threshold, workers, chunk_elems=matcher._CHUNK_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matcher, "_WORKERS", workers)
         mp.setattr(matcher, "_CHUNK_ELEMS", chunk_elems)
+        return scan(img, bank, window, threshold)
+
+
+def rank_k_scan(img, bank, window, threshold):
+    """``scan`` kept on the rank-K route: no basis, every entry correlated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcher, "_BASIS_RANK", len(bank))
         return scan(img, bank, window, threshold)
 
 
@@ -380,16 +388,16 @@ def expected_points(img, bank, window, threshold):
     return expected
 
 
-def chunk_threads(monkeypatch):
-    """The threads that score each chunk from now on, recorded in call order."""
+def chunk_threads(monkeypatch, name="_score_chunk"):
+    """The threads that run each chunk task ``name`` from now on, in call order."""
     threads = []
-    score_chunk = matcher._score_chunk
+    task = getattr(matcher, name)
 
     def recording(job, k0, k1):
         threads.append(threading.current_thread())
-        return score_chunk(job, k0, k1)
+        return task(job, k0, k1)
 
-    monkeypatch.setattr(matcher, "_score_chunk", recording)
+    monkeypatch.setattr(matcher, name, recording)
     return threads
 
 
@@ -473,7 +481,7 @@ class TestReusedBuffersAndWhereChunksRun:
         assert 36 * 96 * 72 >= matcher._INLINE_ELEMS
         for window in (Rect(100, 80, 33, 47), grown, grown, frame.rect, frame.rect):
             threads.clear()
-            scan(frame, bank, window, 0.9)  # cold, then warm for the last two
+            scan(frame, bank, window, 0.0)  # rank K; cold, then warm for the last two
             assert on_workers(threads), window
         small = GrayImage(rng.integers(0, 256, (40, 30), dtype=np.uint8))
         small_bank = build_bank(GrayImage(small.pixels[:5, :7]), 4, 90.0)
@@ -482,27 +490,242 @@ class TestReusedBuffersAndWhereChunksRun:
             scan(small, small_bank, small.rect, 0.0)
             assert on_workers(threads)
 
+    def test_low_rank_scans_split_when_cold_and_only_small_windows_take_them(self, rng, monkeypatch):
+        """The basis correlation follows the same rule, its work r x padded area;
+        a window whose work is not under the cutoff keeps the rank-K route."""
+        bank = build_bank(default_target_patch(7))
+        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        threads = chunk_threads(monkeypatch, "_basis_chunk")
+        scored = chunk_threads(monkeypatch)
+        common = Rect(100, 80, 33, 47)  # 12 images at 90x54: 58,320
+        grown = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
+        large = Rect(40, 40, 130, 110)  # 12 images at 160x150: 288,000
+        assert 12 * 144 * 128 < matcher._INLINE_ELEMS <= 12 * 160 * 150
+        for window, split in ((common, True), (common, False), (grown, True), (grown, False)):
+            threads.clear()
+            scored.clear()
+            got = scan(frame, bank, window, 0.9)
+            assert scored == []  # no entry went through the rank-K chunks
+            assert len(threads) == 2, window  # the 12 images in two chunks, one per worker
+            assert on_workers(threads) if split else all(t is threading.main_thread() for t in threads)
+            assert got == rank_k_scan(frame, bank, window, 0.9)
+        threads.clear()
+        scored.clear()
+        scan(frame, bank, large, 0.9)
+        assert threads == [] and on_workers(scored)
+
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
         weights = matcher._bank_constants(build_bank(default_target_patch(7))).weights
         assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
 
 
+def low_rank_calls(monkeypatch):
+    """The arguments of every scan that takes the rank-r route from now on."""
+    calls = []
+    top = matcher._low_rank_top
+
+    def recording(*args):
+        calls.append(args)
+        return top(*args)
+
+    monkeypatch.setattr(matcher, "_low_rank_top", recording)
+    return calls
+
+
+@st.composite
+def low_rank_cases(draw):
+    """A 36-entry bank of a template of 5x5 or more, a frame holding one of its
+    entries, a window and the bank's largest basis residual. The entries of a
+    point-symmetric template 180 degrees apart often have equal pixels, so
+    their scores tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tw, th = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    kind = draw(st.sampled_from(["blocky", "symmetric", "random", "saturated"]))
+    if kind in ("blocky", "symmetric"):  # smooth under rotation, so a small residual
+        coarse = rng.integers(0, 256, (th // 3 + 1, tw // 3 + 1))
+        tpx = np.kron(coarse, np.ones((3, 3), dtype=np.int64))[:th, :tw].astype(np.uint8)
+        if kind == "symmetric":  # entries 180 degrees apart tie
+            tpx = np.maximum(tpx, tpx[::-1, ::-1])
+    elif kind == "random":
+        tpx = rng.integers(0, 256, (th, tw), dtype=np.uint8)
+    else:
+        tpx = (rng.integers(0, 2, (th, tw)) * 255).astype(np.uint8)
+    bank = build_bank(GrayImage(tpx))
+    w, h = draw(st.integers(40, 64)), draw(st.integers(40, 64))  # a window pads to less
+    px = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    bw, bh = int(rng.integers(1, w)), int(rng.integers(1, h))
+    px[: bh, : bw] = rng.integers(0, 256)  # a flat block: zero-variance windows
+    full = valid_center_rect(tw, th, w, h)
+    u = int(rng.integers(full.x, full.x2))
+    v = int(rng.integers(full.y, full.y2))
+    plant(px, bank.entries[draw(st.integers(0, 35))].patch, u, v)
+    du, dv = draw(st.integers(0, 6)), draw(st.integers(0, 6))  # the window holds (u, v)
+    window = Rect(u - du, v - dv, du + draw(st.integers(1, 7)), dv + draw(st.integers(1, 7)))
+    eps = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+    return GrayImage(px), bank, window, eps
+
+
+class TestLowRankRoute:
+    @pytest.mark.parametrize("seed, largest", [(1, 0.172), (3, 0.295), (7, 0.170), (42, 0.213)])
+    def test_basis_is_orthonormal_and_bounds_every_residual(self, seed, largest):
+        bank = build_bank(default_target_patch(seed))
+        consts = matcher._bank_constants(bank)
+        basis = matcher._bank_basis(bank, consts)
+        assert matcher._bank_basis(bank, consts) is basis  # built once, then cached
+        images = basis.images.reshape(len(basis.images), -1)
+        assert len(images) == matcher._BASIS_RANK
+        gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
+        assert np.abs(gram - np.eye(len(images))).max() < 1e-12
+        assert np.abs(images.sum(axis=1)).max() < 1e-12
+        w = consts.weights.reshape(len(bank), -1)
+        a = (w[:, None, :] * images[None, :, :]).sum(axis=2)
+        rest = w - (a[:, :, None] * images[None, :, :]).sum(axis=1)
+        exact = np.sqrt((rest * rest).sum(axis=1) / (w * w).sum(axis=1))
+        assert np.all(basis.resid >= exact)  # an upper bound, and a close one
+        assert np.all(basis.resid <= exact + 1e-9)
+        assert np.allclose(basis.coef, a / np.sqrt((w * w).sum(axis=1))[:, None], rtol=0, atol=1e-12)
+        assert basis.resid.max() == pytest.approx(largest, abs=5e-4)
+
+    def test_basis_of_a_point_symmetric_template_is_orthonormal(self):
+        """Its odd angle modes are rounding noise, nearly parallel to the
+        images before them, so one Gram-Schmidt pass is not enough."""
+        tpx = np.array([[209, 209, 209, 82, 82], [209, 209, 209, 82, 82], [209, 209, 209, 209, 209],
+                        [82, 82, 209, 209, 209], [82, 82, 209, 209, 209]], dtype=np.uint8)
+        bank = build_bank(GrayImage(tpx))
+        images = matcher._bank_basis(bank, matcher._bank_constants(bank)).images.reshape(-1, 25)
+        gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
+        assert len(images) == 12
+        assert np.abs(gram - np.eye(12)).max() < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(low_rank_cases())
+    def test_scans_equal_brute_force_and_the_rank_k_route(self, case):
+        img, bank, window, eps = case
+        images = matcher._bank_basis(bank, matcher._bank_constants(bank)).images
+        images = images.reshape(len(images), -1)
+        gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
+        assert np.abs(gram - np.eye(len(images))).max() < 1e-14  # orthonormal to working precision
+        u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
+                                               img.width, img.height)
+        best = {(u, v): best_of_bank(img, bank, u, v)
+                for v in range(v0, v1 + 1) for u in range(u0, u1 + 1)}
+        scores = sorted(s for s, _ in best.values() if s > eps)
+        thresholds = [float(np.nextafter(eps, 2.0)), eps + (1.0 - eps) / 2]
+        if scores:
+            thresholds += [scores[0], scores[-1], scores[len(scores) // 2]]  # real scores
+        with pytest.MonkeyPatch.context() as mp:
+            calls = low_rank_calls(mp)
+            for threshold in thresholds:
+                expected = [MatchPoint(u, v, s, a) for (u, v), (s, a) in best.items()
+                            if s >= threshold]
+                expected.sort(key=lambda p: (p.v, p.u))
+                got = scan(img, bank, window, threshold)
+                assert got == expected
+                assert got == rank_k_scan(img, bank, window, threshold)
+        assert len(calls) == len(thresholds)  # every scan above took the rank-r route
+
+    @pytest.mark.parametrize(
+        "case", ["window", "whole frame", "large window", "at the residual", "12 entries", "4x3 template"]
+    )
+    def test_route(self, rng, monkeypatch, case):
+        patch = default_target_patch(1)
+        count = 12 if case == "12 entries" else 36
+        if case == "4x3 template":
+            patch = GrayImage(patch.pixels[:3, :4])
+        bank = build_bank(patch, count, 360.0 / count)
+        frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[3].patch, 40, 32))
+        window = Rect(30, 22, 21, 21)
+        if case == "whole frame":  # 64x80, under the cutoff but the whole frame
+            frame = GrayImage(frame.pixels[:64, :80].copy())
+            window = frame.rect
+            assert 12 * 64 * 80 < matcher._INLINE_ELEMS
+        elif case == "large window":  # 12 images at 160x150, over the cutoff
+            window = Rect(40, 40, 130, 110)
+        threshold = 0.9
+        if case == "at the residual":
+            threshold = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+        calls = low_rank_calls(monkeypatch)
+        got = scan(frame, bank, window, threshold)
+        assert len(calls) == (case == "window")
+        if case != "large window":
+            assert got == expected_points(frame, bank, window, threshold)
+        assert ("basis" in bank.kernel_cache) == (case in ("window", "at the residual"))
+
+    def test_flat_windows_are_never_scored(self, rng, monkeypatch):
+        bank = build_bank(default_target_patch(7))
+        px = rng.integers(0, 256, (120, 160), dtype=np.uint8)
+        px[10:80, 10:90] = 77  # every window centred in (20..78, 27..62) is flat
+        calls = low_rank_calls(monkeypatch)
+        assert scan(GrayImage(px), bank, Rect(20, 27, 40, 30), 0.9) == []
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bound_check_raises_and_keeps_the_cache_sound(self, rng, monkeypatch, warm):
+        bank = build_bank(default_target_patch(7))
+        frame = GrayImage(plant(rng.integers(0, 256, (120, 160), dtype=np.uint8),
+                                bank.entries[5].patch, 80, 60))
+        window = Rect(70, 50, 21, 21)
+        expected = expected_points(frame, bank, window, 0.9)
+        assert expected  # the planted entry matches
+        if warm:
+            assert scan(frame, bank, window, 0.9) == expected
+        kept = dict(bank.kernel_cache.get("windows", {}))
+        basis_chunk = matcher._basis_chunk
+        with monkeypatch.context() as mp:  # correlations three times too large
+            mp.setattr(matcher, "_basis_chunk", lambda job, k0, k1: 3.0 * basis_chunk(job, k0, k1))
+            with pytest.raises(ArithmeticError, match="low-rank bound"):
+                scan(frame, bank, window, 0.9)
+        windows = bank.kernel_cache.get("windows", {})
+        assert windows.keys() == kept.keys()  # a failed scan keeps no new spectra
+        assert all(windows[key] is spectra for key, spectra in kept.items())
+        assert scan(frame, bank, window, 0.9) == expected
+        assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)
+
+    @pytest.mark.parametrize("name", ["cv", "spin", "relight"])
+    def test_closed_loop_scans_equal_the_rank_k_route(self, name, monkeypatch):
+        from uastrack.scenesim import make_scenario
+        from uastrack.sim import run_sim
+        from uastrack.tracker import TrackerConfig
+
+        twins = {}
+        compared = []
+
+        def both(img, bank, window, threshold):
+            got = scan(img, bank, window, threshold)
+            twin = twins.setdefault(id(bank), dataclasses.replace(bank))  # its own caches
+            assert got == rank_k_scan(img, twin, window, threshold)
+            compared.append(len(got))
+            return got
+
+        calls = low_rank_calls(monkeypatch)
+        monkeypatch.setattr(matcher, "scan", both)
+        run_sim(make_scenario(name, frames=30, seed=1), TrackerConfig())
+        assert len(compared) == 30 and sum(compared) > 0
+        assert len(calls) >= 25  # every tracking window, not the acquisition scan
+
+
 def test_scan_makes_no_blas_call():
-    """No matrix product of any size in ``matcher``: no ``@``, ``np.dot`` or ``np.matmul``.
+    """No matrix product or ``linalg`` call in ``matcher``: no ``@``, ``np.dot``, ``np.linalg``.
 
     A float64 matmul numerator for small windows woke OpenBLAS's threads,
     which then kept the second core busy: the next full-frame scan slowed
     from ~43 to 58-84 ms, and ``test_c09_windowed_speedup`` (>= 20x)
     failed in 11 of 14 solo runs at 7.8-10.7x, passing with
-    ``OPENBLAS_NUM_THREADS=1``. The scan's one numerator route is the FFT.
+    ``OPENBLAS_NUM_THREADS=1``. A bank basis from ``np.linalg.svd`` woke
+    them the same way and slowed the first tracking frame. The scan's
+    numerators are FFT correlations and element-wise sums.
     """
-    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
     found = [
         node.lineno
         for node in ast.walk(ast.parse(Path(matcher.__file__).read_text()))
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
         or isinstance(node, ast.Attribute) and node.attr in blas
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("linalg" in name for name in [getattr(node, "module", None) or ""]
+                + [alias.name for alias in node.names])
     ]
     assert found == []
 
