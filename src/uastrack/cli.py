@@ -53,7 +53,6 @@ def _config_defaults() -> dict:
         "kappa": cfg.noise.kappa,
         "miss_limit": cfg.miss_limit,
         "bank_count": cfg.bank_count,
-        "bank_step_deg": cfg.bank_step_deg,
         "hfov_deg": DEFAULT_HFOV_DEG,
         "frame_w": cfg.optics.frame_w,
         "frame_h": cfg.optics.frame_h,
@@ -80,6 +79,11 @@ def load_config(path: Optional[str]) -> dict:
     for key, value in data.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"config {path}: {key} must be a number")
+        # the keys with integer defaults are counts and sizes
+        if isinstance(merged[key], int) and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config {path}: {key} must be an integer, got {value}")
+    if data.get("sample_every", 1) < 1:
+        raise ConfigError(f"config {path}: sample_every must be >= 1")
     merged.update(data)
     return merged
 
@@ -100,7 +104,6 @@ def tracker_config(cfg: dict, optics: Optional[OpticsConfig] = None) -> TrackerC
         ),
         miss_limit=int(cfg["miss_limit"]),
         bank_count=int(cfg["bank_count"]),
-        bank_step_deg=float(cfg["bank_step_deg"]),
         optics=optics,
         p0_vel_var=float(cfg["p0_vel_var"]),
     )
@@ -170,6 +173,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_bank(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     template = _read_pgm_file(args.template)
     bank = build_bank(template, args.count, 360.0 / args.count)
     out = Path(args.out)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .imagebuf import Rect
-from .matcher import center_bounds
 from .util import round_half_away
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
@@ -135,29 +134,15 @@ def mark_miss(s: TrackState) -> TrackState:
     return replace(s, misses=s.misses + 1)
 
 
-def search_window(
-    s: TrackState,
-    tpl_w: int,
-    tpl_h: int,
-    frame_w: int,
-    frame_h: int,
-    cfg: NoiseConfig,
-) -> Rect:
+def search_window(s: TrackState, full: Rect, tpl_w: int, tpl_h: int, cfg: NoiseConfig) -> Rect:
     """Center-position window around the predicted position.
 
     Half-extents are kappa predicted position sigmas plus half the template,
     so the template core stays inside even at the window edge. The window is
-    clamped to positions where the template fits; a degenerate or
-    all-covering window collapses to the full valid area.
+    clamped to ``full``, the center positions where the template fits the
+    frame (``matcher.valid_center_rect``); a degenerate or all-covering
+    window collapses to ``full``.
     """
-    xlo, xhi = center_bounds(tpl_w, frame_w)
-    ylo, yhi = center_bounds(tpl_h, frame_h)
-    if xhi < xlo or yhi < ylo:
-        raise ConfigError(
-            f"template {tpl_w}x{tpl_h} larger than frame {frame_w}x{frame_h}"
-        )
-    full = Rect(xlo, ylo, xhi - xlo + 1, yhi - ylo + 1)
-
     sx = math.sqrt(max(s.P[0, 0], 0.0))
     sy = math.sqrt(max(s.P[1, 1], 0.0))
     if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(s.x) and math.isfinite(s.y)):
@@ -167,13 +152,10 @@ def search_window(
     cx = round_half_away(s.x)
     cy = round_half_away(s.y)
 
-    u0 = max(cx - half_x, xlo)
-    u1 = min(cx + half_x, xhi)
-    v0 = max(cy - half_y, ylo)
-    v1 = min(cy + half_y, yhi)
+    u0 = max(cx - half_x, full.x)
+    u1 = min(cx + half_x, full.x2 - 1)
+    v0 = max(cy - half_y, full.y)
+    v1 = min(cy + half_y, full.y2 - 1)
     if u0 > u1 or v0 > v1:
         return full
-    win = Rect(u0, v0, u1 - u0 + 1, v1 - v0 + 1)
-    if win == full:
-        return full
-    return win
+    return Rect(u0, v0, u1 - u0 + 1, v1 - v0 + 1)

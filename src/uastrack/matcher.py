@@ -26,27 +26,31 @@ from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
 
-# Cap on the elements (entries x padded area) of one chunk of the bank. A
-# chunk's complex arrays hold about half as many complex values, 8 bytes per
-# counted element, so each takes at most 1.4 MB, within a core's 2 MiB L2
-# cache. The cap holds the whole 36-entry bank of a common tracking window
-# at 90x54, 7 entries at 180x125 and 2 at 240x320; a larger entry makes a
-# chunk of its own. Chosen by measurement (README, "Scan kernel").
+# Cap on the elements (entries x padded area) of one chunk of the bank on
+# the rank-K route, which serves whole frames and windows too large for the
+# rank-r route. A chunk's complex arrays hold about half as many complex
+# values, 8 bytes per counted element, so each takes at most 1.4 MB, within
+# a core's 2 MiB L2 cache. The cap holds 2 entries of a whole 320x240 frame
+# (240x320) and 7 of a 180x125 window; a larger entry, such as one of a
+# 640x480 frame, makes a chunk of its own. Chosen by measurement (README,
+# "Scan kernel").
 _CHUNK_ELEMS = 174_960
 
-# Transform work (entries x padded area) below which a scan whose bank
-# spectra are cached runs inline on the calling thread: 36 entries at 90x54
-# (174,960) and 90x60 do, and leave the other core to the next frame's noise
-# draw; from 96x72 (248,832) on, windows that grew after misses split.
+# Basis work (``_BASIS_RANK`` x padded area) under which a window takes the
+# rank-r route, whose correlations, bounds and exact scores all run on the
+# calling thread: 12 images at 144x128 (221,184) do, at 160x150 (288,000)
+# not. Larger windows take the rank-K route, split across the workers
+# (README, "Low-rank route for tracking windows").
 _INLINE_ELEMS = 230_000
 
 # Largest distance from an integer accepted for an FFT correlation value.
 _FFT_MAX_RESIDUAL = 0.25
 
-# Budget for the spectra a bank keeps at tracking-window shapes, least
-# recently used evicted first. The common 1,551-position window of a 22x36
-# template pads to 90x54, whose 36 spectra take 1.5 MB. The whole-frame
-# spectra are kept apart and never evicted by window scans.
+# Budget for the spectra a bank keeps at window shapes, least recently used
+# evicted first. A tracking window keeps the 12 spectra of the basis images:
+# 0.5 MB at 90x54, the padded shape of the common 1,551-position window of a
+# 22x36 template, and 1.8 MB at 144x128, the largest on the rank-r route.
+# The whole-frame spectra are kept apart and never evicted by window scans.
 _WINDOW_SPECTRA_BYTES = 16 << 20
 
 
@@ -360,16 +364,17 @@ class _ScanJob:
     shape: tuple
     nv: int
     nu: int
-    consts: _BankConstants | None  # the rest is read only when scoring the weights
-    var_f: np.ndarray | None  # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
-    bar: np.ndarray | None  # pooled pre-test bar per position, None to score all
+    consts: _BankConstants
+    var_f: np.ndarray  # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
+    bar: np.ndarray    # (nv*nu,) pooled pre-test bar of the rank-K route per position
 
 
 def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
     """This thread's array ``name`` viewed at ``shape``; grown only when too small.
 
     A chunk's arrays hold at most ``_CHUNK_ELEMS`` elements, or one bank
-    entry's padded area if that is more, which bounds these too.
+    entry's padded area if that is more, and a rank-r window's basis
+    correlations fewer than ``_INLINE_ELEMS``, which bounds these too.
     """
     size = math.prod(shape)
     held = getattr(_scratch, name, None)
@@ -414,15 +419,10 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     return corr[:, :, : job.nu]
 
 
-def _basis_chunk(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
-    """The correlations with basis images ``[k0, k1)``, a copy the caller keeps."""
-    return _correlation(job, k0, k1).copy()
-
-
 def _score_chunk(job: _ScanJob, k0: int, k1: int):
     """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
 
-    Positions are None when the chunk scored every position of the window.
+    The positions are those where some entry's bound reaches ``job.bar``.
     The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
     with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
     which float64 holds exactly for any template under 370,000 pixels; the
@@ -444,21 +444,17 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
             f"(limit {_FFT_MAX_RESIDUAL}); its sums would not be exact"
         )
     num = num.reshape(kc, nv * nu)
-    at = None
-    var_f = job.var_f
     # The entry bound of ``_low_rank_top`` with the weights as the basis:
     # every residual is 0 and the numerators are exact, so entry k's bound
     # is its score; scaled by sqrt(var_f), num_k / sqrt(var_t_k). Only
     # positions where some entry reaches the bar are scored exactly. The
     # scaled scores go to the ``irfft`` scratch, whose residuals are spent.
-    if job.bar is not None:
-        bound = _scratch_array("irfft", np.float64, num.shape)
-        np.multiply(num, c.inv_sd_t[k0:k1, None], out=bound)
-        at = np.flatnonzero(bound.max(axis=0) >= job.bar)
-        num = num[:, at]
-        var_f = var_f[at]
+    bound = _scratch_array("irfft", np.float64, num.shape)
+    np.multiply(num, c.inv_sd_t[k0:k1, None], out=bound)
+    at = np.flatnonzero(bound.max(axis=0) >= job.bar)
+    num = num[:, at]
     # as zmncc: a zero-variance region or template (den == 0) scores 0
-    den = np.sqrt(c.var_t[k0:k1, None] * var_f)
+    den = np.sqrt(c.var_t[k0:k1, None] * job.var_f[at])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
     return at, scores.max(axis=0), scores.argmax(axis=0) + k0
@@ -469,44 +465,24 @@ def _executor():
     return _pool.get(_WORKERS)
 
 
-def _run_chunks(task, job: _ScanJob, bounds: list[tuple[int, int]], split: bool) -> list:
-    """``task(job, k0, k1)`` of every kernel range, results in range order.
+def _score_bank(job: _ScanJob) -> list:
+    """``_score_chunk`` over the bank in chunks, results in entry order.
 
-    The chunks run on the worker pool when ``split``, else on this thread.
+    The entries are split evenly into chunks within ``_CHUNK_ELEMS``, at
+    least one per worker, and the chunks run on the workers; with one
+    worker or one chunk, on this thread.
     """
-    if not split or _WORKERS == 1 or len(bounds) == 1:
-        return [task(job, k0, k1) for k0, k1 in bounds]
-    from concurrent.futures import wait
-
-    futures = [_executor().submit(task, job, k0, k1) for k0, k1 in bounds]
-    wait(futures)
-    return [f.result() for f in futures]
-
-
-def _correlate(bank, key, whole, task, kernels, frame, shape, nv, nu,
-               consts=None, var_f=None, bar=None):
-    """``task`` over chunks of ``kernels``: (results in kernel order, new spectra).
-
-    The spectra of ``kernels`` at ``shape`` are the bank's, kept under
-    ``key``; the new spectra are None when they were kept already, and the
-    caller keeps them once the scan has succeeded. The kernels are split
-    evenly into chunks within ``_CHUNK_ELEMS``, at least one per worker. A
-    scan whose spectra are kept, at a shape other than the whole frame's and
-    whose work (kernels x padded area) is under ``_INLINE_ELEMS`` runs its
-    chunks on the calling thread; any other on the workers.
-    """
-    spectra = _cached_spectra(bank, key, whole)
-    fresh = spectra is None
-    k = len(kernels)
-    if fresh:
-        spectra = np.empty((k, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-    job = _ScanJob(frame, spectra, fresh, kernels, shape, nv, nu, consts, var_f, bar)
-    area = shape[0] * shape[1]
-    per_chunk = max(1, _CHUNK_ELEMS // area)
+    k = len(job.kernels)
+    per_chunk = max(1, _CHUNK_ELEMS // (job.shape[0] * job.shape[1]))
     count = min(k, max(_WORKERS, -(-k // per_chunk)))
     bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
-    split = fresh or shape == whole or k * area >= _INLINE_ELEMS
-    return _run_chunks(task, job, bounds, split), spectra if fresh else None
+    if _WORKERS == 1 or count == 1:
+        return [_score_chunk(job, k0, k1) for k0, k1 in bounds]
+    from concurrent.futures import wait
+
+    futures = [_executor().submit(_score_chunk, job, k0, k1) for k0, k1 in bounds]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
@@ -592,11 +568,11 @@ def scan(
     pixels than ``_BASIS_RANK``, at a threshold above the bank's largest
     basis residual, takes the rank-r route instead: it correlates the
     basis images, bounds every entry's score, and scores exactly only the
-    entries whose bound reaches the threshold (``_low_rank_top``). Its
-    bounds and exact scores run on the calling thread and grow with the
-    window, so a window whose basis correlation is not under
-    ``_INLINE_ELEMS`` keeps the rank-K route, which splits. Neither route,
-    nor where its chunks run (``_correlate``), changes the result.
+    entries whose bound reaches the threshold (``_low_rank_top``). That
+    route runs on the calling thread and its work grows with the window, so
+    a window whose basis correlation is not under ``_INLINE_ELEMS`` keeps
+    the rank-K route, whose chunks run on the workers (``_score_bank``).
+    Neither route, nor where its chunks run, changes the result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -615,37 +591,38 @@ def scan(
     whole = (_smooth5(img.height), _smooth5(img.width))
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     centred = sub - sub.mean()
-    frame = np.fft.rfft2(centred, shape)
     area = shape[0] * shape[1]
     basis = None
     if (shape != whole and min(len(bank), n) > _BASIS_RANK
             and _BASIS_RANK * area < _INLINE_ELEMS and threshold > 0.0):
         basis = _bank_basis(bank, consts)
-    if basis is not None and len(basis.images) and threshold > basis.resid.max():
-        key = ("basis", shape)
-        margin = _basis_margin(centred, area, n, len(basis.images))
-        parts, fresh = _correlate(bank, key, whole, _basis_chunk, basis.images, frame, shape, nv, nu)
-        c = np.concatenate(parts)
+    low_rank = basis is not None and len(basis.images) and threshold > basis.resid.max()
+    kernels, key = (basis.images, ("basis", shape)) if low_rank else (consts.weights, shape)
+    spectra = _cached_spectra(bank, key, whole)
+    fresh = spectra is None
+    if fresh:
+        spectra = np.empty((len(kernels), shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    # zmncc scores a flat window 0, which reaches only a threshold at or below 0
+    flat_bar = np.inf if threshold > 0.0 else -np.inf
+    bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), flat_bar)
+    job = _ScanJob(np.fft.rfft2(centred, shape), spectra, fresh, kernels, shape, nv, nu,
+                   consts, var_f, bar)
+    if low_rank:
+        margin = _basis_margin(centred, area, n, len(kernels))
+        c = _correlation(job, 0, len(kernels))
         results = [_low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu)]
     else:
-        key = shape
-        bar = None
-        if threshold - _POOL_MARGIN > 0.0:
-            bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
-        results, fresh = _correlate(
-            bank, key, whole, _score_chunk, consts.weights, frame, shape, nv, nu, consts, var_f, bar
-        )
-    if fresh is not None:
-        _keep_spectra(bank, key, whole, fresh)
+        results = _score_bank(job)
+    if fresh:  # kept only once the scan has succeeded
+        _keep_spectra(bank, key, whole, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best_idx = np.zeros(nv * nu, dtype=np.intp)
     for at, top, idx in results:
         # earlier chunks hold lower angles and win ties
-        better = top > (best if at is None else best[at])
-        where = better if at is None else at[better]
-        best[where] = top[better]
-        best_idx[where] = idx[better]
+        better = top > best[at]
+        best[at[better]] = top[better]
+        best_idx[at[better]] = idx[better]
 
     hits = np.flatnonzero(best >= threshold)
     return [

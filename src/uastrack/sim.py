@@ -117,7 +117,9 @@ class LinkRuntime:
 
     def __init__(self, sock, sample_every: int, peer=None, await_roi: bool = False):
         self.sock = sock
-        self.sample_every = max(1, sample_every)
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        self.sample_every = sample_every
         self.peer = peer
         self.await_roi = await_roi
 

@@ -1,11 +1,12 @@
 """Tracking loop: acquire, detect, filter, actuate.
 
-A session is initialized by a full-frame scan, then steps one frame at a
-time: predict, size the search window from the predicted covariance, scan,
-and either correct the filter (emitting a gimbal command) or record a miss.
-After ``miss_limit`` consecutive misses the next scan covers the full frame
-until the target is reacquired; reacquisition updates the existing filter.
-Sessions are strictly sequential; call ``step`` once per frame.
+``TrackerSession.process`` handles one frame at a time. With no track it
+scans the full frame, and a detection starts one. With a track it
+predicts, sizes the search window from the predicted covariance, scans,
+and either corrects the filter (emitting a gimbal command) or records a
+miss. After ``miss_limit`` consecutive misses the next scan covers the full
+frame until the target is reacquired; reacquisition updates the existing
+filter. Sessions are strictly sequential.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class TrackerConfig:
     noise: ekf.NoiseConfig = field(default_factory=ekf.NoiseConfig)
     miss_limit: int = 5
     bank_count: int = 36
-    bank_step_deg: float = 10.0
     optics: OpticsConfig = field(default_factory=OpticsConfig)
     p0_vel_var: float = 25.0
 
@@ -71,8 +71,15 @@ class TrackerConfig:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.miss_limit < 1:
             raise ConfigError(f"miss_limit must be >= 1, got {self.miss_limit}")
+        if self.bank_count < 1:
+            raise ConfigError(f"bank_count must be >= 1, got {self.bank_count}")
         if self.p0_vel_var <= 0.0:
             raise ConfigError("p0_vel_var must be positive")
+
+    @property
+    def bank_step_deg(self) -> float:
+        """Angle between bank entries: the bank covers 360 degrees."""
+        return 360.0 / self.bank_count
 
 
 @dataclass(frozen=True)
@@ -114,80 +121,55 @@ class TrackerSession:
         self.frame_index = -1
         self.clock = 0.0
 
-    def _full_window(self, frame: GrayImage) -> Rect:
+    def process(self, frame: GrayImage, dt: float = 1.0) -> TrackOutcome:
+        """Acquire, or predict, search, and correct (or record a miss), for one frame.
+
+        With no track the whole frame is scanned, and a detection starts
+        one. With a track the filter predicts and the window comes from
+        its covariance, or covers the whole frame after ``miss_limit``
+        misses. The clock advances by ``dt`` on every frame after the first.
+        """
+        if self.bank is None:
+            raise RuntimeError("no template installed; call apply_template first")
         try:
-            return matcher.valid_center_rect(
+            full = matcher.valid_center_rect(
                 self.bank.base_width, self.bank.base_height, frame.width, frame.height
             )
         except BoundsError as e:
             raise ConfigError(str(e)) from None
-
-    def initialize(self, frame: GrayImage) -> TrackOutcome:
-        """Full-frame search for the target; may be retried on later frames."""
-        if self.bank is None:
-            raise RuntimeError("no template installed; call apply_template first")
+        if self.frame_index >= 0:
+            self.clock += dt
         self.frame_index += 1
-        window = self._full_window(frame)
+        pred = None
+        window = full
+        if self.state is not None:
+            pred = ekf.predict(self.state, dt, self.cfg.noise)
+            if pred.misses < self.cfg.miss_limit:
+                window = ekf.search_window(
+                    pred, full, self.bank.base_width, self.bank.base_height, self.cfg.noise
+                )
         det = matcher.detect(
             matcher.scan(frame, self.bank, window, self.cfg.threshold),
             self.cfg.threshold,
         )
-        if det is None:
-            self.state = None
-            return TrackOutcome(
-                self.frame_index, self.clock, STATUS_LOST, None, window, None, None
-            )
-        self.state = ekf.initial_state(det.x, det.y, self.cfg.noise, self.cfg.p0_vel_var)
-        cmd = gimbal_offset(det, self.cfg.optics)
-        return TrackOutcome(
-            self.frame_index, self.clock, STATUS_INITIALIZED, det, window, self.state, cmd
-        )
-
-    def step(self, frame: GrayImage, dt: float = 1.0) -> TrackOutcome:
-        """Predict, search, and correct (or record a miss) for one frame."""
-        if self.state is None:
-            raise RuntimeError("step called before a successful initialize")
-        self.frame_index += 1
-        self.clock += dt
-        pred = ekf.predict(self.state, dt, self.cfg.noise)
-        if pred.misses >= self.cfg.miss_limit:
-            window = self._full_window(frame)
-        else:
-            window = ekf.search_window(
-                pred,
-                self.bank.base_width,
-                self.bank.base_height,
-                frame.width,
-                frame.height,
-                self.cfg.noise,
-            )
-        det = matcher.detect(
-            matcher.scan(frame, self.bank, window, self.cfg.threshold),
-            self.cfg.threshold,
-        )
+        cmd = None
         if det is not None:
-            self.state = ekf.update(pred, (det.x, det.y), self.cfg.noise)
             cmd = gimbal_offset(det, self.cfg.optics)
-            status = STATUS_TRACKING
-        else:
+            if pred is None:
+                self.state = ekf.initial_state(det.x, det.y, self.cfg.noise, self.cfg.p0_vel_var)
+                status = STATUS_INITIALIZED
+            else:
+                self.state = ekf.update(pred, (det.x, det.y), self.cfg.noise)
+                status = STATUS_TRACKING
+        elif pred is not None:
             self.state = ekf.mark_miss(pred)
-            cmd = None
-            status = (
-                STATUS_REDETECTING
-                if self.state.misses >= self.cfg.miss_limit
-                else STATUS_MISS
-            )
+            redetect = self.state.misses >= self.cfg.miss_limit
+            status = STATUS_REDETECTING if redetect else STATUS_MISS
+        else:
+            status = STATUS_LOST
         return TrackOutcome(
             self.frame_index, self.clock, status, det, window, self.state, cmd
         )
-
-    def process(self, frame: GrayImage, dt: float = 1.0) -> TrackOutcome:
-        """Initialize if not yet acquired, otherwise step."""
-        if self.state is None:
-            if self.frame_index >= 0:
-                self.clock += dt
-            return self.initialize(frame)
-        return self.step(frame, dt)
 
     def apply_template(self, patch: GrayImage) -> None:
         """Swap in a new target patch (operator upload); restarts acquisition."""

@@ -104,11 +104,13 @@ def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
 def build_bank(patch: GrayImage, count: int = 36, step_deg: float = 10.0) -> TemplateBank:
     """Generate ``count`` rotated copies at ``step_deg`` spacing covering 360 degrees.
 
-    Entry k holds angle ``k * step_deg``; entry 0 is the unmodified patch.
-    All other entries come from one batched rotation, each equal to
-    ``warp_patch`` at its angle.
+    The step must be ``360.0 / count`` as computed in floats, which
+    ``count * step_deg`` does not always give back as 360. Entry k holds
+    angle ``k * step_deg``; entry 0 is the unmodified patch. All other
+    entries come from one batched rotation, each equal to ``warp_patch`` at
+    its angle.
     """
-    if count < 1 or count * step_deg != 360.0:
+    if not (count >= 1 and step_deg == 360.0 / count):
         raise ConfigError(
             f"bank must cover exactly 360 degrees, got {count} x {step_deg}"
         )

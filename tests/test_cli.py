@@ -67,6 +67,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_bank_step_key_rejected(self, tmp_path):
+        """The step follows from ``bank_count``; it is not a setting."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"bank_step_deg": 10.0}))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize(
+        "key, value, ok",
+        [("miss_limit", 2.7, False), ("frame_w", 320.9, False), ("bank_count", 36.5, False),
+         ("frame_h", 240.25, False), ("sample_every", 4.5, False), ("sample_every", 0, False),
+         ("sample_every", -4, False), ("miss_limit", 3.0, True), ("sample_every", 1, True)],
+    )
+    def test_integer_keys_take_only_integers(self, tmp_path, key, value, ok):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({key: value}))
+        if ok:
+            assert tracker_config(load_config(str(p))) is not None
+            assert load_config(str(p))[key] == value
+        else:
+            with pytest.raises(ConfigError, match=key):
+                load_config(str(p))
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -191,6 +214,19 @@ class TestBank:
         assert files[0].name == "bank_00_000deg.pgm"
         first = load_pgm(files[0].read_bytes())
         assert first == load_pgm(Path(template_file).read_bytes())
+
+    def test_any_count_sets_its_own_step(self, tmp_path, template_file):
+        """39 x (360/39) is not 360.0 in floats; the count alone sets the step."""
+        out = tmp_path / "bank"
+        assert main(["bank", "--template", template_file, "--out", str(out), "--count", "39"]) == 0
+        assert len(list(out.glob("*.pgm"))) == 39
+
+    def test_count_below_one_is_a_usage_error(self, tmp_path, template_file, capsys):
+        out = tmp_path / "bank"
+        assert main(["bank", "--template", template_file, "--out", str(out), "--count", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "--count" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBench:

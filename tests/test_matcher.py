@@ -26,7 +26,7 @@ from uastrack.matcher import (
     valid_center_rect,
     zmncc,
 )
-from uastrack.scenesim import default_target_patch
+from uastrack.scenesim import BUILTIN_NAMES, default_target_patch
 from uastrack.warp import build_bank, warp_patch
 
 
@@ -118,7 +118,7 @@ class TestScan:
         assert scan(frame, bank, Rect(0, 0, 160, 120), 0.9) == []
 
     def test_rotated_target_best_angle(self, rng, checker22x36):
-        from uastrack.scenesim import default_target_patch
+        from uastrack.scenesim import BUILTIN_NAMES, default_target_patch
 
         patch = default_target_patch(3)
         bank = build_bank(patch)
@@ -461,27 +461,43 @@ class TestReusedBuffersAndWhereChunksRun:
         assert any((p.u, p.v, p.score) == (45, 40, 1.0) for p in whole)
 
     def test_warm_tracking_window_runs_on_the_calling_thread(self, rng, monkeypatch):
+        """A tracking window takes the rank-r route, which correlates its basis
+        on the calling thread, cold or warm, and never starts the pool."""
         bank = build_bank(default_target_patch(7))
-        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
-        window = Rect(100, 80, 33, 47)  # 36 entries at 90x54, under the cutoff
+        px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 116, 103)
+        frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        first = scan(frame, bank, window, 0.0)  # cold: fills the spectra
         threads = chunk_threads(monkeypatch)
-        monkeypatch.setattr(matcher, "_executor", lambda: pytest.fail("a warm window split"))
-        assert 36 * 90 * 54 < matcher._INLINE_ELEMS
-        assert scan(frame, bank, window, 0.0) == first
-        assert threads and all(t is threading.main_thread() for t in threads)
+        calls = low_rank_calls(monkeypatch)
+        common = Rect(100, 80, 33, 47)  # 12 images at 90x54: 58,320
+        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
+        assert 12 * 144 * 128 < matcher._INLINE_ELEMS
+        got = {}
+        with monkeypatch.context() as mp:
+            mp.setattr(matcher, "_executor", lambda: pytest.fail("the rank-r route split"))
+            for window in (common, common, wide, wide):  # each cold, then warm
+                threads.clear()
+                got[window] = scan(frame, bank, window, 0.9)
+                assert threads == []  # no entry went through the rank-K chunks
+        assert len(calls) == 4
+        for window, points in got.items():
+            assert points == rank_k_scan(frame, bank, window, 0.9)
+        assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[common])
 
     def test_cold_grown_and_whole_frame_scans_split(self, rng, monkeypatch):
+        """The rank-K route hands its chunks to the workers, cold or warm,
+        for a window of any size and for a whole frame."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
-        grown = Rect(90, 70, 51, 61)  # 36 entries at 96x72, over the cutoff
-        assert 36 * 96 * 72 >= matcher._INLINE_ELEMS
-        for window in (Rect(100, 80, 33, 47), grown, grown, frame.rect, frame.rect):
+        calls = low_rank_calls(monkeypatch)
+        common = Rect(100, 80, 33, 47)  # 90x54
+        grown = Rect(90, 70, 51, 61)  # 96x72
+        # threshold 0 is at or below every residual: every scan takes rank K
+        for window in (common, common, grown, grown, frame.rect, frame.rect):
             threads.clear()
-            scan(frame, bank, window, 0.0)  # rank K; cold, then warm for the last two
+            scan(frame, bank, window, 0.0)
             assert on_workers(threads), window
         small = GrayImage(rng.integers(0, 256, (40, 30), dtype=np.uint8))
         small_bank = build_bank(GrayImage(small.pixels[:5, :7]), 4, 90.0)
@@ -489,31 +505,25 @@ class TestReusedBuffersAndWhereChunksRun:
             threads.clear()
             scan(small, small_bank, small.rect, 0.0)
             assert on_workers(threads)
+        assert calls == []
 
-    def test_low_rank_scans_split_when_cold_and_only_small_windows_take_them(self, rng, monkeypatch):
-        """The basis correlation follows the same rule, its work r x padded area;
-        a window whose work is not under the cutoff keeps the rank-K route."""
+    def test_windows_over_the_cutoff_keep_rank_k(self, rng, monkeypatch):
+        """Only a window whose basis work is under the cutoff takes the rank-r
+        route; a larger one keeps rank K and runs on the workers."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        threads = chunk_threads(monkeypatch, "_basis_chunk")
-        scored = chunk_threads(monkeypatch)
-        common = Rect(100, 80, 33, 47)  # 12 images at 90x54: 58,320
-        grown = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
+        threads = chunk_threads(monkeypatch)
+        calls = low_rank_calls(monkeypatch)
+        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
         large = Rect(40, 40, 130, 110)  # 12 images at 160x150: 288,000
         assert 12 * 144 * 128 < matcher._INLINE_ELEMS <= 12 * 160 * 150
-        for window, split in ((common, True), (common, False), (grown, True), (grown, False)):
-            threads.clear()
-            scored.clear()
-            got = scan(frame, bank, window, 0.9)
-            assert scored == []  # no entry went through the rank-K chunks
-            assert len(threads) == 2, window  # the 12 images in two chunks, one per worker
-            assert on_workers(threads) if split else all(t is threading.main_thread() for t in threads)
-            assert got == rank_k_scan(frame, bank, window, 0.9)
+        assert scan(frame, bank, wide, 0.9) == rank_k_scan(frame, bank, wide, 0.9)
+        assert len(calls) == 1
         threads.clear()
-        scored.clear()
-        scan(frame, bank, large, 0.9)
-        assert threads == [] and on_workers(scored)
+        got = scan(frame, bank, large, 0.9)
+        assert len(calls) == 1 and on_workers(threads)
+        assert got == rank_k_scan(frame, bank, large, 0.9)
 
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
@@ -672,9 +682,9 @@ class TestLowRankRoute:
         if warm:
             assert scan(frame, bank, window, 0.9) == expected
         kept = dict(bank.kernel_cache.get("windows", {}))
-        basis_chunk = matcher._basis_chunk
+        correlation = matcher._correlation
         with monkeypatch.context() as mp:  # correlations three times too large
-            mp.setattr(matcher, "_basis_chunk", lambda job, k0, k1: 3.0 * basis_chunk(job, k0, k1))
+            mp.setattr(matcher, "_correlation", lambda job, k0, k1: 3.0 * correlation(job, k0, k1))
             with pytest.raises(ArithmeticError, match="low-rank bound"):
                 scan(frame, bank, window, 0.9)
         windows = bank.kernel_cache.get("windows", {})
@@ -683,8 +693,10 @@ class TestLowRankRoute:
         assert scan(frame, bank, window, 0.9) == expected
         assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)
 
-    @pytest.mark.parametrize("name", ["cv", "spin", "relight"])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_closed_loop_scans_equal_the_rank_k_route(self, name, monkeypatch):
+        """Every scan of a run equals the rank-K route's, and the only scans
+        that take the rank-K route are of the whole frame."""
         from uastrack.scenesim import make_scenario
         from uastrack.sim import run_sim
         from uastrack.tracker import TrackerConfig
@@ -693,7 +705,11 @@ class TestLowRankRoute:
         compared = []
 
         def both(img, bank, window, threshold):
+            before = len(calls)
             got = scan(img, bank, window, threshold)
+            if len(calls) == before:
+                assert window == valid_center_rect(bank.base_width, bank.base_height,
+                                                   img.width, img.height)
             twin = twins.setdefault(id(bank), dataclasses.replace(bank))  # its own caches
             assert got == rank_k_scan(img, twin, window, threshold)
             compared.append(len(got))

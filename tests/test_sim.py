@@ -47,6 +47,10 @@ class TestLinkRuntime:
         assert session.bank.entries[0].patch == patch
         assert session.state is None
 
+    def test_sample_every_below_one_rejected(self, sockets):
+        with pytest.raises(ValueError, match="sample_every"):
+            LinkRuntime(sockets[0], sample_every=0)
+
     def test_burst_of_uploads_builds_one_bank(self, sockets, monkeypatch):
         payload, operator = sockets
         sc = scenesim.make_scenario("cv", frames=2)

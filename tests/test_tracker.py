@@ -78,7 +78,7 @@ class TestGimbalOffset:
 class TestInitialize:
     def test_planted_target(self, session, patch, rng):
         frame = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 100, 80)
-        out = session.initialize(frame)
+        out = session.process(frame)
         assert out.status == STATUS_INITIALIZED
         assert out.detection is not None
         assert out.state.x == pytest.approx(100, abs=1.0)
@@ -86,14 +86,14 @@ class TestInitialize:
         assert out.gimbal_cmd is not None
 
     def test_blank_frame_lost(self, session):
-        out = session.initialize(blank())
+        out = session.process(blank())
         assert out.status == STATUS_LOST
         assert out.detection is None and out.state is None
 
     def test_rotated_target_best_angle(self, session, patch):
         rotated = warp_patch(patch, math.radians(40.0))
         frame = plant(np.full((240, 320), 128, dtype=np.uint8), rotated, 160, 120)
-        out = session.initialize(frame)
+        out = session.process(frame)
         assert out.status == STATUS_INITIALIZED
         assert out.detection.best_angle_deg == 40.0
 
@@ -101,11 +101,12 @@ class TestInitialize:
         cfg = TrackerConfig(optics=OpticsConfig(frame_w=320, frame_h=240))
         session = TrackerSession(build_bank(patch), cfg)
         with pytest.raises(ConfigError):
-            session.initialize(blank(16, 16))
+            session.process(blank(16, 16))
 
-    def test_step_before_initialize(self, session):
+    def test_process_before_any_template(self):
+        session = TrackerSession(None, TrackerConfig())
         with pytest.raises(RuntimeError):
-            session.step(blank())
+            session.process(blank())
 
     def test_retry_after_lost(self, session, patch, rng):
         assert session.process(blank()).status == STATUS_LOST
@@ -192,7 +193,7 @@ class TestStep:
 class TestLog:
     def test_header_plus_row(self, tmp_path, session, patch, rng):
         frame = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 100, 80)
-        out = session.initialize(frame)
+        out = session.process(frame)
         path = tmp_path / "log.csv"
         write_log([out], str(path))
         lines = path.read_text().splitlines()
