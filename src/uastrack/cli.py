@@ -8,6 +8,7 @@ configured seeds; logged values never depend on wall-clock time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -163,6 +164,7 @@ def _scenario_setup(args) -> tuple[dict, scenesim.Scenario, TrackerConfig]:
         frames=args.frames,
         seed=args.seed,
     )
+    scenario = dataclasses.replace(scenario, hfov=math.radians(cfg_map["hfov_deg"]))
     return cfg_map, scenario, tracker_config(cfg_map, scenario_optics(scenario))
 
 

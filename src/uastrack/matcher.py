@@ -27,30 +27,22 @@ from .warp import TemplateBank
 DEFAULT_THRESHOLD = 0.9
 
 # Cap on the elements (entries x padded area) of one chunk of the bank on
-# the rank-K route, which serves whole frames and windows too large for the
-# rank-r route. A chunk's complex arrays hold about half as many complex
-# values, 8 bytes per counted element, so each takes at most 1.4 MB, within
-# a core's 2 MiB L2 cache. The cap holds 2 entries of a whole 320x240 frame
-# (240x320) and 7 of a 180x125 window; a larger entry, such as one of a
-# 640x480 frame, makes a chunk of its own. Chosen by measurement (README,
+# the rank-K route, which serves whole frames. A chunk's complex arrays hold
+# about half as many complex values, 8 bytes per counted element, so each
+# takes at most 1.4 MB, within a core's 2 MiB L2 cache. The cap holds 2
+# entries of a whole 320x240 frame (240x320); a larger entry, such as one of
+# a 640x480 frame, makes a chunk of its own. Chosen by measurement (README,
 # "Scan kernel").
 _CHUNK_ELEMS = 174_960
-
-# Basis work (``_BASIS_RANK`` x padded area) under which a window takes the
-# rank-r route, whose correlations, bounds and exact scores all run on the
-# calling thread: 12 images at 144x128 (221,184) do, at 160x150 (288,000)
-# not. Larger windows take the rank-K route, split across the workers
-# (README, "Low-rank route for tracking windows").
-_INLINE_ELEMS = 230_000
 
 # Largest distance from an integer accepted for an FFT correlation value.
 _FFT_MAX_RESIDUAL = 0.25
 
-# Budget for the spectra a bank keeps at window shapes, least recently used
-# evicted first. A tracking window keeps the 12 spectra of the basis images:
-# 0.5 MB at 90x54, the padded shape of the common 1,551-position window of a
-# 22x36 template, and 1.8 MB at 144x128, the largest on the rank-r route.
-# The whole-frame spectra are kept apart and never evicted by window scans.
+# Budget for the basis spectra a bank keeps at window shapes, least recently
+# used evicted first. A tracking window keeps the 12 spectra of the basis
+# images: 0.5 MB at 90x54, the padded shape of the common 1,551-position
+# window of a 22x36 template. The whole-frame spectra are kept apart and
+# never evicted by window scans.
 _WINDOW_SPECTRA_BYTES = 16 << 20
 
 
@@ -235,31 +227,19 @@ def _smooth5(size: int) -> int:
         size += 1
 
 
-def _cached_spectra(bank: TemplateBank, key: tuple, whole: tuple) -> np.ndarray | None:
-    """The bank's conjugate spectra under ``key``, if it keeps them.
-
-    The key of the weights' spectra is their padded shape, and that of the
-    basis images' spectra is ``("basis", shape)``.
-    """
-    cache = bank.kernel_cache
-    if key == whole:
-        kept = cache.get("frame")
-        return kept[1] if kept is not None and kept[0] == key else None
-    windows = cache.get("windows", {})
-    spectra = windows.pop(key, None)
+def _cached_spectra(bank: TemplateBank, shape: tuple) -> np.ndarray | None:
+    """The basis spectra the bank keeps at the window shape ``shape``, if any."""
+    windows = bank.kernel_cache.get("windows", {})
+    spectra = windows.pop(shape, None)
     if spectra is not None:
-        windows[key] = spectra  # most recently used last
+        windows[shape] = spectra  # most recently used last
     return spectra
 
 
-def _keep_spectra(bank: TemplateBank, key: tuple, whole: tuple, spectra: np.ndarray) -> None:
-    """Keep whole-frame spectra in their own slot, window spectra within budget."""
-    cache = bank.kernel_cache
-    if key == whole:
-        cache["frame"] = (key, spectra)
-        return
-    windows = cache.setdefault("windows", {})
-    windows[key] = spectra
+def _keep_spectra(bank: TemplateBank, shape: tuple, spectra: np.ndarray) -> None:
+    """Keep basis spectra at a window shape, within ``_WINDOW_SPECTRA_BYTES``."""
+    windows = bank.kernel_cache.setdefault("windows", {})
+    windows[shape] = spectra
     while sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
         del windows[next(iter(windows))]
 
@@ -354,8 +334,8 @@ def _basis_margin(x: np.ndarray, area: int, n: int, r: int) -> float:
 
 @dataclass(frozen=True)
 class _ScanJob:
-    """What every chunk of one scan shares; chunks write disjoint entries of
-    ``spectra`` when ``fresh`` and read nothing another chunk writes."""
+    """What every chunk of one correlation shares; chunks write disjoint
+    entries of ``spectra`` when ``fresh`` and read nothing another chunk writes."""
 
     frame: np.ndarray    # rfft2 of the mean-centred sub-image at ``shape``
     spectra: np.ndarray  # (K, shape[0], shape[1]//2 + 1) conjugate spectra of ``kernels``
@@ -364,17 +344,24 @@ class _ScanJob:
     shape: tuple
     nv: int
     nu: int
+
+
+@dataclass(frozen=True)
+class _BankJob(_ScanJob):
+    """A rank-K scan: the correlation with the bank's weights, and what its
+    chunks need to score it."""
+
     consts: _BankConstants
     var_f: np.ndarray  # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
-    bar: np.ndarray    # (nv*nu,) pooled pre-test bar of the rank-K route per position
+    bar: np.ndarray    # (nv*nu,) pooled pre-test bar per position
 
 
 def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
     """This thread's array ``name`` viewed at ``shape``; grown only when too small.
 
     A chunk's arrays hold at most ``_CHUNK_ELEMS`` elements, or one bank
-    entry's padded area if that is more, and a rank-r window's basis
-    correlations fewer than ``_INLINE_ELEMS``, which bounds these too.
+    entry's padded area if that is more; a window's, its basis images times
+    its padded area.
     """
     size = math.prod(shape)
     held = getattr(_scratch, name, None)
@@ -419,7 +406,7 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     return corr[:, :, : job.nu]
 
 
-def _score_chunk(job: _ScanJob, k0: int, k1: int):
+def _score_chunk(job: _BankJob, k0: int, k1: int):
     """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
 
     The positions are those where some entry's bound reaches ``job.bar``.
@@ -453,7 +440,7 @@ def _score_chunk(job: _ScanJob, k0: int, k1: int):
     np.multiply(num, c.inv_sd_t[k0:k1, None], out=bound)
     at = np.flatnonzero(bound.max(axis=0) >= job.bar)
     num = num[:, at]
-    # as zmncc: a zero-variance region or template (den == 0) scores 0
+    # as zmncc: a zero-variance template (den == 0) scores 0; no flat window gets here
     den = np.sqrt(c.var_t[k0:k1, None] * job.var_f[at])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
@@ -465,7 +452,7 @@ def _executor():
     return _pool.get(_WORKERS)
 
 
-def _score_bank(job: _ScanJob) -> list:
+def _score_bank(job: _BankJob) -> list:
     """``_score_chunk`` over the bank in chunks, results in entry order.
 
     The entries are split evenly into chunks within ``_CHUNK_ELEMS``, at
@@ -503,7 +490,7 @@ def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
     means the correlations are wrong, and raises ``ArithmeticError``.
     """
     th, tw = consts.weights.shape[1:]
-    c = c.reshape(len(c), -1)
+    c = c.reshape(len(c), len(var_f))  # r may be 0: a bank of flat templates
     norm_f = np.sqrt(var_f / (th * tw))
     inside = (c * c).sum(axis=0)
     outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
@@ -563,16 +550,13 @@ def scan(
     empty list.
 
     Window sums come from summed-area tables and the correlation numerator
-    from an exact FFT correlation with the bank's weights, its rank-K route.
-    A window scan (not the whole frame) of a bank with more entries and
-    pixels than ``_BASIS_RANK``, at a threshold above the bank's largest
-    basis residual, takes the rank-r route instead: it correlates the
-    basis images, bounds every entry's score, and scores exactly only the
-    entries whose bound reaches the threshold (``_low_rank_top``). That
-    route runs on the calling thread and its work grows with the window, so
-    a window whose basis correlation is not under ``_INLINE_ELEMS`` keeps
-    the rank-K route, whose chunks run on the workers (``_score_bank``).
-    Neither route, nor where its chunks run, changes the result.
+    from exact FFT correlations. A scan whose padded shape is the whole
+    frame's takes the rank-K route: it correlates the bank's weights, in
+    chunks on the workers (``_score_bank``). Every other scan takes the
+    rank-r route, on the calling thread: it correlates the bank's basis
+    images, bounds every entry's score, and scores exactly only the entries
+    whose bound reaches the threshold (``_low_rank_top``). Neither route,
+    nor where its chunks run, changes the result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -588,33 +572,31 @@ def scan(
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
 
-    whole = (_smooth5(img.height), _smooth5(img.width))
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     centred = sub - sub.mean()
-    area = shape[0] * shape[1]
-    basis = None
-    if (shape != whole and min(len(bank), n) > _BASIS_RANK
-            and _BASIS_RANK * area < _INLINE_ELEMS and threshold > 0.0):
+    frame = np.fft.rfft2(centred, shape)
+    spectra_shape = (shape[0], shape[1] // 2 + 1)
+    if shape == (_smooth5(img.height), _smooth5(img.width)):  # rank K, on the workers
+        kept = bank.kernel_cache.get("frame")
+        fresh = kept is None or kept[0] != shape
+        spectra = np.empty((len(bank), *spectra_shape), np.complex128) if fresh else kept[1]
+        bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
+        results = _score_bank(_BankJob(frame, spectra, fresh, consts.weights, shape, nv, nu,
+                                       consts, var_f, bar))
+        if fresh:  # kept only once the scan has succeeded
+            bank.kernel_cache["frame"] = (shape, spectra)
+    else:  # rank r, on the calling thread
         basis = _bank_basis(bank, consts)
-    low_rank = basis is not None and len(basis.images) and threshold > basis.resid.max()
-    kernels, key = (basis.images, ("basis", shape)) if low_rank else (consts.weights, shape)
-    spectra = _cached_spectra(bank, key, whole)
-    fresh = spectra is None
-    if fresh:
-        spectra = np.empty((len(kernels), shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-    # zmncc scores a flat window 0, which reaches only a threshold at or below 0
-    flat_bar = np.inf if threshold > 0.0 else -np.inf
-    bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), flat_bar)
-    job = _ScanJob(np.fft.rfft2(centred, shape), spectra, fresh, kernels, shape, nv, nu,
-                   consts, var_f, bar)
-    if low_rank:
-        margin = _basis_margin(centred, area, n, len(kernels))
-        c = _correlation(job, 0, len(kernels))
+        r = len(basis.images)
+        spectra = _cached_spectra(bank, shape)
+        fresh = spectra is None
+        if fresh:
+            spectra = np.empty((r, *spectra_shape), np.complex128)
+        c = _correlation(_ScanJob(frame, spectra, fresh, basis.images, shape, nv, nu), 0, r)
+        margin = _basis_margin(centred, shape[0] * shape[1], n, r)
         results = [_low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu)]
-    else:
-        results = _score_bank(job)
-    if fresh:  # kept only once the scan has succeeded
-        _keep_spectra(bank, key, whole, spectra)
+        if fresh:  # kept only once the scan has succeeded
+            _keep_spectra(bank, shape, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best_idx = np.zeros(nv * nu, dtype=np.intp)
@@ -623,6 +605,8 @@ def scan(
         better = top > best[at]
         best[at[better]] = top[better]
         best_idx[at[better]] = idx[better]
+    if threshold <= 0.0:  # zmncc scores a flat window 0 at every angle; no route scores it
+        best[var_f == 0.0] = 0.0
 
     hits = np.flatnonzero(best >= threshold)
     return [

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, get_args, get_type_hints
 
@@ -34,6 +35,12 @@ STATUS_LOST = "lost"
 DEFAULT_HFOV_DEG = 30.0
 
 
+def _require_integer(name: str, value) -> None:
+    """Counts and sizes are integers; a fraction would be rounded where it is used."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OpticsConfig:
     """Camera geometry used to turn pixel errors into encoder counts."""
@@ -46,6 +53,8 @@ class OpticsConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.hfov < math.pi:
             raise ConfigError(f"hfov must be in (0, pi), got {self.hfov}")
+        _require_integer("frame_w", self.frame_w)
+        _require_integer("frame_h", self.frame_h)
         if self.frame_w < 1 or self.frame_h < 1:
             raise ConfigError("frame dimensions must be positive")
         if self.counts_per_radian <= 0.0:
@@ -69,6 +78,8 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
+        _require_integer("miss_limit", self.miss_limit)
+        _require_integer("bank_count", self.bank_count)
         if self.miss_limit < 1:
             raise ConfigError(f"miss_limit must be >= 1, got {self.miss_limit}")
         if self.bank_count < 1:

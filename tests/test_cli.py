@@ -140,6 +140,22 @@ class TestSim:
             logs.append(path.read_bytes())
         assert logs[0] == logs[1]
 
+    def test_config_field_of_view_reaches_the_scenario(self, tmp_path):
+        """``hfov_deg`` sets the simulated camera's field of view too, so the
+        gimbal's pixels per count and the log follow it; 30 is the default."""
+        logs = []
+        for hfov_deg in (None, 30.0, 10.0):
+            args = ["sim", "--scenario", "cv", "--frames", "40", "--seed", "1", "--quiet"]
+            if hfov_deg is not None:
+                cfg = tmp_path / f"hfov{hfov_deg}.json"
+                cfg.write_text(json.dumps({"hfov_deg": hfov_deg}))
+                args += ["--config", str(cfg)]
+            log = tmp_path / f"log{hfov_deg}.csv"
+            assert main([*args, "--log", str(log)]) == 0
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        assert logs[2] != logs[0]
+
     def test_dump_frames_and_ground_truth(self, tmp_path):
         dump = tmp_path / "frames"
         code = main(

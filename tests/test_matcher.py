@@ -173,10 +173,16 @@ def scan_with(img, bank, window, threshold, workers, chunk_elems=matcher._CHUNK_
 
 
 def rank_k_scan(img, bank, window, threshold):
-    """``scan`` kept on the rank-K route: no basis, every entry correlated."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matcher, "_BASIS_RANK", len(bank))
-        return scan(img, bank, window, threshold)
+    """``scan`` on the rank-K route: the pixels under the clamped window
+    scanned as a whole frame, with a fresh bank, the points shifted back."""
+    tw, th = bank.base_width, bank.base_height
+    u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+    if u0 > u1 or v0 > v1:
+        return []
+    x0, y0 = template_origin(u0, tw), template_origin(v0, th)
+    sub = GrayImage(img.pixels[y0 : y0 + v1 - v0 + th, x0 : x0 + u1 - u0 + tw].copy())
+    points = scan(sub, dataclasses.replace(bank), sub.rect, threshold)
+    return [dataclasses.replace(p, u=p.u + x0, v=p.v + y0) for p in points]
 
 
 def best_of_bank(img, bank, u, v):
@@ -325,8 +331,8 @@ class TestScanExactness:
         self, rng, workers, chunk_elems, expected, monkeypatch
     ):
         bank = build_bank(default_target_patch(7))
-        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
-        window = Rect(100, 80, 33, 47)  # pads to 90x54
+        frame = GrayImage(rng.integers(0, 256, (82, 54), dtype=np.uint8))  # pads to 90x54
+        window = frame.rect
         ran = []
         score_chunk = matcher._score_chunk
 
@@ -452,9 +458,10 @@ class TestReusedBuffersAndWhereChunksRun:
         inside = scan_with(frame, bank, window, 0.3, workers)
         with monkeypatch.context() as mp:
             mp.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
-            for rect, threshold in ((window, 0.3), (frame.rect, 0.0)):
-                with pytest.raises(ArithmeticError):
-                    scan_with(frame, bank, rect, threshold, workers, chunk_elems=1)
+            with pytest.raises(ArithmeticError):
+                scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems=1)
+            # the integer check is the rank-K route's; a window's route has its own
+            assert scan_with(frame, bank, window, 0.3, workers) == inside
         assert scan_with(frame, bank, window, 0.3, workers) == inside
         assert scan_with(frame, bank, frame.rect, 0.0, workers) == whole
         assert inside == expected_points(frame, bank, window, 0.3)
@@ -462,31 +469,34 @@ class TestReusedBuffersAndWhereChunksRun:
 
     def test_warm_tracking_window_runs_on_the_calling_thread(self, rng, monkeypatch):
         """A tracking window takes the rank-r route, which correlates its basis
-        on the calling thread, cold or warm, and never starts the pool."""
+        on the calling thread, cold or warm, at any threshold, and never
+        starts the pool."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 116, 103)
         frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
         calls = low_rank_calls(monkeypatch)
-        common = Rect(100, 80, 33, 47)  # 12 images at 90x54: 58,320
-        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
-        assert 12 * 144 * 128 < matcher._INLINE_ELEMS
-        got = {}
+        common = Rect(100, 80, 33, 47)  # 12 images at 90x54
+        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128
+        scans = [(common, 0.9), (common, 0.9), (wide, 0.9), (wide, 0.9), (common, 0.0), (common, -1.0)]
+        got = []
         with monkeypatch.context() as mp:
-            mp.setattr(matcher, "_executor", lambda: pytest.fail("the rank-r route split"))
-            for window in (common, common, wide, wide):  # each cold, then warm
+            mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
+            for window, threshold in scans:  # each shape cold, then warm
                 threads.clear()
-                got[window] = scan(frame, bank, window, 0.9)
+                got.append(scan(frame, bank, window, threshold))
                 assert threads == []  # no entry went through the rank-K chunks
-        assert len(calls) == 4
-        for window, points in got.items():
-            assert points == rank_k_scan(frame, bank, window, 0.9)
-        assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[common])
+        assert len(calls) == len(scans)
+        for (window, threshold), points in zip(scans, got):
+            assert points == rank_k_scan(frame, bank, window, threshold)
+        assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[0])
+        assert len(got[-1]) == 33 * 47
 
-    def test_cold_grown_and_whole_frame_scans_split(self, rng, monkeypatch):
-        """The rank-K route hands its chunks to the workers, cold or warm,
-        for a window of any size and for a whole frame."""
+    def test_only_whole_frame_scans_split(self, rng, monkeypatch):
+        """The rank-K route, which only a whole frame takes, hands its chunks to
+        the workers, cold or warm; a window of any size, at any threshold,
+        stays on the calling thread."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
@@ -494,36 +504,38 @@ class TestReusedBuffersAndWhereChunksRun:
         calls = low_rank_calls(monkeypatch)
         common = Rect(100, 80, 33, 47)  # 90x54
         grown = Rect(90, 70, 51, 61)  # 96x72
-        # threshold 0 is at or below every residual: every scan takes rank K
-        for window in (common, common, grown, grown, frame.rect, frame.rect):
+        for window, threshold in ((common, 0.0), (grown, 0.9), (grown, 0.9)):
             threads.clear()
-            scan(frame, bank, window, 0.0)
-            assert on_workers(threads), window
+            scan(frame, bank, window, threshold)
+            assert threads == [], window
+        assert len(calls) == 3
+        for _ in range(2):
+            threads.clear()
+            scan(frame, bank, frame.rect, 0.0)
+            assert on_workers(threads)
         small = GrayImage(rng.integers(0, 256, (40, 30), dtype=np.uint8))
         small_bank = build_bank(GrayImage(small.pixels[:5, :7]), 4, 90.0)
         for _ in range(2):  # a whole frame splits even when warm and small
             threads.clear()
             scan(small, small_bank, small.rect, 0.0)
             assert on_workers(threads)
-        assert calls == []
+        assert len(calls) == 3
 
-    def test_windows_over_the_cutoff_keep_rank_k(self, rng, monkeypatch):
-        """Only a window whose basis work is under the cutoff takes the rank-r
-        route; a larger one keeps rank K and runs on the workers."""
+    def test_large_windows_take_rank_r(self, rng, monkeypatch):
+        """A window takes the rank-r route on the calling thread whatever its
+        size, and equals the rank-K route."""
         bank = build_bank(default_target_patch(7))
-        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 150, 120)
+        frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        threads = chunk_threads(monkeypatch)
         calls = low_rank_calls(monkeypatch)
-        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128: 221,184
-        large = Rect(40, 40, 130, 110)  # 12 images at 160x150: 288,000
-        assert 12 * 144 * 128 < matcher._INLINE_ELEMS <= 12 * 160 * 150
-        assert scan(frame, bank, wide, 0.9) == rank_k_scan(frame, bank, wide, 0.9)
-        assert len(calls) == 1
-        threads.clear()
-        got = scan(frame, bank, large, 0.9)
-        assert len(calls) == 1 and on_workers(threads)
-        assert got == rank_k_scan(frame, bank, large, 0.9)
+        for window in (Rect(40, 40, 130, 110), Rect(60, 45, 200, 150)):  # padded 150x160, 192x225
+            with monkeypatch.context() as mp:
+                mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
+                got = scan(frame, bank, window, 0.9)
+            assert any((p.u, p.v, p.score) == (150, 120, 1.0) for p in got)
+            assert got == rank_k_scan(frame, bank, window, 0.9)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
@@ -622,7 +634,7 @@ class TestLowRankRoute:
         best = {(u, v): best_of_bank(img, bank, u, v)
                 for v in range(v0, v1 + 1) for u in range(u0, u1 + 1)}
         scores = sorted(s for s, _ in best.values() if s > eps)
-        thresholds = [float(np.nextafter(eps, 2.0)), eps + (1.0 - eps) / 2]
+        thresholds = [float(np.nextafter(eps, 2.0)), eps + (1.0 - eps) / 2, eps, 0.0, -1.0]
         if scores:
             thresholds += [scores[0], scores[-1], scores[len(scores) // 2]]  # real scores
         with pytest.MonkeyPatch.context() as mp:
@@ -637,31 +649,49 @@ class TestLowRankRoute:
         assert len(calls) == len(thresholds)  # every scan above took the rank-r route
 
     @pytest.mark.parametrize(
-        "case", ["window", "whole frame", "large window", "at the residual", "12 entries", "4x3 template"]
+        "case",
+        ["window", "whole frame", "large window", "at the residual", "below the residual",
+         "threshold 0", "threshold -1", "flat windows", "flat bank", "12 entries", "4x3 template"],
     )
     def test_route(self, rng, monkeypatch, case):
+        """Only a scan whose padded shape is the whole frame's takes rank K, on
+        the workers. Every window takes rank r, on the calling thread, whatever
+        its threshold, bank or size, and equals brute force."""
         patch = default_target_patch(1)
         count = 12 if case == "12 entries" else 36
         if case == "4x3 template":
             patch = GrayImage(patch.pixels[:3, :4])
+        elif case == "flat bank":
+            patch = GrayImage.full(patch.width, patch.height, 90)
         bank = build_bank(patch, count, 360.0 / count)
-        frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[3].patch, 40, 32))
+        px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[3].patch, 40, 32)
+        if case == "flat windows":  # flat at every centre of the window but u > 48 or v > 41
+            px[:60, :60] = 77
+        frame = GrayImage(px)
         window = Rect(30, 22, 21, 21)
-        if case == "whole frame":  # 64x80, under the cutoff but the whole frame
+        if case == "whole frame":  # 64x80, smaller than many windows
             frame = GrayImage(frame.pixels[:64, :80].copy())
             window = frame.rect
-            assert 12 * 64 * 80 < matcher._INLINE_ELEMS
-        elif case == "large window":  # 12 images at 160x150, over the cutoff
+        elif case == "large window":  # 12 images at 160x150
             window = Rect(40, 40, 130, 110)
-        threshold = 0.9
-        if case == "at the residual":
-            threshold = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+        threshold = {"threshold 0": 0.0, "threshold -1": -1.0, "flat windows": 0.0, "flat bank": 0.0}.get(case, 0.9)
+        if "residual" in case:
+            resid = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+            threshold = resid if case == "at the residual" else resid / 2
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
         calls = low_rank_calls(monkeypatch)
+        threads = chunk_threads(monkeypatch)
         got = scan(frame, bank, window, threshold)
-        assert len(calls) == (case == "window")
-        if case != "large window":
+        assert len(calls) == (case != "whole frame")
+        assert on_workers(threads) == (case == "whole frame")
+        assert ("basis" in bank.kernel_cache) == (case != "whole frame")
+        if case == "large window":
+            assert got == rank_k_scan(frame, bank, window, threshold)
+        else:
             assert got == expected_points(frame, bank, window, threshold)
-        assert ("basis" in bank.kernel_cache) == (case in ("window", "at the residual"))
+        if case == "flat bank":
+            assert len(matcher._bank_basis(bank, matcher._bank_constants(bank)).images) == 0
+            assert got == [MatchPoint(p.u, p.v, 0.0, 0.0) for p in got] and len(got) == 21 * 21
 
     def test_flat_windows_are_never_scored(self, rng, monkeypatch):
         bank = build_bank(default_target_patch(7))

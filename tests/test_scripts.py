@@ -10,14 +10,18 @@ from uastrack import scenesim
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def table_rows(script: str, *args: str) -> list[list[str]]:
+def output_lines(script: str, *args: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return [line.split() for line in proc.stdout.splitlines()[1:]]
+    return proc.stdout.splitlines()
+
+
+def table_rows(script: str, *args: str) -> list[list[str]]:
+    return [line.split() for line in output_lines(script, *args)[1:]]
 
 
 def test_run_scenarios_shorter_than_settling_time():
@@ -30,3 +34,12 @@ def test_sigma_sweep_single_frame():
     rows = table_rows("sigma_sweep.py", "--frames", "1")
     assert [float(r[0]) for r in rows] == [0.1, 0.2, 0.4, 0.8, 1.6]
     assert all(r[2:4] == ["nan", "nan"] for r in rows)  # no stepped frames
+
+
+def test_behaviour_digest_is_repeatable():
+    lines = output_lines("behaviour_digest.py", "--frames", "3")
+    runs = [line.split() for line in lines]
+    assert [r[:2] for r in runs] == [[name, seed] for name in scenesim.BUILTIN_NAMES
+                                     for seed in ("1", "7")]
+    assert all(len(r[2]) == len(r[3]) == 64 and r[4] == "3" for r in runs)  # a scan a frame
+    assert output_lines("behaviour_digest.py", "--frames", "3") == lines

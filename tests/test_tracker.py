@@ -103,6 +103,15 @@ class TestInitialize:
         with pytest.raises(ConfigError):
             session.process(blank(16, 16))
 
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [(TrackerConfig, "miss_limit", 2.7), (TrackerConfig, "bank_count", 36.0),
+         (OpticsConfig, "frame_w", 320.5), (OpticsConfig, "frame_h", 240.0)],
+    )
+    def test_integer_fields_reject_fractions(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: value})
+
     def test_process_before_any_template(self):
         session = TrackerSession(None, TrackerConfig())
         with pytest.raises(RuntimeError):
