@@ -35,14 +35,12 @@ DEFAULT_THRESHOLD = 0.9
 # "Scan kernel").
 _CHUNK_ELEMS = 174_960
 
-# Largest distance from an integer accepted for an FFT correlation value.
-_FFT_MAX_RESIDUAL = 0.25
-
 # Budget for the basis spectra a bank keeps at window shapes, least recently
-# used evicted first. A tracking window keeps the 12 spectra of the basis
-# images: 0.5 MB at 90x54, the padded shape of the common 1,551-position
-# window of a 22x36 template. The whole-frame spectra are kept apart and
-# never evicted by window scans.
+# used evicted first; the newest shape stays even when it alone exceeds the
+# budget. A tracking window keeps the 12 spectra of the basis images: 0.5 MB
+# at 90x54, the padded shape of the common 1,551-position window of a 22x36
+# template. The whole-frame spectra are kept apart and never evicted by
+# window scans.
 _WINDOW_SPECTRA_BYTES = 16 << 20
 
 
@@ -61,12 +59,11 @@ _pool = LazyPool("uastrack-scan")
 # Each thread's chunk arrays, reused from chunk to chunk and scan to scan.
 _scratch = threading.local()
 
-# Candidate margin of the pooled pre-test in ``scan``. The pooled score
-# num * (1/sqrt(var_t)), its bar (threshold - margin) * sqrt(var_f) and
-# ``zmncc``'s own score each take three roundings of relative size
-# u = 2**-53, so any position whose ``zmncc`` score is >= threshold passes
-# the test once the margin exceeds 9u (1e-15). 1e-12 is far above that.
-_POOL_MARGIN = 1e-12
+# Part of every candidate margin for the roundings of the bounds' own few
+# operations: a projected score, its bar (threshold - margin) * ||f_c|| and
+# ``zmncc``'s own score each take a few roundings of relative size
+# u = 2**-53, under 1e-15 together. 1e-12 is far above that.
+_ROUND_MARGIN = 1e-12
 
 # Images in the basis that window scans correlate in place of the bank's
 # entries (``_bank_basis``): a third of a 36-entry bank's transforms. At 12
@@ -182,9 +179,9 @@ def _clamp_window(window: Rect, tpl_w: int, tpl_h: int, frame_w: int, frame_h: i
 class _BankConstants:
     """Template-side terms of the score, cached on the bank by ``_bank_constants``."""
 
-    weights: np.ndarray  # (K, th, tw) n*t - sum(t): integers with sum 0
-    var_t: np.ndarray    # (K,) n*sum(t*t) - sum(t)**2, an integer
-    inv_sd_t: np.ndarray # (K,) 1/sqrt(var_t), 0 for a flat template
+    weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
+    var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
+    inv_norm: np.ndarray  # (K,) 1/||w_k||, 0 for a flat template
     angles: np.ndarray
 
 
@@ -198,7 +195,7 @@ def _bank_constants(bank: TemplateBank) -> _BankConstants:
         with np.errstate(divide="ignore"):
             inv_sd_t = np.where(var_t > 0.0, 1.0 / np.sqrt(var_t), 0.0)
         weights = (n * t - st[:, None, None]).astype(np.float64)
-        consts = _BankConstants(weights, var_t, inv_sd_t, np.array(bank.angles))
+        consts = _BankConstants(weights, var_t, inv_sd_t / math.sqrt(n), np.array(bank.angles))
         bank.kernel_cache["constants"] = consts
     return consts
 
@@ -240,7 +237,7 @@ def _keep_spectra(bank: TemplateBank, shape: tuple, spectra: np.ndarray) -> None
     """Keep basis spectra at a window shape, within ``_WINDOW_SPECTRA_BYTES``."""
     windows = bank.kernel_cache.setdefault("windows", {})
     windows[shape] = spectra
-    while sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
+    while len(windows) > 1 and sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
         del windows[next(iter(windows))]
 
 
@@ -289,47 +286,54 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
         if left > 1e-6 * norm:
             images[r] = v / left
             r += 1
-    inv_norm = consts.inv_sd_t / math.sqrt(w.shape[1])  # 1/||w_k||, as var_t = ||w_k||**2 / n
     coef = np.empty((len(w), r))
     for j in range(r):
         coef[:, j] = (w * images[j]).sum(axis=1)
-    coef *= inv_norm[:, None]
+    coef *= consts.inv_norm[:, None]
     # ||e_k||**2 = ||w_k||**2 - ||a_k||**2 for orthonormal images; the
     # allowance covers their rounding and that of the sums, both under 1e-13.
     resid = np.sqrt(np.maximum(1.0 - (coef * coef).sum(axis=1), 0.0) + _RESID_ALLOWANCE)
     basis = _Basis(
         images[:r].reshape(r, bank.base_height, bank.base_width),
         coef,
-        np.where(inv_norm > 0.0, resid, 0.0),
+        np.where(consts.inv_norm > 0.0, resid, 0.0),
     )
     bank.kernel_cache["basis"] = basis
     return basis
 
 
-def _basis_margin(x: np.ndarray, area: int, n: int, r: int) -> float:
-    """Margin of the low-rank bounds for FFT rounding, in units of score.
+def _fft_error(x: np.ndarray, area: int, n: int) -> float:
+    """eta: the bound on an FFT correlation's error per unit of the kernel's norm.
 
-    Each basis correlation c_j is computed by three transforms of ``area``
-    points and a product. Each transform stage adds at most about 7u
-    (u = 2**-53) of the norm (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sec. 24.1), and the image spectrum is at most
-    ||b_j||_1 <= sqrt(n) in size, so every c_j is within
-    eta = 32u * log2(area) * ||x|| * sqrt(n) of its exact value, where x is
-    the centred sub-image. The largest error measured, on 0/255 noise at
-    320x240, is 3.3e-13, under 1e-4 of eta there.
+    A correlation with a kernel b is computed by three transforms of
+    ``area`` points and a product. Each transform stage adds at most about
+    7u (u = 2**-53) of the norm (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 24.1), and the kernel's spectrum is at
+    most ||b||_1 <= sqrt(n) ||b|| in size, so the correlation is within
+    eta * ||b|| of its exact value, eta = 32u * log2(area) * ||x|| * sqrt(n),
+    where x is the centred sub-image. The largest error measured, on 0/255
+    noise at 320x240, is 3.3e-13 for a unit kernel, under 1e-4 of eta there.
 
     A flat window is never scored. Any other has var_f >= n - 1, an
-    integer, so ||f_c||**2 = var_f / n >= 1/2, and eta becomes a relative
-    error. With r images and every ||a_k|| <= ||w_k||, a projected score
-    moves by at most sqrt(2r)*eta; ||P f_c||**2 moves by at most
-    2 sqrt(2r) eta + 2 r eta**2 in units of ||f_c||**2, and since
-    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the residual factor
-    sqrt(1 - rho**2) moves by at most the root of that. ``_POOL_MARGIN``
-    covers the rounding of the bounds' own few operations.
+    integer, so ||f_c||**2 = var_f / n >= 1/2: a projected score, the
+    correlation over ||b||, is within eta of its exact value, and within
+    sqrt(2) * eta once both are divided by ||f_c|| into units of score.
     """
-    eta = _FFT_ERROR * math.log2(area) * math.sqrt(float((x * x).sum()) * n)
+    return _FFT_ERROR * math.log2(area) * math.sqrt(float((x * x).sum()) * n)
+
+
+def _basis_margin(eta: float, r: int) -> float:
+    """Margin of the low-rank bounds for FFT rounding, in units of score.
+
+    With r basis images of error at most ``eta`` each (``_fft_error``) and
+    every ||a_k|| <= ||w_k||, a projected score moves by at most
+    sqrt(2r) * eta; ||P f_c||**2 moves by at most 2 sqrt(2r) eta + 2 r eta**2
+    in units of ||f_c||**2, and since |sqrt(a) - sqrt(b)| <= sqrt(|a - b|),
+    the residual factor sqrt(1 - rho**2) moves by at most the root of that.
+    ``_ROUND_MARGIN`` covers the rounding of the bounds' own few operations.
+    """
     spread = math.sqrt(2 * r) * eta
-    return spread + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _POOL_MARGIN
+    return spread + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
 
 
 @dataclass(frozen=True)
@@ -349,11 +353,10 @@ class _ScanJob:
 @dataclass(frozen=True)
 class _BankJob(_ScanJob):
     """A rank-K scan: the correlation with the bank's weights, and what its
-    chunks need to score it."""
+    chunks need to pick candidates."""
 
-    consts: _BankConstants
-    var_f: np.ndarray  # (nv*nu,) n*sum(f*f) - sum(f)**2 per position
-    bar: np.ndarray    # (nv*nu,) pooled pre-test bar per position
+    inv_norm: np.ndarray  # (K,) 1/||w_k||
+    bar: np.ndarray       # (nv, nu) (threshold - margin) * ||f_c||, inf where flat
 
 
 def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
@@ -407,44 +410,19 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
 
 
 def _score_chunk(job: _BankJob, k0: int, k1: int):
-    """Exact scores of bank entries ``[k0, k1)``: (positions, top score, entry).
+    """Candidate pairs of bank entries ``[k0, k1)``: (positions, entries, projected scores).
 
-    The positions are those where some entry's bound reaches ``job.bar``.
-    The numerator n*sum(f*t) - sum(f)*sum(t) is the correlation of the frame
-    with the weights n*t - sum(t), an integer with |num| <= n**2 * 255**2,
-    which float64 holds exactly for any template under 370,000 pixels; the
-    FFT correlation is rounded to integers. The weights sum to 0, so
-    centring the frame first changes no sum but shrinks the transform's
-    rounding error, which stays orders of magnitude below 0.5 for 8-bit
-    samples; a value further than ``_FFT_MAX_RESIDUAL`` from an integer
-    raises ``ArithmeticError``. What the chunk returns is its own.
+    Entry k's projected score is its correlation with the weights over
+    ||w_k||: its score times ||f_c||, up to the FFT's rounding. A pair is a
+    candidate where that reaches ``job.bar``. The rank-r route's entry
+    bound with the weights as the basis: every residual, so every slack, is
+    0. What the chunk returns is its own.
     """
-    c = job.consts
-    corr = _correlation(job, k0, k1)
-    kc, nv, nu = corr.shape
-    num = np.rint(corr, out=_scratch_array("rint", np.float64, corr.shape))
-    corr -= num
-    residual = max(float(corr.max()), -float(corr.min()))
-    if not residual <= _FFT_MAX_RESIDUAL:
-        raise ArithmeticError(
-            f"FFT correlation lies {residual:g} from an integer "
-            f"(limit {_FFT_MAX_RESIDUAL}); its sums would not be exact"
-        )
-    num = num.reshape(kc, nv * nu)
-    # The entry bound of ``_low_rank_top`` with the weights as the basis:
-    # every residual is 0 and the numerators are exact, so entry k's bound
-    # is its score; scaled by sqrt(var_f), num_k / sqrt(var_t_k). Only
-    # positions where some entry reaches the bar are scored exactly. The
-    # scaled scores go to the ``irfft`` scratch, whose residuals are spent.
-    bound = _scratch_array("irfft", np.float64, num.shape)
-    np.multiply(num, c.inv_sd_t[k0:k1, None], out=bound)
-    at = np.flatnonzero(bound.max(axis=0) >= job.bar)
-    num = num[:, at]
-    # as zmncc: a zero-variance template (den == 0) scores 0; no flat window gets here
-    den = np.sqrt(c.var_t[k0:k1, None] * job.var_f[at])
-    scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    np.clip(scores, -1.0, 1.0, out=scores)
-    return at, scores.max(axis=0), scores.argmax(axis=0) + k0
+    proj = _correlation(job, k0, k1)
+    np.multiply(proj, job.inv_norm[k0:k1, None, None], out=proj)
+    hits = np.flatnonzero(proj >= job.bar)
+    ks, pos = np.divmod(hits, job.nv * job.nu)
+    return pos, ks + k0, proj[ks, pos // job.nu, pos % job.nu]
 
 
 def _executor():
@@ -452,49 +430,35 @@ def _executor():
     return _pool.get(_WORKERS)
 
 
-def _score_bank(job: _BankJob) -> list:
-    """``_score_chunk`` over the bank in chunks, results in entry order.
-
-    The entries are split evenly into chunks within ``_CHUNK_ELEMS``, at
-    least one per worker, and the chunks run on the workers; with one
-    worker or one chunk, on this thread.
-    """
-    k = len(job.kernels)
-    per_chunk = max(1, _CHUNK_ELEMS // (job.shape[0] * job.shape[1]))
-    count = min(k, max(_WORKERS, -(-k // per_chunk)))
-    bounds = [(k * i // count, k * (i + 1) // count) for i in range(count)]
-    if _WORKERS == 1 or count == 1:
-        return [_score_chunk(job, k0, k1) for k0, k1 in bounds]
+def _on_workers(task, parts: list) -> list:
+    """``task(*part)`` for every part, results in order: on the workers, or
+    on this thread when there is one worker or one part."""
+    if _WORKERS == 1 or len(parts) == 1:
+        return [task(*part) for part in parts]
     from concurrent.futures import wait
 
-    futures = [_executor().submit(_score_chunk, job, k0, k1) for k0, k1 in bounds]
+    futures = [_executor().submit(task, *part) for part in parts]
     wait(futures)
     return [f.result() for f in futures]
 
 
-def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
-    """Exact top scores where the low-rank bounds reach ``threshold``: (positions, top, entry).
+def _low_rank_top(c, basis, bar, norm_f):
+    """Candidate pairs where the low-rank bounds reach ``bar``: (positions, entries,
+    projected scores, slacks).
 
     Entry k's weights are w_k = a_k B + e_k, with e_k orthogonal to the
     basis images B, and f_c is a window minus its mean. The images sum to
     0, so the correlations ``c`` of the centred sub-image are B f_c, and
-    rho = ||P f_c|| / ||f_c|| with ||f_c||**2 = var_f / n, exact from the
-    summed-area tables. By Cauchy-Schwarz, entry k scores at most
-    a_k c / (||w_k|| ||f_c||) + eps_k sqrt(1 - rho**2). A position is kept if
-    rho + max(eps) sqrt(1 - rho**2) reaches threshold - ``margin``, and an
-    entry there if its own bound does (all scaled by ||f_c||), which a
-    looser bound from two of the coordinates screens first. Only these
-    pairs are scored, exactly, from the pixels and the integer weights:
-    every product and partial sum is an integer below 2**53. An exact score
-    further than its residual term plus ``margin`` from its projected score
-    means the correlations are wrong, and raises ``ArithmeticError``.
+    rho = ||P f_c|| / ||f_c||. By Cauchy-Schwarz, entry k's score times
+    ||f_c|| lies within its slack eps_k ||(I - P) f_c|| of its projected
+    score a_k c / ||w_k||. A position is kept if rho + max(eps) sqrt(1 - rho**2)
+    reaches the bar, and an entry there if its own upper bound does, which
+    a looser bound from two of the coordinates screens first (all scaled
+    by ||f_c||).
     """
-    th, tw = consts.weights.shape[1:]
-    c = c.reshape(len(c), len(var_f))  # r may be 0: a bank of flat templates
-    norm_f = np.sqrt(var_f / (th * tw))
+    c = c.reshape(len(c), len(bar))  # r may be 0: a bank of flat templates
     inside = (c * c).sum(axis=0)
     outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
-    bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
     at = np.flatnonzero(np.sqrt(inside) + basis.resid.max() * outside >= bar)
     c, outside, bar = c[:, at], outside[at], bar[at]
     # The entry bound in two steps: every entry at every kept position with
@@ -509,8 +473,29 @@ def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
     proj = (coef[ks] * c[:, cols].T).sum(axis=1)
     slack = resid[ks] * outside[cols]
     keep = proj + slack >= bar[cols]
-    ks, cols, proj, slack = ks[keep], cols[keep], proj[keep], slack[keep]
-    pos = at[cols]
+    return at[cols[keep]], ks[keep], proj[keep], slack[keep]
+
+
+def _exact_top(pairs, sub, consts, var_f, norm_f, margin, nu):
+    """Each position's top exact score over its candidate pairs: (positions, top, entry).
+
+    ``pairs`` are (positions, entries, projected scores, slacks), from
+    either route: a pair's exact score times ||f_c|| lies within its slack
+    plus ``margin`` * ||f_c|| of its projected score. A pair whose upper
+    end is below the best lower end at its position can neither be the top
+    nor tie it, and is dropped. The rest are scored exactly, from the
+    pixels and the integer weights: every product and partial sum is an
+    integer below 2**53. An exact score outside its pair's interval means
+    the correlations are wrong, and raises ``ArithmeticError``. Each
+    position keeps its top score, from its lowest entry on ties.
+    """
+    pos, ks, proj, slack = pairs
+    reach = slack + margin * norm_f[pos]
+    floor = np.full(len(norm_f), -np.inf)
+    np.maximum.at(floor, pos, proj - reach)
+    keep = proj + reach >= floor[pos]
+    pos, ks, proj, reach = pos[keep], ks[keep], proj[keep], reach[keep]
+    th, tw = consts.weights.shape[1:]
     windows = sliding_window_view(sub, (th, tw))
     num = np.empty(len(pos))
     step = max(1, _CHUNK_ELEMS // (th * tw))
@@ -520,13 +505,12 @@ def _low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu):
     den = np.sqrt(consts.var_t[ks] * var_f[pos])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
-    off = np.abs(scores * norm_f[pos] - proj) - slack - margin * norm_f[pos]
+    off = np.abs(scores * norm_f[pos] - proj) - reach
     if len(off) and not off.max() <= 0.0:
         raise ArithmeticError(
-            f"an exact score lies {off.max():g} past its low-rank bound; "
-            "the basis correlations are wrong"
+            f"an exact score lies {off.max():g} past its bound; "
+            "the FFT correlations are wrong"
         )
-    # each position's top score, from its lowest entry on ties
     order = np.lexsort((ks, -scores, pos))
     first = order[np.flatnonzero(np.diff(pos[order], prepend=-1))]
     return pos[first], scores[first], ks[first]
@@ -549,14 +533,15 @@ def scan(
     clamped so the template always fits; an empty effective window yields an
     empty list.
 
-    Window sums come from summed-area tables and the correlation numerator
-    from exact FFT correlations. A scan whose padded shape is the whole
-    frame's takes the rank-K route: it correlates the bank's weights, in
-    chunks on the workers (``_score_bank``). Every other scan takes the
-    rank-r route, on the calling thread: it correlates the bank's basis
-    images, bounds every entry's score, and scores exactly only the entries
-    whose bound reaches the threshold (``_low_rank_top``). Neither route,
-    nor where its chunks run, changes the result.
+    Window sums come from summed-area tables. FFT correlations only pick
+    candidate pairs of position and entry; every score comes from the
+    pixels (``_exact_top``). A scan whose padded shape is the whole frame's
+    takes the rank-K route: it correlates the bank's weights, in chunks on
+    the workers (``_score_chunk``), and scores its positions in bands on
+    the workers. Every other scan takes the rank-r route, on the calling
+    thread: it correlates the bank's basis images and bounds every entry's
+    score (``_low_rank_top``). Neither route, nor where its work runs,
+    changes the result.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -571,42 +556,54 @@ def scan(
     consts = _bank_constants(bank)
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
+    norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the summed-area tables
 
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     centred = sub - sub.mean()
     frame = np.fft.rfft2(centred, shape)
+    eta = _fft_error(centred, shape[0] * shape[1], n)
     spectra_shape = (shape[0], shape[1] // 2 + 1)
-    if shape == (_smooth5(img.height), _smooth5(img.width)):  # rank K, on the workers
+    whole = shape == (_smooth5(img.height), _smooth5(img.width))
+    basis = None if whole else _bank_basis(bank, consts)
+    # on rank K every weight is its own basis image, with no residual
+    margin = math.sqrt(2.0) * eta + _ROUND_MARGIN if whole else _basis_margin(eta, len(basis.images))
+    bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
+    exact = (sub, consts, var_f, norm_f, margin, nu)
+    if whole:  # rank K, on the workers
         kept = bank.kernel_cache.get("frame")
         fresh = kept is None or kept[0] != shape
         spectra = np.empty((len(bank), *spectra_shape), np.complex128) if fresh else kept[1]
-        bar = np.where(var_f > 0.0, (threshold - _POOL_MARGIN) * np.sqrt(var_f), np.inf)
-        results = _score_bank(_BankJob(frame, spectra, fresh, consts.weights, shape, nv, nu,
-                                       consts, var_f, bar))
+        job = _BankJob(frame, spectra, fresh, consts.weights, shape, nv, nu,
+                       consts.inv_norm, bar.reshape(nv, nu))
+        # entries split evenly into chunks within _CHUNK_ELEMS, at least one per worker
+        k = len(bank)
+        count = min(k, max(_WORKERS, -(-k // max(1, _CHUNK_ELEMS // (shape[0] * shape[1])))))
+        found = _on_workers(_score_chunk, [(job, k * i // count, k * (i + 1) // count)
+                                           for i in range(count)])
+        pos, ks, proj = (np.concatenate(a) for a in zip(*found))
+        band = pos * _WORKERS // (nv * nu)
+        tops = _on_workers(_exact_top, [((pos[b], ks[b], proj[b], 0.0), *exact)
+                                        for b in (band == i for i in range(_WORKERS))])
+        at, top, idx = (np.concatenate(a) for a in zip(*tops))
         if fresh:  # kept only once the scan has succeeded
             bank.kernel_cache["frame"] = (shape, spectra)
     else:  # rank r, on the calling thread
-        basis = _bank_basis(bank, consts)
         r = len(basis.images)
         spectra = _cached_spectra(bank, shape)
         fresh = spectra is None
         if fresh:
             spectra = np.empty((r, *spectra_shape), np.complex128)
         c = _correlation(_ScanJob(frame, spectra, fresh, basis.images, shape, nv, nu), 0, r)
-        margin = _basis_margin(centred, shape[0] * shape[1], n, r)
-        results = [_low_rank_top(c, basis, consts, sub, var_f, threshold, margin, nu)]
+        at, top, idx = _exact_top(_low_rank_top(c, basis, bar, norm_f), *exact)
         if fresh:  # kept only once the scan has succeeded
             _keep_spectra(bank, shape, spectra)
 
     best = np.full(nv * nu, -np.inf)
-    best_idx = np.zeros(nv * nu, dtype=np.intp)
-    for at, top, idx in results:
-        # earlier chunks hold lower angles and win ties
-        better = top > best[at]
-        best[at[better]] = top[better]
-        best_idx[at[better]] = idx[better]
+    best[at] = top
     if threshold <= 0.0:  # zmncc scores a flat window 0 at every angle; no route scores it
         best[var_f == 0.0] = 0.0
+    best_idx = np.zeros(nv * nu, dtype=np.intp)
+    best_idx[at] = idx
 
     hits = np.flatnonzero(best >= threshold)
     return [

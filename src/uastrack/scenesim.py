@@ -267,7 +267,7 @@ def _geometry(sc: Scenario) -> _Geometry:
 
     half_w = (sc.patch_w - 1) // 2
     half_h = (sc.patch_h - 1) // 2
-    for px, py in zip(xs, ys):
+    for k, (px, py) in enumerate(zip(xs, ys)):
         wx = round_half_away(px + off_x)
         wy = round_half_away(py + off_y)
         if (
@@ -277,8 +277,7 @@ def _geometry(sc: Scenario) -> _Geometry:
             or wy - half_h + sc.patch_h > world_h
         ):
             raise ScenarioError(
-                f"trajectory leaves the {world_w}x{world_h} world at frame "
-                f"{xs.index(px)}"
+                f"trajectory leaves the {world_w}x{world_h} world at frame {k}"
             )
 
     x0, y0 = sc.trajectory.position(0)

@@ -30,6 +30,11 @@ from .tracker import (
 )
 from .warp import build_bank
 
+# Full frames of the last samples sent down, held so that an operator's ROI
+# is cropped from the frame it was drawn on; an ROI naming any other frame
+# is dropped.
+HELD_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -122,6 +127,7 @@ class LinkRuntime:
         self.sample_every = sample_every
         self.peer = peer
         self.await_roi = await_roi
+        self.held: dict[int, GrayImage] = {}  # frame id -> full frame, oldest first
 
     def on_frame(self, k: int, frame: GrayImage, session: TrackerSession) -> None:
         # Only the last valid template of a poll survives, so only it builds a bank.
@@ -138,17 +144,23 @@ class LinkRuntime:
             try:
                 self.sock.sendto(groundlink.encode_frame_sample(k, small), self.peer)
             except (ProtocolError, OSError):
-                pass  # oversize or transient send failure: drop this sample
+                return  # oversize or transient send failure: drop this sample
+            self.held[k] = frame
+            if len(self.held) > HELD_SAMPLES:
+                del self.held[next(iter(self.held))]
 
     def _template(self, msg: groundlink.Message, frame: GrayImage) -> Optional[GrayImage]:
         """The new target patch a message selects; None drops the message.
 
-        A stale or out-of-frame ROI and a patch larger than the frame are
-        dropped, so the session keeps its current target.
+        An ROI is cropped from the held frame it names. An ROI naming a frame
+        no longer held (or never sent), an out-of-frame ROI and a patch
+        larger than the frame are dropped, so the session keeps its current
+        target.
         """
         if isinstance(msg, groundlink.RoiSelect):
+            seen = self.held.get(msg.frame_id)
             rect = groundlink.rescale_rect(msg.rect, self.sample_every)
-            return crop(frame, rect) if frame.rect.contains(rect) else None
+            return crop(seen, rect) if seen is not None and seen.rect.contains(rect) else None
         if isinstance(msg, groundlink.PatchUpload) and frame.rect.contains(msg.image.rect):
             return msg.image
         return None

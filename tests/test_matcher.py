@@ -279,8 +279,12 @@ class TestScanExactness:
         assert len(shapes) >= 2
         assert list(shapes)[-1] == (matcher._smooth5(58 + 35), matcher._smooth5(58 + 21))
         monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", 0)
+        newest = (matcher._smooth5(5 + 35), matcher._smooth5(5 + 21))
         scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
-        assert bank.kernel_cache["windows"] == {}
+        only = bank.kernel_cache["windows"]
+        assert list(only) == [newest]  # over the budget alone, the newest shape is kept
+        scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
+        assert bank.kernel_cache["windows"][newest] is only[newest]  # and reused warm
         assert bank.kernel_cache["frame"] is kept
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -294,28 +298,6 @@ class TestScanExactness:
             above = {(p.u, p.v) for p in scan_with(frame, bank, window, np.nextafter(s, 2), workers)}
             assert (u, v) in at
             assert (u, v) not in above
-
-    def test_fft_residual_check_raises(self, rng, checker22x36, monkeypatch):
-        bank = build_bank(checker22x36, 4, 90.0)
-        frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
-        monkeypatch.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
-        raised = {}
-        score_chunk = matcher._score_chunk
-
-        def recording(job, k0, k1):
-            try:
-                return score_chunk(job, k0, k1)
-            except ArithmeticError as exc:
-                raised[k0] = (exc, threading.current_thread())
-                raise
-
-        monkeypatch.setattr(matcher, "_score_chunk", recording)
-        with pytest.raises(ArithmeticError, match="integer") as excinfo:
-            scan_with(frame, bank, frame.rect, 0.9, workers=2, chunk_elems=1)
-        assert sorted(raised) == [0, 1, 2, 3]  # every chunk ran, each on a worker
-        assert all(thread is not threading.main_thread() for _, thread in raised.values())
-        assert excinfo.value is raised[0][0]  # the first chunk's error, unchanged
-        assert "frame" not in bank.kernel_cache  # a failed scan keeps no spectra
 
     @pytest.mark.parametrize(
         "workers, chunk_elems, expected",
@@ -456,12 +438,11 @@ class TestReusedBuffersAndWhereChunksRun:
         window = Rect(38, 33, 15, 15)
         whole = scan_with(frame, bank, frame.rect, 0.0, workers)  # spectra now cached
         inside = scan_with(frame, bank, window, 0.3, workers)
-        with monkeypatch.context() as mp:
-            mp.setattr(matcher, "_FFT_MAX_RESIDUAL", -1.0)
-            with pytest.raises(ArithmeticError):
+        correlation = matcher._correlation
+        with monkeypatch.context() as mp:  # correlations three times too large
+            mp.setattr(matcher, "_correlation", lambda job, k0, k1: 3.0 * correlation(job, k0, k1))
+            with pytest.raises(ArithmeticError, match="past its bound"):
                 scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems=1)
-            # the integer check is the rank-K route's; a window's route has its own
-            assert scan_with(frame, bank, window, 0.3, workers) == inside
         assert scan_with(frame, bank, window, 0.3, workers) == inside
         assert scan_with(frame, bank, frame.rect, 0.0, workers) == whole
         assert inside == expected_points(frame, bank, window, 0.3)
@@ -701,24 +682,44 @@ class TestLowRankRoute:
         assert scan(GrayImage(px), bank, Rect(20, 27, 40, 30), 0.9) == []
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_bound_check_raises_and_keeps_the_cache_sound(self, rng, monkeypatch, warm):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("where", ["window", "frame"])  # a window or the whole frame
+    def test_bound_check_raises_and_keeps_the_cache_sound(self, rng, monkeypatch, where, warm):
+        """Both routes share one check: an exact score outside its bound raises.
+        On the whole frame it raises on a worker and reaches the caller unchanged."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(plant(rng.integers(0, 256, (120, 160), dtype=np.uint8),
                                 bank.entries[5].patch, 80, 60))
-        window = Rect(70, 50, 21, 21)
+        window = Rect(70, 50, 21, 21) if where == "window" else frame.rect
         expected = expected_points(frame, bank, window, 0.9)
-        assert expected  # the planted entry matches
+        assert (80, 60, 1.0) in {(p.u, p.v, p.score) for p in expected}  # the planted entry matches
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
         if warm:
             assert scan(frame, bank, window, 0.9) == expected
         kept = dict(bank.kernel_cache.get("windows", {}))
+        kept_frame = bank.kernel_cache.get("frame")
+        raised = []
+        exact_top = matcher._exact_top
+
+        def recording(*args):
+            try:
+                return exact_top(*args)
+            except ArithmeticError as exc:
+                raised.append((exc, threading.current_thread()))
+                raise
+
         correlation = matcher._correlation
         with monkeypatch.context() as mp:  # correlations three times too large
             mp.setattr(matcher, "_correlation", lambda job, k0, k1: 3.0 * correlation(job, k0, k1))
-            with pytest.raises(ArithmeticError, match="low-rank bound"):
+            mp.setattr(matcher, "_exact_top", recording)
+            with pytest.raises(ArithmeticError, match="past its bound") as excinfo:
                 scan(frame, bank, window, 0.9)
+        assert excinfo.value is raised[0][0]  # the first error, unchanged
+        on_worker = [thread is not threading.main_thread() for _, thread in raised]
+        assert on_worker == [where == "frame"] * len(raised)
+        assert bank.kernel_cache.get("frame") is kept_frame  # a failed scan keeps no new spectra
         windows = bank.kernel_cache.get("windows", {})
-        assert windows.keys() == kept.keys()  # a failed scan keeps no new spectra
+        assert windows.keys() == kept.keys()
         assert all(windows[key] is spectra for key, spectra in kept.items())
         assert scan(frame, bank, window, 0.9) == expected
         assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)

@@ -140,6 +140,12 @@ class TestTargetCompositing:
         with pytest.raises(ScenarioError):
             static_scenario(world_w=100, world_h=50)
 
+    def test_error_names_the_frame_that_leaves_the_world(self):
+        # x stays 0 on every frame; only the last frame's y leaves the world
+        with pytest.raises(ScenarioError, match="world at frame 99$"):
+            Scenario("x", frame_w=160, frame_h=120, trajectory=LineTrajectory(0, 0, 0, 1.0),
+                     frames=100, world_w=400, world_h=135)
+
 
 class TestTrajectories:
     def test_line(self):

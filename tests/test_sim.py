@@ -4,8 +4,8 @@ import pytest
 
 from uastrack import groundlink, scenesim, tracker
 from uastrack.gimbal import GimbalState
-from uastrack.imagebuf import GrayImage
-from uastrack.sim import LinkRuntime, scenario_optics
+from uastrack.imagebuf import GrayImage, Rect, crop
+from uastrack.sim import HELD_SAMPLES, LinkRuntime, scenario_optics
 from uastrack.tracker import TrackerConfig, TrackerSession
 from uastrack.warp import build_bank
 
@@ -69,3 +69,31 @@ class TestLinkRuntime:
         LinkRuntime(payload, sample_every=4).on_frame(0, scenesim.render(sc, GimbalState(), 0), session)
         assert built == [patches[-1]]
         assert session.bank.entries[0].patch == patches[-1]
+
+    def test_late_roi_crops_the_frame_it_names(self, sockets):
+        payload, operator = sockets
+        sc = scenesim.make_scenario("cv", frames=40)
+        session = TrackerSession(None, TrackerConfig(optics=scenario_optics(sc)))
+        link = LinkRuntime(payload, sample_every=2, peer=operator.getsockname())
+        frames = [scenesim.render(sc, GimbalState(), k) for k in range(sc.frames)]
+        for k in range(8):  # samples of frames 0, 2, 4 and 6 go down
+            link.on_frame(k, frames[k], session)
+        gx, gy, _ = scenesim.ground_truth(sc, GimbalState(), 2)
+        rect = Rect(int(gx) // 2 - 8, int(gy) // 2 - 12, 16, 24)  # decimated px around the target
+        full = groundlink.rescale_rect(rect, 2)
+        assert crop(frames[2], full) != crop(frames[8], full)  # the target has moved since
+        uplink(operator, payload, groundlink.encode_roi_select(2, rect))
+        link.on_frame(8, frames[8], session)  # six frames late
+        assert session.bank.entries[0].patch == crop(frames[2], full)
+
+        bank = session.bank
+        for frame_id in (7, 1000):  # never sent down: an odd frame, a future one
+            uplink(operator, payload, groundlink.encode_roi_select(frame_id, rect))
+            link.on_frame(9, frames[9], session)
+            assert session.bank is bank
+        for k in range(10, 10 + 2 * HELD_SAMPLES):  # frame 2 leaves the held samples
+            link.on_frame(k, frames[k], session)
+        assert 2 not in link.held and len(link.held) == HELD_SAMPLES
+        uplink(operator, payload, groundlink.encode_roi_select(2, rect))
+        link.on_frame(26, frames[26], session)
+        assert session.bank is bank
