@@ -26,13 +26,13 @@ from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
 
-# Cap on the elements (entries x padded area) of one chunk of the bank on
-# the rank-K route, which serves whole frames. A chunk's complex arrays hold
-# about half as many complex values, 8 bytes per counted element, so each
-# takes at most 1.4 MB, within a core's 2 MiB L2 cache. The cap holds 2
-# entries of a whole 320x240 frame (240x320); a larger entry, such as one of
-# a 640x480 frame, makes a chunk of its own. Chosen by measurement (README,
-# "Scan kernel").
+# Cap on the elements of one piece of a scan's work, so that its arrays stay
+# within a core's 2 MiB L2 cache at 8 bytes an element: a chunk of a whole
+# frame's correlations, counted as basis images x padded area, and a block of
+# positions of the bounds and the exact stage, counted as bank entries x
+# positions. It holds 2 images of a whole 320x240 frame (240x320) and 4,860
+# positions of a 36-entry bank; a larger image, such as one of a 640x480
+# frame, makes a chunk of its own. Chosen by measurement (README, "Scan kernel").
 _CHUNK_ELEMS = 174_960
 
 # Budget for the basis spectra a bank keeps at window shapes, least recently
@@ -51,8 +51,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Scan worker threads: one per CPU this process may run on. With one, the
-# bank's chunks run inline on the calling thread.
+# Scan worker threads: one per CPU this process may run on. With one, a
+# whole frame's chunks and bands run inline on the calling thread.
 _WORKERS = _cpu_count()
 _pool = LazyPool("uastrack-scan")
 
@@ -65,8 +65,8 @@ _scratch = threading.local()
 # u = 2**-53, under 1e-15 together. 1e-12 is far above that.
 _ROUND_MARGIN = 1e-12
 
-# Images in the basis that window scans correlate in place of the bank's
-# entries (``_bank_basis``): a third of a 36-entry bank's transforms. At 12
+# Images in the basis that scans correlate in place of the bank's entries
+# (``_bank_basis``): a third of a 36-entry bank's transforms. At 12
 # the largest relative residual of a builtin target's bank is 0.07-0.30.
 _BASIS_RANK = 12
 
@@ -201,13 +201,24 @@ def _bank_constants(bank: TemplateBank) -> _BankConstants:
 
 
 def _window_sums(sub: np.ndarray, tw: int, th: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sum(f) and sum(f*f) of every tw x th window, from summed-area tables."""
+    """Exact sum(f) and sum(f*f) of every tw x th window, from running sums.
+
+    Separable: an int64 running sum down the columns, differenced ``th`` rows
+    apart, gives each column's sums over ``th`` rows; the same across them
+    over ``tw`` columns gives the windows'.
+    """
     f = sub.astype(np.int64)
 
     def box(a: np.ndarray) -> np.ndarray:
-        sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-        sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-        return sat[th:, tw:] - sat[:-th, tw:] - sat[th:, :-tw] + sat[:-th, :-tw]
+        run = a.cumsum(axis=0)
+        rows = np.empty((run.shape[0] - th + 1, run.shape[1]), np.int64)
+        rows[0] = run[th - 1]
+        np.subtract(run[th:], run[:-th], out=rows[1:])
+        run = rows.cumsum(axis=1)
+        out = np.empty((run.shape[0], run.shape[1] - tw + 1), np.int64)
+        out[:, 0] = run[:, tw - 1]
+        np.subtract(run[:, tw:], run[:, :-tw], out=out[:, 1:])
+        return out
 
     return box(f), box(f * f)
 
@@ -224,19 +235,12 @@ def _smooth5(size: int) -> int:
         size += 1
 
 
-def _cached_spectra(bank: TemplateBank, shape: tuple) -> np.ndarray | None:
-    """The basis spectra the bank keeps at the window shape ``shape``, if any."""
-    windows = bank.kernel_cache.get("windows", {})
-    spectra = windows.pop(shape, None)
-    if spectra is not None:
-        windows[shape] = spectra  # most recently used last
-    return spectra
-
-
 def _keep_spectra(bank: TemplateBank, shape: tuple, spectra: np.ndarray) -> None:
-    """Keep basis spectra at a window shape, within ``_WINDOW_SPECTRA_BYTES``."""
+    """Keep basis spectra at a window shape, the most recently used, within
+    ``_WINDOW_SPECTRA_BYTES``."""
     windows = bank.kernel_cache.setdefault("windows", {})
-    windows[shape] = spectra
+    windows.pop(shape, None)
+    windows[shape] = spectra  # most recently used last
     while len(windows) > 1 and sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
         del windows[next(iter(windows))]
 
@@ -248,6 +252,10 @@ class _Basis:
     images: np.ndarray  # (r, th, tw) orthonormal, each summing to 0
     coef: np.ndarray    # (K, r) entry k's coordinates a_k over the images, / ||w_k||
     resid: np.ndarray   # (K,) ||w_k - a_k B|| / ||w_k||; 0 for a flat template
+    mode: np.ndarray    # (r,) each image's angle mode; a mode's images are consecutive
+    starts: np.ndarray  # (G,) the first image of each mode g
+    pairs: np.ndarray   # the modes g of two images, the others' of one
+    amp: np.ndarray     # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
 
 
 def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
@@ -260,10 +268,10 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
     to ``_BASIS_RANK`` of these are made orthonormal by Gram-Schmidt, with
     a second pass wherever the first removed more than half the norm
     (Daniel, Gragg, Kaufman & Stewart 1976); an image with almost nothing
-    left is skipped. Each image sums to 0, as the weights do. A residual
-    comes from ||w_k||**2 - ||a_k||**2 plus an allowance, so it bounds the
-    exact ||w_k - a_k B|| from above. Element-wise products and sums only:
-    no BLAS call.
+    left is skipped. Each image sums to 0, as the weights do, and keeps its
+    mode, for the per-mode position test. A residual comes from ||w_k||**2
+    - ||a_k||**2 plus an allowance, so it bounds the exact ||w_k - a_k B||
+    from above. Element-wise products and sums only: no BLAS call.
     """
     basis = bank.kernel_cache.get("basis")
     if basis is not None:
@@ -272,8 +280,9 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
     modes = np.fft.rfft(w, axis=0)
     order = np.argsort(-(modes.real**2 + modes.imag**2).sum(axis=1), kind="stable")
     images = np.empty((_BASIS_RANK, w.shape[1]))
+    mode = np.empty(_BASIS_RANK, np.intp)
     r = 0
-    for part in (p for j in order for p in (modes[j].real, modes[j].imag)):
+    for j, part in ((j, p) for j in order for p in (modes[j].real, modes[j].imag)):
         if r == _BASIS_RANK:
             break
         v = np.array(part)
@@ -285,6 +294,7 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
                 break
         if left > 1e-6 * norm:
             images[r] = v / left
+            mode[r] = j
             r += 1
     coef = np.empty((len(w), r))
     for j in range(r):
@@ -293,10 +303,15 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
     # ||e_k||**2 = ||w_k||**2 - ||a_k||**2 for orthonormal images; the
     # allowance covers their rounding and that of the sums, both under 1e-13.
     resid = np.sqrt(np.maximum(1.0 - (coef * coef).sum(axis=1), 0.0) + _RESID_ALLOWANCE)
+    starts = np.flatnonzero(np.diff(mode[:r], prepend=-1))
     basis = _Basis(
         images[:r].reshape(r, bank.base_height, bank.base_width),
         coef,
         np.where(consts.inv_norm > 0.0, resid, 0.0),
+        mode[:r],
+        starts,
+        np.flatnonzero(np.diff(starts, append=r) == 2),
+        np.sqrt(np.add.reduceat(coef * coef, starts, axis=1)).max(axis=0),
     )
     bank.kernel_cache["basis"] = basis
     return basis
@@ -325,47 +340,33 @@ def _fft_error(x: np.ndarray, area: int, n: int) -> float:
 def _basis_margin(eta: float, r: int) -> float:
     """Margin of the low-rank bounds for FFT rounding, in units of score.
 
-    With r basis images of error at most ``eta`` each (``_fft_error``) and
-    every ||a_k|| <= ||w_k||, a projected score moves by at most
-    sqrt(2r) * eta; ||P f_c||**2 moves by at most 2 sqrt(2r) eta + 2 r eta**2
-    in units of ||f_c||**2, and since |sqrt(a) - sqrt(b)| <= sqrt(|a - b|),
-    the residual factor sqrt(1 - rho**2) moves by at most the root of that.
-    ``_ROUND_MARGIN`` covers the rounding of the bounds' own few operations.
+    With r basis images of error at most ``eta`` each (``_fft_error``), a
+    projected score and rho move by at most sqrt(2r) eta, the per-mode sum
+    of its G <= r groups by at most sqrt(G) sqrt(2r) eta <= sqrt(2) r eta,
+    and sqrt(1 - rho**2) by at most the root of 2 sqrt(2r) eta + 2 r eta**2
+    (README, "Low-rank route"). ``_ROUND_MARGIN`` covers the rounding of
+    the bounds' own few operations.
     """
     spread = math.sqrt(2 * r) * eta
-    return spread + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
+    return math.sqrt(2.0) * r * eta + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
 
 
 @dataclass(frozen=True)
 class _ScanJob:
     """What every chunk of one correlation shares; chunks write disjoint
-    entries of ``spectra`` when ``fresh`` and read nothing another chunk writes."""
+    images of ``spectra`` when ``fresh`` and read nothing another chunk writes."""
 
     frame: np.ndarray    # rfft2 of the mean-centred sub-image at ``shape``
-    spectra: np.ndarray  # (K, shape[0], shape[1]//2 + 1) conjugate spectra of ``kernels``
+    spectra: np.ndarray  # (r, shape[0], shape[1]//2 + 1) conjugate spectra of ``kernels``
     fresh: bool          # spectra still to be computed, each chunk its own
-    kernels: np.ndarray  # (K, th, tw) the bank's weights or its basis images
+    kernels: np.ndarray  # (r, th, tw) the bank's basis images
     shape: tuple
     nv: int
     nu: int
 
 
-@dataclass(frozen=True)
-class _BankJob(_ScanJob):
-    """A rank-K scan: the correlation with the bank's weights, and what its
-    chunks need to pick candidates."""
-
-    inv_norm: np.ndarray  # (K,) 1/||w_k||
-    bar: np.ndarray       # (nv, nu) (threshold - margin) * ||f_c||, inf where flat
-
-
 def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
-    """This thread's array ``name`` viewed at ``shape``; grown only when too small.
-
-    A chunk's arrays hold at most ``_CHUNK_ELEMS`` elements, or one bank
-    entry's padded area if that is more; a window's, its basis images times
-    its padded area.
-    """
+    """This thread's array ``name`` viewed at ``shape``; grown only when too small."""
     size = math.prod(shape)
     held = getattr(_scratch, name, None)
     if held is None or held.size < size:
@@ -409,22 +410,6 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     return corr[:, :, : job.nu]
 
 
-def _score_chunk(job: _BankJob, k0: int, k1: int):
-    """Candidate pairs of bank entries ``[k0, k1)``: (positions, entries, projected scores).
-
-    Entry k's projected score is its correlation with the weights over
-    ||w_k||: its score times ||f_c||, up to the FFT's rounding. A pair is a
-    candidate where that reaches ``job.bar``. The rank-r route's entry
-    bound with the weights as the basis: every residual, so every slack, is
-    0. What the chunk returns is its own.
-    """
-    proj = _correlation(job, k0, k1)
-    np.multiply(proj, job.inv_norm[k0:k1, None, None], out=proj)
-    hits = np.flatnonzero(proj >= job.bar)
-    ks, pos = np.divmod(hits, job.nv * job.nu)
-    return pos, ks + k0, proj[ks, pos // job.nu, pos % job.nu]
-
-
 def _executor():
     """The scan worker pool, started on first use: importing starts no thread."""
     return _pool.get(_WORKERS)
@@ -448,50 +433,55 @@ def _low_rank_top(c, basis, bar, norm_f):
 
     Entry k's weights are w_k = a_k B + e_k, with e_k orthogonal to the
     basis images B, and f_c is a window minus its mean. The images sum to
-    0, so the correlations ``c`` of the centred sub-image are B f_c, and
-    rho = ||P f_c|| / ||f_c||. By Cauchy-Schwarz, entry k's score times
-    ||f_c|| lies within its slack eps_k ||(I - P) f_c|| of its projected
-    score a_k c / ||w_k||. A position is kept if rho + max(eps) sqrt(1 - rho**2)
-    reaches the bar, and an entry there if its own upper bound does, which
-    a looser bound from two of the coordinates screens first (all scaled
-    by ||f_c||).
+    0, so the correlations ``c`` (r, positions) are B f_c, and rho =
+    ||P f_c|| / ||f_c||. By Cauchy-Schwarz, entry k's score times ||f_c||
+    lies within its slack eps_k ||(I - P) f_c|| of its projected score
+    a_k c / ||w_k||. A position is kept if both rho and the per-mode sum
+    sum_g max_k ||a_k,g|| ||c_g|| / (||w_k|| ||f_c||), plus max(eps)
+    sqrt(1 - rho**2), reach the bar; an entry there if its own bound does,
+    which a looser bound from three coordinates screens first.
     """
-    c = c.reshape(len(c), len(bar))  # r may be 0: a bank of flat templates
-    inside = (c * c).sum(axis=0)
+    sq = c * c  # r may be 0: a bank of flat templates
+    inside = sq.sum(axis=0)
     outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
-    at = np.flatnonzero(np.sqrt(inside) + basis.resid.max() * outside >= bar)
+    reach = basis.resid.max() * outside
+    modal = sq[basis.starts]  # ||c_g||**2 of every mode g
+    modal[basis.pairs] += sq[basis.starts[basis.pairs] + 1]
+    modal = (basis.amp[:, None] * np.sqrt(modal)).sum(axis=0)
+    at = np.flatnonzero((np.sqrt(inside) + reach >= bar) & (modal + reach >= bar))
     c, outside, bar = c[:, at], outside[at], bar[at]
-    # The entry bound in two steps: every entry at every kept position with
-    # the two leading coordinates exact and the rest by Cauchy-Schwarz, then
-    # with all of them for the pairs that passed (2 products a pair, not 12).
+    # The entry bound in two steps: the three leading coordinates exact and the
+    # rest by Cauchy-Schwarz, then all of them for the pairs that passed.
     coef, resid = basis.coef, basis.resid
     head = resid[:, None] * outside
-    for j in range(min(2, len(c))):
+    for j in range(min(3, len(c))):
         head += coef[:, j, None] * c[j]
-    head += np.sqrt((coef[:, 2:] ** 2).sum(axis=1))[:, None] * np.sqrt((c[2:] ** 2).sum(axis=0))
-    ks, cols = np.nonzero(head >= bar)
+    head += np.sqrt((coef[:, 3:] ** 2).sum(axis=1))[:, None] * np.sqrt((c[3:] ** 2).sum(axis=0))
+    ks, cols = np.divmod(np.flatnonzero(head >= bar), len(bar))
     proj = (coef[ks] * c[:, cols].T).sum(axis=1)
     slack = resid[ks] * outside[cols]
     keep = proj + slack >= bar[cols]
     return at[cols[keep]], ks[keep], proj[keep], slack[keep]
 
 
-def _exact_top(pairs, sub, consts, var_f, norm_f, margin, nu):
+def _exact_top(pairs, exact, lo, hi):
     """Each position's top exact score over its candidate pairs: (positions, top, entry).
 
-    ``pairs`` are (positions, entries, projected scores, slacks), from
-    either route: a pair's exact score times ||f_c|| lies within its slack
-    plus ``margin`` * ||f_c|| of its projected score. A pair whose upper
-    end is below the best lower end at its position can neither be the top
-    nor tie it, and is dropped. The rest are scored exactly, from the
-    pixels and the integer weights: every product and partial sum is an
+    ``pairs`` are (positions counted from ``lo``, entries, projected scores,
+    slacks) of the block ``[lo, hi)``: a pair's exact score times ||f_c||
+    lies within its slack plus ``margin`` * ||f_c|| of its projected score.
+    A pair whose upper end is below the best lower end at its position can
+    neither be the top nor tie it, and is dropped. The rest are scored from
+    the pixels and the integer weights, every product and partial sum an
     integer below 2**53. An exact score outside its pair's interval means
     the correlations are wrong, and raises ``ArithmeticError``. Each
     position keeps its top score, from its lowest entry on ties.
     """
+    sub, consts, var_f, norm_f, margin, nu = exact
+    var_f, norm_f = var_f[lo:hi], norm_f[lo:hi]
     pos, ks, proj, slack = pairs
     reach = slack + margin * norm_f[pos]
-    floor = np.full(len(norm_f), -np.inf)
+    floor = np.full(hi - lo, -np.inf)
     np.maximum.at(floor, pos, proj - reach)
     keep = proj + reach >= floor[pos]
     pos, ks, proj, reach = pos[keep], ks[keep], proj[keep], reach[keep]
@@ -500,7 +490,7 @@ def _exact_top(pairs, sub, consts, var_f, norm_f, margin, nu):
     num = np.empty(len(pos))
     step = max(1, _CHUNK_ELEMS // (th * tw))
     for i in range(0, len(pos), step):
-        p, k = pos[i : i + step], ks[i : i + step]
+        p, k = pos[i : i + step] + lo, ks[i : i + step]
         num[i : i + step] = (windows[p // nu, p % nu] * consts.weights[k]).sum(axis=(1, 2))
     den = np.sqrt(consts.var_t[ks] * var_f[pos])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
@@ -513,7 +503,24 @@ def _exact_top(pairs, sub, consts, var_f, norm_f, margin, nu):
         )
     order = np.lexsort((ks, -scores, pos))
     first = order[np.flatnonzero(np.diff(pos[order], prepend=-1))]
-    return pos[first], scores[first], ks[first]
+    return pos[first] + lo, scores[first], ks[first]
+
+
+def _top(c, basis, bar, exact, lo, hi):
+    """Each position's top exact score in the band ``[lo, hi)``: (positions, top, entry).
+
+    Bounds and exact stage run on blocks of ``_CHUNK_ELEMS // K`` positions,
+    so a block's entry screen stays in L2 and, however low the threshold, a
+    scan holds one block's pairs at a time. Positions are independent, so
+    the blocks' results join without a merge.
+    """
+    norm_f = exact[3]
+    step = max(1, _CHUNK_ELEMS // len(basis.coef))
+    tops = [
+        _exact_top(_low_rank_top(c[:, b0:b1], basis, bar[b0:b1], norm_f[b0:b1]), exact, b0, b1)
+        for b0, b1 in ((b0, min(b0 + step, hi)) for b0 in range(lo, hi, step))
+    ]
+    return [np.concatenate(a) for a in zip(*tops)]
 
 
 def scan(
@@ -533,74 +540,62 @@ def scan(
     clamped so the template always fits; an empty effective window yields an
     empty list.
 
-    Window sums come from summed-area tables. FFT correlations only pick
-    candidate pairs of position and entry; every score comes from the
-    pixels (``_exact_top``). A scan whose padded shape is the whole frame's
-    takes the rank-K route: it correlates the bank's weights, in chunks on
-    the workers (``_score_chunk``), and scores its positions in bands on
-    the workers. Every other scan takes the rank-r route, on the calling
-    thread: it correlates the bank's basis images and bounds every entry's
-    score (``_low_rank_top``). Neither route, nor where its work runs,
-    changes the result.
+    Every scan correlates the bank's basis images (``_bank_basis``), which
+    only pick candidate pairs of position and entry (``_low_rank_top``), and
+    scores them from the pixels (``_exact_top``). A scan whose padded shape
+    is the whole frame's runs on the workers, its basis images in chunks and
+    its positions in bands (``_top``); any other, on the calling thread.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
     if u0 > u1 or v0 > v1:
         return []
-    nu = u1 - u0 + 1
-    nv = v1 - v0 + 1
-    n = tw * th
-    ox = template_origin(u0, tw)
-    oy = template_origin(v0, th)
+    nu, nv, n = u1 - u0 + 1, v1 - v0 + 1, tw * th
+    ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
     consts = _bank_constants(bank)
+    basis = _bank_basis(bank, consts)
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
-    norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the summed-area tables
+    norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the running sums
 
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     centred = sub - sub.mean()
     frame = np.fft.rfft2(centred, shape)
-    eta = _fft_error(centred, shape[0] * shape[1], n)
-    spectra_shape = (shape[0], shape[1] // 2 + 1)
-    whole = shape == (_smooth5(img.height), _smooth5(img.width))
-    basis = None if whole else _bank_basis(bank, consts)
-    # on rank K every weight is its own basis image, with no residual
-    margin = math.sqrt(2.0) * eta + _ROUND_MARGIN if whole else _basis_margin(eta, len(basis.images))
+    r = len(basis.images)
+    margin = _basis_margin(_fft_error(centred, shape[0] * shape[1], n), r)
     bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
+    whole = shape == (_smooth5(img.height), _smooth5(img.width))
+    kept = bank.kernel_cache.get("frame", (None, None))
+    spectra = (kept[1] if kept[0] == shape else None) if whole else (
+        bank.kernel_cache.get("windows", {}).get(shape))
+    fresh = spectra is None
+    spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128) if fresh else spectra
+    job = _ScanJob(frame, spectra, fresh, basis.images, shape, nv, nu)
+    # A whole frame's basis images split evenly into chunks within
+    # _CHUNK_ELEMS, at least one per worker, and its positions into one band
+    # per worker; a window is one chunk and one band.
+    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
+    chunks, bands = (min(r, max(_WORKERS, -(-r // per_chunk))), _WORKERS) if whole else (1, 1)
+    c = np.empty((r, nv, nu))
+
+    def correlate(k0, k1):
+        c[k0:k1] = _correlation(job, k0, k1)
+
+    _on_workers(correlate, [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)])
+    edges = [nv * nu * i // bands for i in range(bands + 1)]
     exact = (sub, consts, var_f, norm_f, margin, nu)
-    if whole:  # rank K, on the workers
-        kept = bank.kernel_cache.get("frame")
-        fresh = kept is None or kept[0] != shape
-        spectra = np.empty((len(bank), *spectra_shape), np.complex128) if fresh else kept[1]
-        job = _BankJob(frame, spectra, fresh, consts.weights, shape, nv, nu,
-                       consts.inv_norm, bar.reshape(nv, nu))
-        # entries split evenly into chunks within _CHUNK_ELEMS, at least one per worker
-        k = len(bank)
-        count = min(k, max(_WORKERS, -(-k // max(1, _CHUNK_ELEMS // (shape[0] * shape[1])))))
-        found = _on_workers(_score_chunk, [(job, k * i // count, k * (i + 1) // count)
-                                           for i in range(count)])
-        pos, ks, proj = (np.concatenate(a) for a in zip(*found))
-        band = pos * _WORKERS // (nv * nu)
-        tops = _on_workers(_exact_top, [((pos[b], ks[b], proj[b], 0.0), *exact)
-                                        for b in (band == i for i in range(_WORKERS))])
-        at, top, idx = (np.concatenate(a) for a in zip(*tops))
-        if fresh:  # kept only once the scan has succeeded
-            bank.kernel_cache["frame"] = (shape, spectra)
-    else:  # rank r, on the calling thread
-        r = len(basis.images)
-        spectra = _cached_spectra(bank, shape)
-        fresh = spectra is None
-        if fresh:
-            spectra = np.empty((r, *spectra_shape), np.complex128)
-        c = _correlation(_ScanJob(frame, spectra, fresh, basis.images, shape, nv, nu), 0, r)
-        at, top, idx = _exact_top(_low_rank_top(c, basis, bar, norm_f), *exact)
-        if fresh:  # kept only once the scan has succeeded
-            _keep_spectra(bank, shape, spectra)
+    tops = _on_workers(_top, [(c.reshape(r, nv * nu), basis, bar, exact, lo, hi)
+                              for lo, hi in zip(edges, edges[1:]) if lo < hi])
+    at, top, idx = (np.concatenate(a) for a in zip(*tops))
+    if fresh and whole:  # kept, or marked used, only once the scan has succeeded
+        bank.kernel_cache["frame"] = (shape, spectra)
+    elif not whole:
+        _keep_spectra(bank, shape, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best[at] = top
-    if threshold <= 0.0:  # zmncc scores a flat window 0 at every angle; no route scores it
+    if threshold <= 0.0:  # zmncc scores a flat window 0 at every angle; no bound reaches it
         best[var_f == 0.0] = 0.0
     best_idx = np.zeros(nv * nu, dtype=np.intp)
     best_idx[at] = idx

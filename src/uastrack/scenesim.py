@@ -179,22 +179,26 @@ def _philox(seed: int, stream: int, frame: int = 0) -> np.random.Generator:
 
 
 def _upsample_bilinear(coarse: np.ndarray, h: int, w: int, cell: int) -> np.ndarray:
+    """``coarse`` bilinearly interpolated to h x w, ``cell`` pixels a coarse step.
+
+    The operation order is part of the output: each pixel is c00*(1-fy)*(1-fx)
+    + c01*(1-fy)*fx + c10*fy*(1-fx) + c11*fy*fx, in that order. Each term's
+    row product is formed on the coarse columns, then gathered along them.
+    """
     y = np.arange(h) / cell
     x = np.arange(w) / cell
     y0 = np.minimum(y.astype(np.intp), coarse.shape[0] - 2)
     x0 = np.minimum(x.astype(np.intp), coarse.shape[1] - 2)
     fy = (y - y0)[:, None]
-    fx = (x - x0)[None, :]
-    c00 = coarse[np.ix_(y0, x0)]
-    c01 = coarse[np.ix_(y0, x0 + 1)]
-    c10 = coarse[np.ix_(y0 + 1, x0)]
-    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
-    return (
-        c00 * (1 - fy) * (1 - fx)
-        + c01 * (1 - fy) * fx
-        + c10 * fy * (1 - fx)
-        + c11 * fy * fx
-    )
+    fx = x - x0
+    out = np.zeros((h, w))  # 0 + t == t, so each sum rounds as in the expression above
+    for rows, wy in ((y0, 1 - fy), (y0 + 1, fy)):
+        row = coarse[rows] * wy
+        for cols, wx in ((x0, 1 - fx), (x0 + 1, fx)):
+            term = row[:, cols]
+            term *= wx
+            out += term
+    return out
 
 
 def default_target_patch(seed: int, w: int = 22, h: int = 36) -> GrayImage:
@@ -223,7 +227,8 @@ def _make_world(seed: int, w: int, h: int) -> np.ndarray:
     coarse = rng.uniform(55.0, 175.0, (h // cell + 2, w // cell + 2))
     base = _upsample_bilinear(coarse, h, w, cell)
     base += rng.uniform(-7.0, 7.0, (h, w))
-    return np.clip(np.floor(base + 0.5), 30.0, 196.0).astype(np.uint8)
+    base += 0.5
+    return np.clip(np.floor(base, out=base), 30.0, 196.0, out=base).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import zmncc_loops
 from uastrack import matcher
@@ -173,16 +173,48 @@ def scan_with(img, bank, window, threshold, workers, chunk_elems=matcher._CHUNK_
 
 
 def rank_k_scan(img, bank, window, threshold):
-    """``scan`` on the rank-K route: the pixels under the clamped window
-    scanned as a whole frame, with a fresh bank, the points shifted back."""
-    tw, th = bank.base_width, bank.base_height
-    u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+    """A reference scan that shares no code with ``matcher``.
+
+    One numpy FFT correlation of the clamped window's pixels with all the
+    bank's weights n*t - sum(t) gives every pair's score up to rounding;
+    each position's pairs within a generous margin of its best are then
+    rescored exactly from int64 sums, as ``zmncc`` scores them.
+    """
+    th, tw = bank.entries[0].patch.pixels.shape
+    n = tw * th
+    u0, v0 = max(window.x, (tw - 1) // 2), max(window.y, (th - 1) // 2)
+    u1 = min(window.x + window.w - 1, img.width - tw + (tw - 1) // 2)
+    v1 = min(window.y + window.h - 1, img.height - th + (th - 1) // 2)
     if u0 > u1 or v0 > v1:
         return []
-    x0, y0 = template_origin(u0, tw), template_origin(v0, th)
-    sub = GrayImage(img.pixels[y0 : y0 + v1 - v0 + th, x0 : x0 + u1 - u0 + tw].copy())
-    points = scan(sub, dataclasses.replace(bank), sub.rect, threshold)
-    return [dataclasses.replace(p, u=p.u + x0, v=p.v + y0) for p in points]
+    x0, y0 = u0 - (tw - 1) // 2, v0 - (th - 1) // 2
+    nu, nv = u1 - u0 + 1, v1 - v0 + 1
+    f = img.pixels[y0 : y0 + nv + th - 1, x0 : x0 + nu + tw - 1].astype(np.int64)
+    t = np.stack([e.patch.pixels for e in bank.entries]).astype(np.int64)
+    st = t.sum(axis=(1, 2))
+    var_t = n * (t * t).sum(axis=(1, 2)) - st * st
+    sf = sliding_window_view(f, (th, tw)).sum(axis=(2, 3)).ravel()
+    var_f = n * sliding_window_view(f * f, (th, tw)).sum(axis=(2, 3)).ravel() - sf * sf
+    weights = (n * t - st[:, None, None]).astype(np.float64)
+    spectra = np.fft.rfft2(f - f.mean(), f.shape) * np.conj(np.fft.rfft2(weights, f.shape))
+    num = np.fft.irfft2(spectra, f.shape)[:, :nv, :nu].reshape(len(t), -1)
+    den = np.sqrt(var_t[:, None].astype(np.float64) * var_f[None, :].astype(np.float64))
+    approx = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    best = approx.max(axis=0)
+    ks, pos = np.nonzero((approx >= best - 1e-6) & (best >= threshold - 1e-6))
+    windows = sliding_window_view(f, (th, tw))
+    exact = np.empty(len(pos))
+    for i in range(0, len(pos), 4096):  # a few MB of pixel products at a time
+        k, p = ks[i : i + 4096], pos[i : i + 4096]
+        prod = (windows[p // nu, p % nu] * t[k]).sum(axis=(1, 2))
+        d = np.sqrt(var_f[p].astype(np.float64) * var_t[k].astype(np.float64))
+        s = np.divide((n * prod - sf[p] * st[k]).astype(np.float64), d, out=np.zeros(len(k)), where=d > 0.0)
+        exact[i : i + 4096] = np.clip(s, -1.0, 1.0)
+    order = np.lexsort((ks, -exact, pos))  # per position, the top score at the lowest entry
+    first = order[np.flatnonzero(np.diff(pos[order], prepend=-1))]
+    angles = np.array(bank.angles)
+    return [MatchPoint(u0 + int(p) % nu, v0 + int(p) // nu, float(exact[i]), float(angles[ks[i]]))
+            for i, p in zip(first, pos[first]) if exact[i] >= threshold]
 
 
 def best_of_bank(img, bank, u, v):
@@ -302,30 +334,45 @@ class TestScanExactness:
     @pytest.mark.parametrize(
         "workers, chunk_elems, expected",
         [
-            (1, matcher._CHUNK_ELEMS, [(0, 36)]),
-            (2, matcher._CHUNK_ELEMS, [(0, 18), (18, 36)]),
-            (5, matcher._CHUNK_ELEMS, [(0, 7), (7, 14), (14, 21), (21, 28), (28, 36)]),
-            # a cap of 5 entries at 90x54 needs 8 chunks
-            (2, 5 * 90 * 54, [(0, 4), (4, 9), (9, 13), (13, 18), (18, 22), (22, 27), (27, 31), (31, 36)]),
+            # (basis chunks, position bands) of a whole 82x54 frame: its 12
+            # basis images pad to 90x54, and it has 47 x 33 = 1,551 positions
+            (1, matcher._CHUNK_ELEMS, ([(0, 12)], [(0, 1551)])),
+            (2, matcher._CHUNK_ELEMS, ([(0, 6), (6, 12)], [(0, 775), (775, 1551)])),
+            (5, matcher._CHUNK_ELEMS, ([(0, 2), (2, 4), (4, 7), (7, 9), (9, 12)],
+                                       [(0, 310), (310, 620), (620, 930), (930, 1240), (1240, 1551)])),
+            # a cap of 5 images at 90x54 needs 3 chunks, and holds 675 positions of 36 entries
+            (2, 5 * 90 * 54, ([(0, 4), (4, 8), (8, 12)], [(0, 775), (775, 1551)])),
         ],
     )
     def test_bank_splits_evenly_into_chunks_within_the_cap(
         self, rng, workers, chunk_elems, expected, monkeypatch
     ):
+        """A whole frame's basis images split evenly into chunks within the
+        cap, at least one per worker, and its positions into one band per
+        worker, each run in blocks of cap // K positions."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (82, 54), dtype=np.uint8))  # pads to 90x54
-        window = frame.rect
-        ran = []
-        score_chunk = matcher._score_chunk
+        chunks, bands, blocks = split_calls(monkeypatch)
+        points = scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems)
+        assert (sorted(chunks), sorted(bands)) == expected
+        step = chunk_elems // len(bank)
+        assert sorted(blocks) == [(b, min(b + step, hi)) for lo, hi in expected[1] for b in range(lo, hi, step)]
+        assert points == rank_k_scan(frame, bank, frame.rect, 0.0)
 
-        def recording(job, k0, k1):
-            ran.append((k0, k1))
-            return score_chunk(job, k0, k1)
-
-        monkeypatch.setattr(matcher, "_score_chunk", recording)
-        points = scan_with(frame, bank, window, 0.0, workers, chunk_elems)
-        assert sorted(ran) == expected
-        assert points == scan_with(frame, build_bank(default_target_patch(7)), window, 0.0, 1)
+    def test_whole_320x240_frame_takes_2_images_a_chunk_and_4860_positions_a_block(
+        self, rng, monkeypatch
+    ):
+        bank = build_bank(default_target_patch(3))
+        frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8),
+                                bank.entries[9].patch, 200, 90))
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        chunks, bands, blocks = split_calls(monkeypatch)
+        points = scan(frame, bank, frame.rect, 0.9)
+        assert sorted(chunks) == [(k, k + 2) for k in range(0, 12, 2)]
+        assert sorted(bands) == [(0, 30647), (30647, 61295)]  # 205 x 299 positions
+        assert sorted(blocks) == [(b, min(b + 4860, hi)) for lo, hi in bands for b in range(lo, hi, 4860)]
+        assert points == rank_k_scan(frame, bank, frame.rect, 0.9)
+        assert (200, 90, 1.0, 90.0) in {(p.u, p.v, p.score, p.angle_deg) for p in points}
 
     def test_pool_starts_on_the_first_split_scan(self, rng, checker22x36, monkeypatch):
         probe = (
@@ -363,6 +410,28 @@ class TestScanExactness:
         assert not any(smooth(k) for k in range(size, got))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 20), st.integers(0, 20))
+    @example(seed=0, tw=1, th=1, extra_w=0, extra_h=0)  # one pixel, one window
+    @example(seed=1, tw=1, th=1, extra_w=9, extra_h=4)  # 1-pixel template
+    @example(seed=2, tw=7, th=1, extra_w=0, extra_h=5)
+    def test_window_sums_equal_brute_force_box_sums(self, seed, tw, th, extra_w, extra_h):
+        rng = np.random.default_rng(seed)
+        h, w = th + extra_h, tw + extra_w
+        px = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        for value in (int(rng.integers(0, 256)), 255):  # a flat block and a saturated one
+            bh, bw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+            y, x = int(rng.integers(0, h - bh + 1)), int(rng.integers(0, w - bw + 1))
+            px[y : y + bh, x : x + bw] = value
+        sf, sff = matcher._window_sums(px, tw, th)
+        f = px.astype(np.int64)
+        expected = [[(int(f[v : v + th, u : u + tw].sum()), int((f[v : v + th, u : u + tw] ** 2).sum()))
+                     for u in range(w - tw + 1)] for v in range(h - th + 1)]
+        assert sf.dtype == sff.dtype == np.int64
+        assert np.array_equal(np.stack([sf, sff], axis=-1), np.array(expected, dtype=np.int64))
+
+
 def expected_points(img, bank, window, threshold):
     """Brute-force ``scan``: ``best_of_bank`` at every valid position of ``window``."""
     tw, th = bank.base_width, bank.base_height
@@ -376,17 +445,31 @@ def expected_points(img, bank, window, threshold):
     return expected
 
 
-def chunk_threads(monkeypatch, name="_score_chunk"):
-    """The threads that run each chunk task ``name`` from now on, in call order."""
+def chunk_threads(monkeypatch, name="_correlation"):
+    """The threads that run each call of the scan task ``name`` from now on, in call order."""
     threads = []
     task = getattr(matcher, name)
 
-    def recording(job, k0, k1):
+    def recording(*args):
         threads.append(threading.current_thread())
-        return task(job, k0, k1)
+        return task(*args)
 
     monkeypatch.setattr(matcher, name, recording)
     return threads
+
+
+def split_calls(monkeypatch):
+    """The (first, stop) of every basis chunk, position band and position
+    block that scans run from now on."""
+    calls = ([], [], [])
+    for ran, name, ends in zip(calls, ("_correlation", "_top", "_exact_top"),
+                               (slice(1, 3), slice(4, 6), slice(2, 4))):
+        def recording(*args, task=getattr(matcher, name), ran=ran, ends=ends):
+            ran.append(args[ends])
+            return task(*args)
+
+        monkeypatch.setattr(matcher, name, recording)
+    return calls
 
 
 def on_workers(threads):
@@ -449,9 +532,9 @@ class TestReusedBuffersAndWhereChunksRun:
         assert any((p.u, p.v, p.score) == (45, 40, 1.0) for p in whole)
 
     def test_warm_tracking_window_runs_on_the_calling_thread(self, rng, monkeypatch):
-        """A tracking window takes the rank-r route, which correlates its basis
-        on the calling thread, cold or warm, at any threshold, and never
-        starts the pool."""
+        """A tracking window correlates its basis and runs its bounds on the
+        calling thread, cold or warm, at any threshold, and never starts the
+        pool."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 116, 103)
         frame = GrayImage(px)
@@ -467,44 +550,40 @@ class TestReusedBuffersAndWhereChunksRun:
             for window, threshold in scans:  # each shape cold, then warm
                 threads.clear()
                 got.append(scan(frame, bank, window, threshold))
-                assert threads == []  # no entry went through the rank-K chunks
-        assert len(calls) == len(scans)
+                assert threads == [threading.main_thread()]  # one chunk, on this thread
+        assert len(calls) == 4 * 1 + 2 * 3  # blocks of 4,860 positions: 1,551 and 11,011
         for (window, threshold), points in zip(scans, got):
             assert points == rank_k_scan(frame, bank, window, threshold)
         assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[0])
         assert len(got[-1]) == 33 * 47
 
     def test_only_whole_frame_scans_split(self, rng, monkeypatch):
-        """The rank-K route, which only a whole frame takes, hands its chunks to
-        the workers, cold or warm; a window of any size, at any threshold,
-        stays on the calling thread."""
+        """A whole frame hands its basis chunks and its position bands to the
+        workers, cold or warm; a window of any size, at any threshold, stays
+        on the calling thread."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
-        calls = low_rank_calls(monkeypatch)
+        bands = chunk_threads(monkeypatch, "_top")
         common = Rect(100, 80, 33, 47)  # 90x54
         grown = Rect(90, 70, 51, 61)  # 96x72
         for window, threshold in ((common, 0.0), (grown, 0.9), (grown, 0.9)):
             threads.clear()
+            bands.clear()
             scan(frame, bank, window, threshold)
-            assert threads == [], window
-        assert len(calls) == 3
-        for _ in range(2):
-            threads.clear()
-            scan(frame, bank, frame.rect, 0.0)
-            assert on_workers(threads)
+            assert threads + bands == [threading.main_thread()] * 2, window
         small = GrayImage(rng.integers(0, 256, (40, 30), dtype=np.uint8))
         small_bank = build_bank(GrayImage(small.pixels[:5, :7]), 4, 90.0)
-        for _ in range(2):  # a whole frame splits even when warm and small
-            threads.clear()
-            scan(small, small_bank, small.rect, 0.0)
-            assert on_workers(threads)
-        assert len(calls) == 3
+        for img, b in ((frame, bank), (frame, bank), (small, small_bank), (small, small_bank)):
+            threads.clear()  # a whole frame splits even when warm and small
+            bands.clear()
+            scan(img, b, img.rect, 0.9 if img is frame else 0.0)
+            assert on_workers(threads) and on_workers(bands) and len(bands) == 2
 
     def test_large_windows_take_rank_r(self, rng, monkeypatch):
-        """A window takes the rank-r route on the calling thread whatever its
-        size, and equals the rank-K route."""
+        """A window runs on the calling thread whatever its size, in blocks of
+        positions, and equals the reference."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 150, 120)
         frame = GrayImage(px)
@@ -516,7 +595,7 @@ class TestReusedBuffersAndWhereChunksRun:
                 got = scan(frame, bank, window, 0.9)
             assert any((p.u, p.v, p.score) == (150, 120, 1.0) for p in got)
             assert got == rank_k_scan(frame, bank, window, 0.9)
-        assert len(calls) == 2
+        assert [len(args[2]) for args in calls] == [4860, 4860, 4580] + [4860] * 6 + [840]
 
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
@@ -602,6 +681,44 @@ class TestLowRankRoute:
         assert len(images) == 12
         assert np.abs(gram - np.eye(12)).max() < 1e-14
 
+    @settings(max_examples=30, deadline=None)
+    @given(low_rank_cases())
+    def test_per_mode_bound_covers_every_exact_score(self, case):
+        """With c the exact coordinates of a centred window f_c, the per-mode
+        test's bound, sum_g max_k ||a_k,g|| ||c_g|| / ||w_k|| + max(eps)
+        ||(I - P) f_c||, is at least every entry's score times ||f_c||, and
+        ``_low_rank_top`` keeps every position's top entry at a bar of its
+        own score. The images of one angle mode form one group."""
+        img, bank, window, eps = case
+        consts = matcher._bank_constants(bank)
+        basis = matcher._bank_basis(bank, consts)
+        r = len(basis.images)
+        sizes = np.diff(basis.starts, append=r)
+        assert np.array_equal(basis.starts, np.flatnonzero(np.diff(basis.mode, prepend=-1)))
+        assert len(np.unique(basis.mode)) == len(basis.starts)  # a mode's images are consecutive
+        assert set(sizes.tolist()) <= {1, 2} and np.array_equal(basis.pairs, np.flatnonzero(sizes == 2))
+        th, tw = bank.base_height, bank.base_width
+        u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+        x0, y0 = template_origin(u0, tw), template_origin(v0, th)
+        f = sliding_window_view(img.pixels.astype(np.float64), (th, tw))[
+            y0 : y0 + v1 - v0 + 1, x0 : x0 + u1 - u0 + 1].reshape(-1, th * tw)
+        f_c = f - f.mean(axis=1, keepdims=True)
+        norm = np.sqrt((f_c * f_c).sum(axis=1))
+        c = (f_c[None] * basis.images.reshape(r, 1, -1)).sum(axis=2)  # (r, positions)
+        w = consts.weights.reshape(len(bank), 1, -1)
+        w_norm = np.sqrt((w * w).sum(axis=2))
+        scaled = np.divide((f_c[None] * w).sum(axis=2), w_norm,  # each score times ||f_c||
+                           out=np.zeros((len(bank), len(f))), where=w_norm > 0.0)
+        modal = sum(a * np.sqrt((c[s : s + n] ** 2).sum(axis=0))
+                    for a, s, n in zip(basis.amp, basis.starts, sizes))
+        outside = np.sqrt(np.maximum(norm**2 - (c**2).sum(axis=0), 0.0))
+        assert np.all(scaled <= modal + basis.resid.max() * outside + 1e-9 * (norm + 1.0))
+        bar = np.where(norm > 0.0, scaled.max(axis=0) - 1e-9 * (norm + 1.0), np.inf)
+        at, ks, _, _ = matcher._low_rank_top(c, basis, bar, norm)
+        kept = set(zip(at.tolist(), ks.tolist()))
+        top = scaled.argmax(axis=0)
+        assert all((p, int(top[p])) in kept for p in np.flatnonzero(norm > 0.0))
+
     @settings(max_examples=40, deadline=None)
     @given(low_rank_cases())
     def test_scans_equal_brute_force_and_the_rank_k_route(self, case):
@@ -635,9 +752,9 @@ class TestLowRankRoute:
          "threshold 0", "threshold -1", "flat windows", "flat bank", "12 entries", "4x3 template"],
     )
     def test_route(self, rng, monkeypatch, case):
-        """Only a scan whose padded shape is the whole frame's takes rank K, on
-        the workers. Every window takes rank r, on the calling thread, whatever
-        its threshold, bank or size, and equals brute force."""
+        """Every scan takes the rank-r route, whatever its threshold, bank or
+        size, and equals brute force. Only a scan whose padded shape is the
+        whole frame's runs on the workers; a window runs on the calling thread."""
         patch = default_target_patch(1)
         count = 12 if case == "12 entries" else 36
         if case == "4x3 template":
@@ -663,9 +780,14 @@ class TestLowRankRoute:
         calls = low_rank_calls(monkeypatch)
         threads = chunk_threads(monkeypatch)
         got = scan(frame, bank, window, threshold)
-        assert len(calls) == (case != "whole frame")
-        assert on_workers(threads) == (case == "whole frame")
-        assert ("basis" in bank.kernel_cache) == (case != "whole frame")
+        u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
+                                               frame.width, frame.height)
+        assert sum(len(args[2]) for args in calls) == (u1 - u0 + 1) * (v1 - v0 + 1)  # each bounded once
+        if case == "whole frame":
+            assert on_workers(threads)
+        else:
+            assert threads == [threading.main_thread()]
+        assert "basis" in bank.kernel_cache
         if case == "large window":
             assert got == rank_k_scan(frame, bank, window, threshold)
         else:
@@ -685,8 +807,9 @@ class TestLowRankRoute:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("where", ["window", "frame"])  # a window or the whole frame
     def test_bound_check_raises_and_keeps_the_cache_sound(self, rng, monkeypatch, where, warm):
-        """Both routes share one check: an exact score outside its bound raises.
-        On the whole frame it raises on a worker and reaches the caller unchanged."""
+        """Every scan shares one check: an exact score outside its bound raises.
+        On the whole frame it raises on a worker, in one band or in both, and
+        one of the errors raised reaches the caller unchanged."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(plant(rng.integers(0, 256, (120, 160), dtype=np.uint8),
                                 bank.entries[5].patch, 80, 60))
@@ -714,7 +837,7 @@ class TestLowRankRoute:
             mp.setattr(matcher, "_exact_top", recording)
             with pytest.raises(ArithmeticError, match="past its bound") as excinfo:
                 scan(frame, bank, window, 0.9)
-        assert excinfo.value is raised[0][0]  # the first error, unchanged
+        assert any(excinfo.value is exc for exc, _ in raised)  # an error raised, unchanged
         on_worker = [thread is not threading.main_thread() for _, thread in raised]
         assert on_worker == [where == "frame"] * len(raised)
         assert bank.kernel_cache.get("frame") is kept_frame  # a failed scan keeps no new spectra
@@ -726,31 +849,28 @@ class TestLowRankRoute:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_closed_loop_scans_equal_the_rank_k_route(self, name, monkeypatch):
-        """Every scan of a run equals the rank-K route's, and the only scans
-        that take the rank-K route are of the whole frame."""
+        """Every scan of a run equals the reference and takes the rank-r route,
+        the acquisition scan of the whole frame too."""
         from uastrack.scenesim import make_scenario
         from uastrack.sim import run_sim
         from uastrack.tracker import TrackerConfig
 
-        twins = {}
         compared = []
 
         def both(img, bank, window, threshold):
-            before = len(calls)
             got = scan(img, bank, window, threshold)
-            if len(calls) == before:
-                assert window == valid_center_rect(bank.base_width, bank.base_height,
+            assert got == rank_k_scan(img, bank, window, threshold)
+            u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
                                                    img.width, img.height)
-            twin = twins.setdefault(id(bank), dataclasses.replace(bank))  # its own caches
-            assert got == rank_k_scan(img, twin, window, threshold)
-            compared.append(len(got))
+            compared.append((len(got), (u1 - u0 + 1) * (v1 - v0 + 1)))
             return got
 
         calls = low_rank_calls(monkeypatch)
         monkeypatch.setattr(matcher, "scan", both)
         run_sim(make_scenario(name, frames=30, seed=1), TrackerConfig())
-        assert len(compared) == 30 and sum(compared) > 0
-        assert len(calls) >= 25  # every tracking window, not the acquisition scan
+        points, positions = (sum(column) for column in zip(*compared))
+        assert len(compared) == 30 and points > 0
+        assert sum(len(args[2]) for args in calls) == positions  # every position bounded once
 
 
 def test_scan_makes_no_blas_call():

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uastrack import scenesim
 from uastrack.errors import ScenarioError
@@ -58,6 +60,50 @@ class TestDeterminism:
         a = static_scenario(seed=1)
         b = static_scenario(seed=2)
         assert render(a, GimbalState(), 0) != render(b, GimbalState(), 0)
+
+
+def textbook_upsample(coarse, h, w, cell):
+    """Bilinear upsampling as the textbook writes it: the oracle for
+    ``scenesim._upsample_bilinear``, whose operation order it fixes."""
+    y = np.arange(h) / cell
+    x = np.arange(w) / cell
+    y0 = np.minimum(y.astype(np.intp), coarse.shape[0] - 2)
+    x0 = np.minimum(x.astype(np.intp), coarse.shape[1] - 2)
+    fy = (y - y0)[:, None]
+    fx = (x - x0)[None, :]
+    c00 = coarse[np.ix_(y0, x0)]
+    c01 = coarse[np.ix_(y0, x0 + 1)]
+    c10 = coarse[np.ix_(y0 + 1, x0)]
+    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
+    return c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx + c10 * fy * (1 - fx) + c11 * fy * fx
+
+
+class TestWorld:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300), st.sampled_from([16, 7]))
+    def test_upsample_equals_the_textbook_expression_bit_for_bit(self, seed, h, w, cell):
+        coarse = np.random.default_rng(seed).uniform(55.0, 175.0, (h // cell + 2, w // cell + 2))
+        assert np.array_equal(scenesim._upsample_bilinear(coarse, h, w, cell),
+                              textbook_upsample(coarse, h, w, cell))
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (15, 17), (37, 53), (241, 319), (336, 566)])
+    def test_upsample_equals_the_textbook_expression_off_the_cell_grid(self, h, w):
+        coarse = np.random.default_rng(h * w).uniform(55.0, 175.0, (h // 16 + 2, w // 16 + 2))
+        assert np.array_equal(scenesim._upsample_bilinear(coarse, h, w, 16),
+                              textbook_upsample(coarse, h, w, 16))
+
+    @pytest.mark.parametrize(
+        "seed, w, h, digest",
+        [
+            (7, 566, 336, "193f95d144abe2628b0751c9834dc9d2b5aec18d5ed05691079879216bd72370"),
+            (1, 503, 371, "bc790a207d3b46e1670193267c533867ba487380df3b03126a3338731b0e2129"),
+            (42, 97, 61, "a7956d5e1ce4b6f1bc0f6e9b1615a4f1f1af8d556776a1607b13931721856205"),
+        ],
+    )
+    def test_world_pixels_are_pinned(self, seed, w, h, digest):
+        world = scenesim._make_world(seed, w, h)
+        assert world.shape == (h, w) and world.dtype == np.uint8
+        assert hashlib.sha256(world.tobytes()).hexdigest() == digest
 
 
 class TestCameraCoupling:

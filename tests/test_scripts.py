@@ -43,3 +43,14 @@ def test_behaviour_digest_is_repeatable():
                                      for seed in ("1", "7")]
     assert all(len(r[2]) == len(r[3]) == 64 and r[4] == "3" for r in runs)  # a scan a frame
     assert output_lines("behaviour_digest.py", "--frames", "3") == lines
+
+
+def test_scan_table_smoke():
+    lines = output_lines("scan_table.py", "--smoke")
+    rows = [line.split() for line in lines[1:-1]]
+    assert lines[0].split() == ["scan", "threshold", "seed", "cold_ms", "warm_ms", "points"]
+    assert [r[:3] for r in rows] == [["frame320x240", "0.9", "1"], ["window33x47", "0.9", "1"]]
+    for r in rows:
+        assert all(float(x) > 0.0 for span in r[3:5] for x in span.split("-"))
+        assert r[5] == "1"  # the planted entry, alone above 0.9 in noise
+    assert lines[-1].startswith("# peak_rss_mb ")
