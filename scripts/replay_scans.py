@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Record the closed loop's scans once, then replay them and time them apart.
+
+Runs the given builtin scenarios at the given seeds through ``run_sim`` with
+the default tracker config, recording every ``matcher.scan`` call (frame,
+bank, window, threshold) through a wrapper, as ``behaviour_digest.py`` does.
+Each round then replays every recorded scan in its recorded order on fresh
+banks built from the recorded ones, so their cached constants, basis and
+spectra fill as they did in the loop. A scan is timed as one of four kinds:
+a whole frame (its window holds every valid centre) or a window, and cold
+(its bank's first scan of that kind, which builds the basis or spectra) or
+warm.
+
+With ``--other DIR``, that source tree's ``matcher`` is imported under
+another package name and replayed in the same process, in turn with this
+tree's, the side that goes first alternating from round to round. The two
+must return equal match points for every scan (else the exit code is 1).
+
+Each row prints, for one tree and one kind, the number of scans and the
+median and range over the rounds of the mean ms per scan.
+
+    PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect]
+        [--seeds 1 2] [--frames 120] [--rounds 5] [--other ../parent] [--smoke]
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from uastrack import matcher, scenesim
+from uastrack.sim import run_sim, scenario_optics
+from uastrack.tracker import TrackerConfig
+from uastrack.warp import build_bank
+
+KINDS = ("frame_cold", "frame_warm", "window_cold", "window_warm")
+
+
+def record(names, seeds, frames):
+    """Every scan of the runs: (bank index, frame, window, threshold), and the
+    (patch, count) each bank index was built from."""
+    scans, banks = [], {}
+    scan = matcher.scan
+
+    def recording(img, bank, window, threshold=matcher.DEFAULT_THRESHOLD):
+        key = banks.setdefault(id(bank), (len(banks), bank))[0]
+        scans.append((key, img, window, threshold))
+        return scan(img, bank, window, threshold)
+
+    matcher.scan = recording
+    try:
+        for name in names:
+            for seed in seeds:
+                sc = scenesim.make_scenario(name, frames=frames, seed=seed)
+                run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
+    finally:
+        matcher.scan = scan
+    made = [(bank.entries[0].patch, len(bank)) for _, bank in banks.values()]  # in index order
+    return scans, made
+
+
+def import_matcher(root: Path):
+    """``matcher`` of the source tree at ``root``, imported as ``uastrack_other.matcher``."""
+    pkg = root / "src" / "uastrack"
+    spec = importlib.util.spec_from_file_location(
+        "uastrack_other", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["uastrack_other"] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("uastrack_other.matcher")
+
+
+def replay(scan_module, scans, made):
+    """One pass over the scans on fresh banks: ms per kind, and every result."""
+    banks = [build_bank(patch, count, 360.0 / count) for patch, count in made]
+    seen = set()
+    ms = {kind: [] for kind in KINDS}
+    results = []
+    for key, img, window, threshold in scans:
+        bank = banks[key]
+        whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
+                                                          img.width, img.height))
+        kind = ("frame" if whole else "window") + ("_warm" if (key, whole) in seen else "_cold")
+        seen.add((key, whole))
+        t0 = time.perf_counter()
+        points = scan_module.scan(img, bank, window, threshold)
+        ms[kind].append((time.perf_counter() - t0) * 1e3)
+        results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
+    return ms, results
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--scenarios", nargs="+", default=list(scenesim.BUILTIN_NAMES))
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--frames", type=int, default=120)
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
+    ap.add_argument("--smoke", action="store_true", help="one round of the first scenario, 3 frames")
+    args = ap.parse_args(argv)
+    if args.smoke:
+        args.scenarios, args.seeds, args.frames, args.rounds = args.scenarios[:1], args.seeds[:1], 3, 1
+    scans, made = record(args.scenarios, args.seeds, args.frames)
+    trees = {"this": matcher}
+    if args.other is not None:
+        trees["other"] = import_matcher(args.other.resolve())
+    means = {(tree, kind): [] for tree in trees for kind in KINDS}
+    counts = {}
+    same = True
+    for i in range(args.rounds):
+        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+        results = []
+        for tree in order:
+            ms, got = replay(trees[tree], scans, made)
+            results.append(got)
+            for kind, times in ms.items():
+                counts[kind] = len(times)
+                if times:
+                    means[tree, kind].append(statistics.fmean(times))
+        same = same and all(got == results[0] for got in results)
+    print(f"# {len(scans)} scans of {' '.join(args.scenarios)} at seeds "
+          f"{' '.join(map(str, args.seeds))}, {args.frames} frames, {args.rounds} rounds")
+    print("tree kind scans median_ms range_ms")
+    for (tree, kind), values in means.items():
+        if values:
+            print(tree, kind, counts[kind], f"{statistics.median(values):.2f}",
+                  f"{min(values):.2f}-{max(values):.2f}")
+    if not same:
+        print("# the trees returned different match points", file=sys.stderr)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

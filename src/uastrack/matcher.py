@@ -26,13 +26,13 @@ from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
 
-# Cap on the elements of one piece of a scan's work, so that its arrays stay
-# within a core's 2 MiB L2 cache at 8 bytes an element: a chunk of a whole
-# frame's correlations, counted as basis images x padded area, and a block of
-# positions of the bounds and the exact stage, counted as bank entries x
-# positions. It holds 2 images of a whole 320x240 frame (240x320) and 4,860
-# positions of a 36-entry bank; a larger image, such as one of a 640x480
-# frame, makes a chunk of its own. Chosen by measurement (README, "Scan kernel").
+# Cap on the elements of one piece of a scan's work: a chunk of a whole
+# frame's correlations, counted as basis images x padded area, and a chunk of
+# kept positions of the entry bound and the exact stage, counted as bank
+# entries x positions. It holds 2 images of a whole 320x240 frame (240x320),
+# chosen by measurement (README, "Scan kernel"); a larger image makes a chunk
+# of its own. It holds 4,860 positions of a 36-entry bank, more than a band
+# keeps at 0.9, and bounds the candidate pairs a band holds at any threshold.
 _CHUNK_ELEMS = 174_960
 
 # Budget for the basis spectra a bank keeps at window shapes, least recently
@@ -203,22 +203,25 @@ def _bank_constants(bank: TemplateBank) -> _BankConstants:
 def _window_sums(sub: np.ndarray, tw: int, th: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact sum(f) and sum(f*f) of every tw x th window, from running sums.
 
-    Separable: an int64 running sum down the columns, differenced ``th`` rows
+    Separable: a running sum down the columns, differenced ``th`` rows
     apart, gives each column's sums over ``th`` rows; the same across them
-    over ``tw`` columns gives the windows'.
+    over ``tw`` columns gives the windows'. The int32 running sums may wrap
+    around, but a window's sum, the difference of two, is exact while n *
+    255**2 < 2**31; a larger template takes int64.
     """
-    f = sub.astype(np.int64)
+    dtype = np.int32 if tw * th * 255 * 255 < 2**31 else np.int64
+    f = sub.astype(dtype)
 
     def box(a: np.ndarray) -> np.ndarray:
-        run = a.cumsum(axis=0)
-        rows = np.empty((run.shape[0] - th + 1, run.shape[1]), np.int64)
+        run = a.cumsum(axis=0, dtype=dtype)
+        rows = np.empty((run.shape[0] - th + 1, run.shape[1]), dtype)
         rows[0] = run[th - 1]
         np.subtract(run[th:], run[:-th], out=rows[1:])
-        run = rows.cumsum(axis=1)
-        out = np.empty((run.shape[0], run.shape[1] - tw + 1), np.int64)
+        run = rows.cumsum(axis=1, dtype=dtype)
+        out = np.empty((run.shape[0], run.shape[1] - tw + 1), dtype)
         out[:, 0] = run[:, tw - 1]
         np.subtract(run[:, tw:], run[:, :-tw], out=out[:, 1:])
-        return out
+        return out.astype(np.int64, copy=False)  # widened once the differences are taken
 
     return box(f), box(f * f)
 
@@ -254,7 +257,6 @@ class _Basis:
     resid: np.ndarray   # (K,) ||w_k - a_k B|| / ||w_k||; 0 for a flat template
     mode: np.ndarray    # (r,) each image's angle mode; a mode's images are consecutive
     starts: np.ndarray  # (G,) the first image of each mode g
-    pairs: np.ndarray   # the modes g of two images, the others' of one
     amp: np.ndarray     # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
 
 
@@ -310,7 +312,6 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
         np.where(consts.inv_norm > 0.0, resid, 0.0),
         mode[:r],
         starts,
-        np.flatnonzero(np.diff(starts, append=r) == 2),
         np.sqrt(np.add.reduceat(coef * coef, starts, axis=1)).max(axis=0),
     )
     bank.kernel_cache["basis"] = basis
@@ -427,9 +428,9 @@ def _on_workers(task, parts: list) -> list:
     return [f.result() for f in futures]
 
 
-def _low_rank_top(c, basis, bar, norm_f):
-    """Candidate pairs where the low-rank bounds reach ``bar``: (positions, entries,
-    projected scores, slacks).
+def _kept_positions(c, basis, bar, norm_f):
+    """Positions where the low-rank position test reaches ``bar``: (positions,
+    ||(I - P) f_c|| there).
 
     Entry k's weights are w_k = a_k B + e_k, with e_k orthogonal to the
     basis images B, and f_c is a window minus its mean. The images sum to
@@ -438,20 +439,28 @@ def _low_rank_top(c, basis, bar, norm_f):
     lies within its slack eps_k ||(I - P) f_c|| of its projected score
     a_k c / ||w_k||. A position is kept if both rho and the per-mode sum
     sum_g max_k ||a_k,g|| ||c_g|| / (||w_k|| ||f_c||), plus max(eps)
-    sqrt(1 - rho**2), reach the bar; an entry there if its own bound does,
-    which a looser bound from three coordinates screens first.
+    sqrt(1 - rho**2), reach the bar.
     """
-    sq = c * c  # r may be 0: a bank of flat templates
-    inside = sq.sum(axis=0)
+    inside, modal = np.zeros(c.shape[1]), np.zeros(c.shape[1])  # r may be 0: flat templates
+    # a mode at a time, so that a band holds no (r, positions) temporary
+    for g0, g1, amp in zip(basis.starts, [*basis.starts[1:], len(c)], basis.amp):
+        part = (c[g0:g1] ** 2).sum(axis=0)  # ||c_g||**2
+        inside += part
+        modal += amp * np.sqrt(part)
     outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
     reach = basis.resid.max() * outside
-    modal = sq[basis.starts]  # ||c_g||**2 of every mode g
-    modal[basis.pairs] += sq[basis.starts[basis.pairs] + 1]
-    modal = (basis.amp[:, None] * np.sqrt(modal)).sum(axis=0)
     at = np.flatnonzero((np.sqrt(inside) + reach >= bar) & (modal + reach >= bar))
-    c, outside, bar = c[:, at], outside[at], bar[at]
-    # The entry bound in two steps: the three leading coordinates exact and the
-    # rest by Cauchy-Schwarz, then all of them for the pairs that passed.
+    return at, outside[at]
+
+
+def _candidate_pairs(c, basis, bar, outside):
+    """Pairs of kept positions and entries whose own bound reaches ``bar``:
+    (indices into those positions, entries, projected scores, slacks).
+
+    An entry's bound, its projected score plus its slack (``_kept_positions``),
+    is screened first by a looser one: the three leading coordinates exact
+    and the rest by Cauchy-Schwarz.
+    """
     coef, resid = basis.coef, basis.resid
     head = resid[:, None] * outside
     for j in range(min(3, len(c))):
@@ -461,37 +470,37 @@ def _low_rank_top(c, basis, bar, norm_f):
     proj = (coef[ks] * c[:, cols].T).sum(axis=1)
     slack = resid[ks] * outside[cols]
     keep = proj + slack >= bar[cols]
-    return at[cols[keep]], ks[keep], proj[keep], slack[keep]
+    return cols[keep], ks[keep], proj[keep], slack[keep]
 
 
-def _exact_top(pairs, exact, lo, hi):
+def _exact_top(pairs, exact, at):
     """Each position's top exact score over its candidate pairs: (positions, top, entry).
 
-    ``pairs`` are (positions counted from ``lo``, entries, projected scores,
-    slacks) of the block ``[lo, hi)``: a pair's exact score times ||f_c||
-    lies within its slack plus ``margin`` * ||f_c|| of its projected score.
-    A pair whose upper end is below the best lower end at its position can
-    neither be the top nor tie it, and is dropped. The rest are scored from
-    the pixels and the integer weights, every product and partial sum an
+    ``pairs`` are (indices into the positions ``at``, entries, projected
+    scores, slacks): a pair's exact score times ||f_c|| lies within its
+    slack plus ``margin`` * ||f_c|| of its projected score. A pair whose
+    upper end is below the best lower end at its position can neither be
+    the top nor tie it, and is dropped. The rest are scored from the
+    pixels and the integer weights, every product and partial sum an
     integer below 2**53. An exact score outside its pair's interval means
     the correlations are wrong, and raises ``ArithmeticError``. Each
     position keeps its top score, from its lowest entry on ties.
     """
     sub, consts, var_f, norm_f, margin, nu = exact
-    var_f, norm_f = var_f[lo:hi], norm_f[lo:hi]
-    pos, ks, proj, slack = pairs
+    i, ks, proj, slack = pairs
+    pos = at[i]
     reach = slack + margin * norm_f[pos]
-    floor = np.full(hi - lo, -np.inf)
-    np.maximum.at(floor, pos, proj - reach)
-    keep = proj + reach >= floor[pos]
+    floor = np.full(len(at), -np.inf)
+    np.maximum.at(floor, i, proj - reach)
+    keep = proj + reach >= floor[i]
     pos, ks, proj, reach = pos[keep], ks[keep], proj[keep], reach[keep]
     th, tw = consts.weights.shape[1:]
     windows = sliding_window_view(sub, (th, tw))
     num = np.empty(len(pos))
     step = max(1, _CHUNK_ELEMS // (th * tw))
-    for i in range(0, len(pos), step):
-        p, k = pos[i : i + step] + lo, ks[i : i + step]
-        num[i : i + step] = (windows[p // nu, p % nu] * consts.weights[k]).sum(axis=(1, 2))
+    for j in range(0, len(pos), step):
+        p, k = pos[j : j + step], ks[j : j + step]
+        num[j : j + step] = (windows[p // nu, p % nu] * consts.weights[k]).sum(axis=(1, 2))
     den = np.sqrt(consts.var_t[ks] * var_f[pos])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
@@ -503,23 +512,27 @@ def _exact_top(pairs, exact, lo, hi):
         )
     order = np.lexsort((ks, -scores, pos))
     first = order[np.flatnonzero(np.diff(pos[order], prepend=-1))]
-    return pos[first] + lo, scores[first], ks[first]
+    return pos[first], scores[first], ks[first]
 
 
 def _top(c, basis, bar, exact, lo, hi):
     """Each position's top exact score in the band ``[lo, hi)``: (positions, top, entry).
 
-    Bounds and exact stage run on blocks of ``_CHUNK_ELEMS // K`` positions,
-    so a block's entry screen stays in L2 and, however low the threshold, a
-    scan holds one block's pairs at a time. Positions are independent, so
-    the blocks' results join without a merge.
+    One position test over the band, then the entry bound and the exact
+    stage on chunks of at most ``_CHUNK_ELEMS // K`` kept positions, so a
+    band holds one chunk's pairs at a time. Positions are independent, so
+    the chunks' results join without a merge.
     """
     norm_f = exact[3]
+    at, outside = _kept_positions(c[:, lo:hi], basis, bar[lo:hi], norm_f[lo:hi])
+    at += lo
     step = max(1, _CHUNK_ELEMS // len(basis.coef))
-    tops = [
-        _exact_top(_low_rank_top(c[:, b0:b1], basis, bar[b0:b1], norm_f[b0:b1]), exact, b0, b1)
-        for b0, b1 in ((b0, min(b0 + step, hi)) for b0 in range(lo, hi, step))
-    ]
+    tops = []
+    for i in range(0, len(at) or 1, step):
+        part = at[i : i + step]
+        pairs = _candidate_pairs(c[:, part], basis, bar[part], outside[i : i + step])
+        tops.append(_exact_top(pairs, exact, part))
+        del pairs  # freed before the next chunk's are built
     return [np.concatenate(a) for a in zip(*tops)]
 
 
@@ -541,10 +554,11 @@ def scan(
     empty list.
 
     Every scan correlates the bank's basis images (``_bank_basis``), which
-    only pick candidate pairs of position and entry (``_low_rank_top``), and
-    scores them from the pixels (``_exact_top``). A scan whose padded shape
-    is the whole frame's runs on the workers, its basis images in chunks and
-    its positions in bands (``_top``); any other, on the calling thread.
+    only pick candidate pairs of position and entry (``_kept_positions``,
+    ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
+    A scan whose padded shape is the whole frame's runs on the workers, its
+    basis images in chunks and its positions in bands (``_top``); any
+    other, on the calling thread.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)

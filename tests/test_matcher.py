@@ -349,30 +349,59 @@ class TestScanExactness:
     ):
         """A whole frame's basis images split evenly into chunks within the
         cap, at least one per worker, and its positions into one band per
-        worker, each run in blocks of cap // K positions."""
+        worker. Each band runs one position test over all its positions,
+        then the entry bound and the exact stage on chunks of at most
+        cap // K kept positions: at threshold 0 every position of a noise
+        frame is kept."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (82, 54), dtype=np.uint8))  # pads to 90x54
-        chunks, bands, blocks = split_calls(monkeypatch)
+        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
         points = scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems)
         assert (sorted(chunks), sorted(bands)) == expected
+        assert sorted(tests) == sorted(hi - lo for lo, hi in expected[1])  # one test per band
         step = chunk_elems // len(bank)
-        assert sorted(blocks) == [(b, min(b + step, hi)) for lo, hi in expected[1] for b in range(lo, hi, step)]
+        kept = sorted(min(step, hi - b) for lo, hi in expected[1] for b in range(lo, hi, step))
+        assert sorted(entries) == sorted(exacts) == kept
         assert points == rank_k_scan(frame, bank, frame.rect, 0.0)
 
     def test_whole_320x240_frame_takes_2_images_a_chunk_and_4860_positions_a_block(
         self, rng, monkeypatch
     ):
+        """Each band of a whole frame at 0.9 runs one position test over its
+        positions; on noise it keeps a handful, far fewer than 4,860, so its
+        entry bound and exact stage run as one chunk."""
         bank = build_bank(default_target_patch(3))
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8),
                                 bank.entries[9].patch, 200, 90))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        chunks, bands, blocks = split_calls(monkeypatch)
+        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
         points = scan(frame, bank, frame.rect, 0.9)
         assert sorted(chunks) == [(k, k + 2) for k in range(0, 12, 2)]
         assert sorted(bands) == [(0, 30647), (30647, 61295)]  # 205 x 299 positions
-        assert sorted(blocks) == [(b, min(b + 4860, hi)) for lo, hi in bands for b in range(lo, hi, 4860)]
+        assert sorted(tests) == [30647, 30648]
+        assert len(entries) == 2 and sorted(entries) == sorted(exacts)
+        assert all(kept < 4860 for kept in entries)
         assert points == rank_k_scan(frame, bank, frame.rect, 0.9)
         assert (200, 90, 1.0, 90.0) in {(p.u, p.v, p.score, p.angle_deg) for p in points}
+
+    def test_band_at_minus_1_runs_in_chunks_of_4860_kept_positions(self, rng, monkeypatch):
+        """At threshold -1 a band keeps every position but the flat ones, and
+        runs its entry bound and exact stage in chunks of at most 4,860 of
+        them, one chunk's pairs at a time."""
+        bank = build_bank(default_target_patch(1))
+        px = plant(rng.integers(0, 256, (120, 160), dtype=np.uint8), bank.entries[3].patch, 60, 50)
+        px[70:, 120:] = 33  # flat at every centre with u >= 130 and v >= 87
+        frame = GrayImage(px)
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
+        points = scan(frame, bank, frame.rect, -1.0)
+        flat = (148 - 130 + 1) * (101 - 87 + 1)  # of 139 x 85 = 11,815 positions
+        assert sorted(bands) == [(0, 5907), (5907, 11815)]
+        assert sorted(tests) == [5907, 5908]
+        assert sorted(entries) == sorted(exacts) and sum(entries) == 11815 - flat
+        assert len(entries) == 4 and max(entries) == 4860  # two chunks a band
+        assert points == rank_k_scan(frame, bank, frame.rect, -1.0)
+        assert len(points) == 11815 and (60, 50, 1.0) in {(p.u, p.v, p.score) for p in points}
 
     def test_pool_starts_on_the_first_split_scan(self, rng, checker22x36, monkeypatch):
         probe = (
@@ -431,18 +460,49 @@ class TestScanExactness:
         assert sf.dtype == sff.dtype == np.int64
         assert np.array_equal(np.stack([sf, sff], axis=-1), np.array(expected, dtype=np.int64))
 
+    @pytest.mark.parametrize("h, w, tw, th", [
+        (960, 1280, 22, 36),  # int32 running sums wrap around: 36 * 255**2 * 1280 > 2**31
+        (1322, 27, 25, 1321),  # n * 255**2 just under 2**31: the largest n on int32
+        (190, 186, 182, 182),  # n * 255**2 >= 2**31: int64
+    ])
+    def test_window_sums_of_saturated_frames(self, rng, h, w, tw, th):
+        """A saturated frame, with a block of noise in one corner that the
+        last window leaves out, against the brute-force box sum at a grid of
+        windows that takes in the last row and column, where the running
+        sums are largest and the last window's sums are n * 255 and n * 255**2."""
+        px = np.full((h, w), 255, np.uint8)
+        bh, bw = min(h // 4, h - th), min(w // 4, w - tw)
+        px[:bh, :bw] = rng.integers(0, 256, (bh, bw))
+        sf, sff = matcher._window_sums(px, tw, th)
+        assert sf.shape == sff.shape == (h - th + 1, w - tw + 1)
+        assert sf.dtype == sff.dtype == np.int64
+        f = px.astype(np.int64)
+        for v in sorted({*range(0, h - th + 1, 37), h - th}):
+            for u in sorted({*range(0, w - tw + 1, 41), w - tw}):
+                box = f[v : v + th, u : u + tw]
+                assert (sf[v, u], sff[v, u]) == (box.sum(), (box * box).sum())
+        assert (sf[-1, -1], sff[-1, -1]) == (tw * th * 255, tw * th * 255**2)
+
+
+_expected = {}
+
 
 def expected_points(img, bank, window, threshold):
-    """Brute-force ``scan``: ``best_of_bank`` at every valid position of ``window``."""
-    tw, th = bank.base_width, bank.base_height
-    u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
-    expected = []
-    for v in range(v0, v1 + 1):
-        for u in range(u0, u1 + 1):
-            best, angle = best_of_bank(img, bank, u, v)
-            if best >= threshold:
-                expected.append(MatchPoint(u, v, best, angle))
-    return expected
+    """Brute-force ``scan``: ``best_of_bank`` at every valid position of ``window``,
+    computed once per frame, bank, window and threshold."""
+    key = (img.pixels.tobytes(), img.pixels.shape, bank.angles,
+           tuple(e.patch.pixels.tobytes() for e in bank.entries), window, threshold)
+    if key not in _expected:
+        tw, th = bank.base_width, bank.base_height
+        u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+        points = []
+        for v in range(v0, v1 + 1):
+            for u in range(u0, u1 + 1):
+                best, angle = best_of_bank(img, bank, u, v)
+                if best >= threshold:
+                    points.append(MatchPoint(u, v, best, angle))
+        _expected[key] = points
+    return list(_expected[key])
 
 
 def chunk_threads(monkeypatch, name="_correlation"):
@@ -459,13 +519,16 @@ def chunk_threads(monkeypatch, name="_correlation"):
 
 
 def split_calls(monkeypatch):
-    """The (first, stop) of every basis chunk, position band and position
-    block that scans run from now on."""
-    calls = ([], [], [])
-    for ran, name, ends in zip(calls, ("_correlation", "_top", "_exact_top"),
-                               (slice(1, 3), slice(4, 6), slice(2, 4))):
-        def recording(*args, task=getattr(matcher, name), ran=ran, ends=ends):
-            ran.append(args[ends])
+    """What scans run from now on: the (first, stop) of every basis chunk and
+    position band, and the number of positions of every position test, of
+    every chunk of the entry bound and of every chunk of the exact stage."""
+    calls = ([], [], [], [], [])
+    names = ("_correlation", "_top", "_kept_positions", "_candidate_pairs", "_exact_top")
+    for ran, name, record in zip(calls, names, (lambda a: a[1:3], lambda a: a[4:6],
+                                                lambda a: len(a[2]), lambda a: len(a[2]),
+                                                lambda a: len(a[2]))):
+        def recording(*args, task=getattr(matcher, name), ran=ran, record=record):
+            ran.append(record(args))
             return task(*args)
 
         monkeypatch.setattr(matcher, name, recording)
@@ -541,6 +604,7 @@ class TestReusedBuffersAndWhereChunksRun:
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
         calls = low_rank_calls(monkeypatch)
+        _, _, _, entries, _ = split_calls(monkeypatch)
         common = Rect(100, 80, 33, 47)  # 12 images at 90x54
         wide = Rect(40, 40, 121, 91)  # 12 images at 144x128
         scans = [(common, 0.9), (common, 0.9), (wide, 0.9), (wide, 0.9), (common, 0.0), (common, -1.0)]
@@ -551,7 +615,11 @@ class TestReusedBuffersAndWhereChunksRun:
                 threads.clear()
                 got.append(scan(frame, bank, window, threshold))
                 assert threads == [threading.main_thread()]  # one chunk, on this thread
-        assert len(calls) == 4 * 1 + 2 * 3  # blocks of 4,860 positions: 1,551 and 11,011
+        # one position test a scan, over 1,551 or 11,011 positions; 0.9 keeps
+        # fewer than 4,860 of them, so one entry chunk a scan, and 0 and -1 keep all
+        assert [len(args[2]) for args in calls] == [1551, 1551, 11011, 11011, 1551, 1551]
+        assert len(entries) == 6 and all(0 < n < 4860 for n in entries[:4])
+        assert entries[4:] == [1551, 1551]
         for (window, threshold), points in zip(scans, got):
             assert points == rank_k_scan(frame, bank, window, threshold)
         assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[0])
@@ -582,20 +650,23 @@ class TestReusedBuffersAndWhereChunksRun:
             assert on_workers(threads) and on_workers(bands) and len(bands) == 2
 
     def test_large_windows_take_rank_r(self, rng, monkeypatch):
-        """A window runs on the calling thread whatever its size, in blocks of
-        positions, and equals the reference."""
+        """A window runs on the calling thread whatever its size, one position
+        test over all its positions and the later stages in chunks of at most
+        4,860 kept positions, and equals the reference."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 150, 120)
         frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         calls = low_rank_calls(monkeypatch)
+        _, _, _, entries, exacts = split_calls(monkeypatch)
         for window in (Rect(40, 40, 130, 110), Rect(60, 45, 200, 150)):  # padded 150x160, 192x225
             with monkeypatch.context() as mp:
                 mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
                 got = scan(frame, bank, window, 0.9)
             assert any((p.u, p.v, p.score) == (150, 120, 1.0) for p in got)
             assert got == rank_k_scan(frame, bank, window, 0.9)
-        assert [len(args[2]) for args in calls] == [4860, 4860, 4580] + [4860] * 6 + [840]
+        assert [len(args[2]) for args in calls] == [130 * 110, 200 * 150]
+        assert entries == exacts and len(entries) == 2 and all(0 < n <= 4860 for n in entries)
 
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
@@ -604,15 +675,15 @@ class TestReusedBuffersAndWhereChunksRun:
 
 
 def low_rank_calls(monkeypatch):
-    """The arguments of every scan that takes the rank-r route from now on."""
+    """The arguments of every position test of the rank-r route from now on."""
     calls = []
-    top = matcher._low_rank_top
+    top = matcher._kept_positions
 
     def recording(*args):
         calls.append(args)
         return top(*args)
 
-    monkeypatch.setattr(matcher, "_low_rank_top", recording)
+    monkeypatch.setattr(matcher, "_kept_positions", recording)
     return calls
 
 
@@ -687,8 +758,9 @@ class TestLowRankRoute:
         """With c the exact coordinates of a centred window f_c, the per-mode
         test's bound, sum_g max_k ||a_k,g|| ||c_g|| / ||w_k|| + max(eps)
         ||(I - P) f_c||, is at least every entry's score times ||f_c||, and
-        ``_low_rank_top`` keeps every position's top entry at a bar of its
-        own score. The images of one angle mode form one group."""
+        the bounds keep every position's top entry at a bar of its own
+        score: the position test keeps the position and the entry bound the
+        entry. The images of one angle mode form one group."""
         img, bank, window, eps = case
         consts = matcher._bank_constants(bank)
         basis = matcher._bank_basis(bank, consts)
@@ -696,7 +768,7 @@ class TestLowRankRoute:
         sizes = np.diff(basis.starts, append=r)
         assert np.array_equal(basis.starts, np.flatnonzero(np.diff(basis.mode, prepend=-1)))
         assert len(np.unique(basis.mode)) == len(basis.starts)  # a mode's images are consecutive
-        assert set(sizes.tolist()) <= {1, 2} and np.array_equal(basis.pairs, np.flatnonzero(sizes == 2))
+        assert set(sizes.tolist()) <= {1, 2}  # a mode gives a real and an imaginary image, or one
         th, tw = bank.base_height, bank.base_width
         u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
         x0, y0 = template_origin(u0, tw), template_origin(v0, th)
@@ -714,8 +786,9 @@ class TestLowRankRoute:
         outside = np.sqrt(np.maximum(norm**2 - (c**2).sum(axis=0), 0.0))
         assert np.all(scaled <= modal + basis.resid.max() * outside + 1e-9 * (norm + 1.0))
         bar = np.where(norm > 0.0, scaled.max(axis=0) - 1e-9 * (norm + 1.0), np.inf)
-        at, ks, _, _ = matcher._low_rank_top(c, basis, bar, norm)
-        kept = set(zip(at.tolist(), ks.tolist()))
+        at, outside = matcher._kept_positions(c, basis, bar, norm)
+        i, ks, _, _ = matcher._candidate_pairs(c[:, at], basis, bar[at], outside)
+        kept = set(zip(at[i].tolist(), ks.tolist()))
         top = scaled.argmax(axis=0)
         assert all((p, int(top[p])) in kept for p in np.flatnonzero(norm > 0.0))
 

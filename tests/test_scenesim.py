@@ -105,6 +105,11 @@ class TestWorld:
         assert world.shape == (h, w) and world.dtype == np.uint8
         assert hashlib.sha256(world.tobytes()).hexdigest() == digest
 
+    def test_world_is_row_major(self):
+        """The render crops rows of the world: a column-major world gives the
+        same pixels and digests but slows every frame."""
+        assert scenesim._make_world(7, 566, 336).flags.c_contiguous
+
 
 class TestCameraCoupling:
     def test_command_from_own_detection_recenters(self, rng):

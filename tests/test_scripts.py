@@ -54,3 +54,16 @@ def test_scan_table_smoke():
         assert all(float(x) > 0.0 for span in r[3:5] for x in span.split("-"))
         assert r[5] == "1"  # the planted entry, alone above 0.9 in noise
     assert lines[-1].startswith("# peak_rss_mb ")
+
+
+def test_replay_scans_smoke():
+    """One builtin's scans recorded, then replayed on this tree and on the
+    same tree imported under another package name, with equal match points."""
+    lines = output_lines("replay_scans.py", "--smoke", "--other", str(ROOT))
+    assert lines[0].startswith("# 3 scans of cv at seeds 1, 3 frames, 1 rounds")
+    assert lines[1].split() == ["tree", "kind", "scans", "median_ms", "range_ms"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[:3] for r in rows] == [["this", "frame_cold", "1"], ["this", "window_cold", "1"],
+                                     ["this", "window_warm", "1"], ["other", "frame_cold", "1"],
+                                     ["other", "window_cold", "1"], ["other", "window_warm", "1"]]
+    assert all(float(r[3]) > 0.0 for r in rows)
