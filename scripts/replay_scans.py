@@ -5,16 +5,18 @@ Runs the given builtin scenarios at the given seeds through ``run_sim`` with
 the default tracker config, recording every ``matcher.scan`` call (frame,
 bank, window, threshold) through a wrapper, as ``behaviour_digest.py`` does.
 Each round then replays every recorded scan in its recorded order on fresh
-banks built from the recorded ones, so their cached constants, basis and
-spectra fill as they did in the loop. A scan is timed as one of four kinds:
-a whole frame (its window holds every valid centre) or a window, and cold
-(its bank's first scan of that kind, which builds the basis or spectra) or
-warm.
+banks built from the recorded ones, so the kernel each bank keeps (its
+template terms, basis and spectra) fills as it did in the loop. A scan is
+timed as one of four kinds: a whole frame (its window holds every valid
+centre) or a window, and cold (its bank's first scan of that kind, which
+builds the basis or spectra) or warm.
 
-With ``--other DIR``, that source tree's ``matcher`` is imported under
-another package name and replayed in the same process, in turn with this
-tree's, the side that goes first alternating from round to round. The two
-must return equal match points for every scan (else the exit code is 1).
+With ``--other DIR``, that source tree is imported under another package
+name and replayed in the same process, in turn with this tree, the side
+that goes first alternating from round to round. Each tree scans banks
+built by its own ``warp.build_bank``, so the two may keep different state
+on a bank. The two must return equal match points for every scan (else
+the exit code is 1).
 
 Each row prints, for one tree and one kind, the number of scans and the
 median and range over the rounds of the mean ms per scan.
@@ -31,10 +33,9 @@ import sys
 import time
 from pathlib import Path
 
-from uastrack import matcher, scenesim
+from uastrack import matcher, scenesim, warp
 from uastrack.sim import run_sim, scenario_optics
 from uastrack.tracker import TrackerConfig
-from uastrack.warp import build_bank
 
 KINDS = ("frame_cold", "frame_warm", "window_cold", "window_warm")
 
@@ -62,20 +63,23 @@ def record(names, seeds, frames):
     return scans, made
 
 
-def import_matcher(root: Path):
-    """``matcher`` of the source tree at ``root``, imported as ``uastrack_other.matcher``."""
+def import_tree(root: Path):
+    """``matcher`` and ``warp`` of the source tree at ``root``, imported as
+    ``uastrack_other``."""
     pkg = root / "src" / "uastrack"
     spec = importlib.util.spec_from_file_location(
         "uastrack_other", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules["uastrack_other"] = module
     spec.loader.exec_module(module)
-    return importlib.import_module("uastrack_other.matcher")
+    return tuple(importlib.import_module(f"uastrack_other.{name}") for name in ("matcher", "warp"))
 
 
-def replay(scan_module, scans, made):
-    """One pass over the scans on fresh banks: ms per kind, and every result."""
-    banks = [build_bank(patch, count, 360.0 / count) for patch, count in made]
+def replay(tree, scans, made):
+    """One pass over the scans on fresh banks of the tree's own ``warp``: ms
+    per kind, and every result."""
+    scan_module, warp_module = tree
+    banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
     seen = set()
     ms = {kind: [] for kind in KINDS}
     results = []
@@ -104,9 +108,9 @@ def main(argv=None) -> int:
     if args.smoke:
         args.scenarios, args.seeds, args.frames, args.rounds = args.scenarios[:1], args.seeds[:1], 3, 1
     scans, made = record(args.scenarios, args.seeds, args.frames)
-    trees = {"this": matcher}
+    trees = {"this": (matcher, warp)}
     if args.other is not None:
-        trees["other"] = import_matcher(args.other.resolve())
+        trees["other"] = import_tree(args.other.resolve())
     means = {(tree, kind): [] for tree in trees for kind in KINDS}
     counts = {}
     same = True

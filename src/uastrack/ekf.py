@@ -66,10 +66,15 @@ def initial_state(x: float, y: float, cfg: NoiseConfig, vel_var: float = 25.0) -
     return TrackState(x=x, y=y, vx=0.0, vy=0.0, P=P, misses=0)
 
 
+def check_dt(dt: float) -> None:
+    """Raise ``ConfigError`` unless the time step is finite and positive."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+
+
 def process_jacobian(dt: float) -> np.ndarray:
     """Constant-velocity transition: identity with dt coupling position to velocity."""
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     A = np.eye(4)
     A[0, 2] = dt
     A[1, 3] = dt
@@ -83,8 +88,7 @@ def process_noise(dt: float, cfg: NoiseConfig) -> np.ndarray:
     v = dt*sigma, and position-velocity coupling b = dt^2*sigma/2 at
     (0,2)/(2,0) and (1,3)/(3,1).
     """
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     s = cfg.sigma
     a = dt * s + (dt ** 3) * s / 3.0
     b = 0.5 * dt * dt * s

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,9 +55,6 @@ def _cpu_count() -> int:
 _WORKERS = _cpu_count()
 _pool = LazyPool("uastrack-scan")
 
-# Each thread's chunk arrays, reused from chunk to chunk and scan to scan.
-_scratch = threading.local()
-
 # Part of every candidate margin for the roundings of the bounds' own few
 # operations: a projected score, its bar (threshold - margin) * ||f_c|| and
 # ``zmncc``'s own score each take a few roundings of relative size
@@ -66,7 +62,7 @@ _scratch = threading.local()
 _ROUND_MARGIN = 1e-12
 
 # Images in the basis that scans correlate in place of the bank's entries
-# (``_bank_basis``): a third of a 36-entry bank's transforms. At 12
+# (``_kernel``): a third of a 36-entry bank's transforms. At 12
 # the largest relative residual of a builtin target's bank is 0.07-0.30.
 _BASIS_RANK = 12
 
@@ -74,7 +70,7 @@ _BASIS_RANK = 12
 # log2(area) * ||x|| * ||b||_1 (argued at ``_basis_margin``).
 _FFT_ERROR = 32 * 2.0**-53
 
-# Added to each squared relative residual of the basis (``_bank_basis``).
+# Added to each squared relative residual of the basis (``_kernel``).
 _RESID_ALLOWANCE = 1e-12
 
 
@@ -175,31 +171,6 @@ def _clamp_window(window: Rect, tpl_w: int, tpl_h: int, frame_w: int, frame_h: i
     return u0, u1, v0, v1
 
 
-@dataclass(frozen=True)
-class _BankConstants:
-    """Template-side terms of the score, cached on the bank by ``_bank_constants``."""
-
-    weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
-    var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
-    inv_norm: np.ndarray  # (K,) 1/||w_k||, 0 for a flat template
-    angles: np.ndarray
-
-
-def _bank_constants(bank: TemplateBank) -> _BankConstants:
-    consts = bank.kernel_cache.get("constants")
-    if consts is None:
-        t = np.stack([e.patch.pixels for e in bank.entries]).astype(np.int64)
-        n = bank.base_width * bank.base_height
-        st = t.sum(axis=(1, 2))
-        var_t = (n * (t * t).sum(axis=(1, 2)) - st * st).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inv_sd_t = np.where(var_t > 0.0, 1.0 / np.sqrt(var_t), 0.0)
-        weights = (n * t - st[:, None, None]).astype(np.float64)
-        consts = _BankConstants(weights, var_t, inv_sd_t / math.sqrt(n), np.array(bank.angles))
-        bank.kernel_cache["constants"] = consts
-    return consts
-
-
 def _window_sums(sub: np.ndarray, tw: int, th: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact sum(f) and sum(f*f) of every tw x th window, from running sums.
 
@@ -238,32 +209,51 @@ def _smooth5(size: int) -> int:
         size += 1
 
 
-def _keep_spectra(bank: TemplateBank, shape: tuple, spectra: np.ndarray) -> None:
-    """Keep basis spectra at a window shape, the most recently used, within
-    ``_WINDOW_SPECTRA_BYTES``."""
-    windows = bank.kernel_cache.setdefault("windows", {})
-    windows.pop(shape, None)
-    windows[shape] = spectra  # most recently used last
-    while len(windows) > 1 and sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
-        del windows[next(iter(windows))]
+@dataclass(eq=False)
+class _Kernel:
+    """What every scan of one bank shares, built on its first scan
+    (``_kernel``): the template-side terms of the score, the low-rank
+    basis, and the basis spectra kept at padded shapes."""
+
+    weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
+    var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
+    inv_norm: np.ndarray  # (K,) 1/||w_k||, 0 for a flat template
+    angles: np.ndarray
+    images: np.ndarray    # (r, th, tw) orthonormal, each summing to 0
+    coef: np.ndarray      # (K, r) entry k's coordinates a_k over the images, / ||w_k||
+    resid: np.ndarray     # (K,) ||w_k - a_k B|| / ||w_k||; 0 for a flat template
+    mode: np.ndarray      # (r,) each image's angle mode; a mode's images are consecutive
+    starts: np.ndarray    # (G,) the first image of each mode g
+    amp: np.ndarray       # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
+    # (padded shape, spectra) of the whole frame, never evicted by window scans
+    frame: tuple | None = None
+    # spectra by window padded shape, least recently used first
+    windows: dict = field(default_factory=dict)
+
+    def spectra(self, shape: tuple, whole: bool) -> np.ndarray | None:
+        """The conjugate basis spectra kept at ``shape``, or None."""
+        if whole:
+            return self.frame[1] if self.frame and self.frame[0] == shape else None
+        return self.windows.get(shape)
+
+    def keep(self, shape: tuple, spectra: np.ndarray, whole: bool) -> None:
+        """Keep the spectra a scan used: the whole frame's in ``frame``, a
+        window's as the most recently used, within ``_WINDOW_SPECTRA_BYTES``."""
+        if whole:
+            self.frame = (shape, spectra)
+            return
+        windows = self.windows
+        windows.pop(shape, None)
+        windows[shape] = spectra
+        while len(windows) > 1 and sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
+            del windows[next(iter(windows))]
 
 
-@dataclass(frozen=True)
-class _Basis:
-    """A bank's low-rank basis, cached on the bank by ``_bank_basis``."""
+def _kernel(bank: TemplateBank) -> _Kernel:
+    """The bank's kernel, built on its first scan and kept on the bank.
 
-    images: np.ndarray  # (r, th, tw) orthonormal, each summing to 0
-    coef: np.ndarray    # (K, r) entry k's coordinates a_k over the images, / ||w_k||
-    resid: np.ndarray   # (K,) ||w_k - a_k B|| / ||w_k||; 0 for a flat template
-    mode: np.ndarray    # (r,) each image's angle mode; a mode's images are consecutive
-    starts: np.ndarray  # (G,) the first image of each mode g
-    amp: np.ndarray     # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
-
-
-def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
-    """The weights' top angle-Fourier modes, orthonormalised, and each entry's residual.
-
-    A rotated bank's weights vary smoothly with the angle, so their
+    The basis is the weights' top angle-Fourier modes, orthonormalised. A
+    rotated bank's weights vary smoothly with the angle, so their
     Karhunen-Loeve basis is close to the Fourier series over the angle
     (Uenohara & Kanade 1997): the rfft along the angle axis, whose modes,
     taken in order of energy, each give a real and an imaginary image. Up
@@ -275,10 +265,16 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
     - ||a_k||**2 plus an allowance, so it bounds the exact ||w_k - a_k B||
     from above. Element-wise products and sums only: no BLAS call.
     """
-    basis = bank.kernel_cache.get("basis")
-    if basis is not None:
-        return basis
-    w = consts.weights.reshape(len(bank), -1)
+    if bank.kernel is not None:
+        return bank.kernel
+    t = np.stack([e.patch.pixels for e in bank.entries]).astype(np.int64)
+    n = bank.base_width * bank.base_height
+    st = t.sum(axis=(1, 2))
+    var_t = (n * (t * t).sum(axis=(1, 2)) - st * st).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        inv_norm = np.where(var_t > 0.0, 1.0 / np.sqrt(var_t), 0.0) / math.sqrt(n)
+    weights = (n * t - st[:, None, None]).astype(np.float64)
+    w = weights.reshape(len(bank), -1)
     modes = np.fft.rfft(w, axis=0)
     order = np.argsort(-(modes.real**2 + modes.imag**2).sum(axis=1), kind="stable")
     images = np.empty((_BASIS_RANK, w.shape[1]))
@@ -301,21 +297,25 @@ def _bank_basis(bank: TemplateBank, consts: _BankConstants) -> _Basis:
     coef = np.empty((len(w), r))
     for j in range(r):
         coef[:, j] = (w * images[j]).sum(axis=1)
-    coef *= consts.inv_norm[:, None]
+    coef *= inv_norm[:, None]
     # ||e_k||**2 = ||w_k||**2 - ||a_k||**2 for orthonormal images; the
     # allowance covers their rounding and that of the sums, both under 1e-13.
     resid = np.sqrt(np.maximum(1.0 - (coef * coef).sum(axis=1), 0.0) + _RESID_ALLOWANCE)
     starts = np.flatnonzero(np.diff(mode[:r], prepend=-1))
-    basis = _Basis(
+    kernel = _Kernel(
+        weights,
+        var_t,
+        inv_norm,
+        np.array(bank.angles),
         images[:r].reshape(r, bank.base_height, bank.base_width),
         coef,
-        np.where(consts.inv_norm > 0.0, resid, 0.0),
+        np.where(inv_norm > 0.0, resid, 0.0),
         mode[:r],
         starts,
         np.sqrt(np.add.reduceat(coef * coef, starts, axis=1)).max(axis=0),
     )
-    bank.kernel_cache["basis"] = basis
-    return basis
+    object.__setattr__(bank, "kernel", kernel)  # a frozen bank's one derived slot
+    return kernel
 
 
 def _fft_error(x: np.ndarray, area: int, n: int) -> float:
@@ -366,16 +366,6 @@ class _ScanJob:
     nu: int
 
 
-def _scratch_array(name: str, dtype, shape: tuple) -> np.ndarray:
-    """This thread's array ``name`` viewed at ``shape``; grown only when too small."""
-    size = math.prod(shape)
-    held = getattr(_scratch, name, None)
-    if held is None or held.size < size:
-        held = np.empty(size, dtype)
-        setattr(_scratch, name, held)
-    return held[:size].reshape(shape)
-
-
 def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     """``np.fft.rfft2(weights, shape)`` bit for bit, by a cheaper route.
 
@@ -394,21 +384,14 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     """The frame correlated with kernels ``[k0, k1)`` at every valid position.
 
     A circular FFT correlation at the padded shape, at least the
-    sub-image's, so no valid window wraps around. The transforms write
-    into this thread's scratch arrays, and the result, (k1 - k0, nv, nu),
-    is a view of one of them.
+    sub-image's, so no valid window wraps around. The result, (k1 - k0,
+    nv, nu), is a view of the inverse transform.
     """
-    kc, (h, w), nv = k1 - k0, job.shape, job.nv
     if job.fresh:
         np.conjugate(_bank_spectra(job.kernels[k0:k1], job.shape), out=job.spectra[k0:k1])
-    product = _scratch_array("product", np.complex128, (kc, h, w // 2 + 1))
-    np.multiply(job.spectra[k0:k1], job.frame, out=product)
     # irfft2, dropping between its two passes the rows no valid position needs
-    spectrum = _scratch_array("ifft", np.complex128, product.shape)
-    np.fft.ifft(product, axis=1, out=spectrum)
-    corr = _scratch_array("irfft", np.float64, (kc, nv, w))
-    np.fft.irfft(spectrum[:, :nv], w, axis=2, out=corr)
-    return corr[:, :, : job.nu]
+    spectrum = np.fft.ifft(job.spectra[k0:k1] * job.frame, axis=1)
+    return np.fft.irfft(spectrum[:, : job.nv], job.shape[1], axis=2)[:, :, : job.nu]
 
 
 def _executor():
@@ -428,7 +411,7 @@ def _on_workers(task, parts: list) -> list:
     return [f.result() for f in futures]
 
 
-def _kept_positions(c, basis, bar, norm_f):
+def _kept_positions(c, kernel, bar, norm_f):
     """Positions where the low-rank position test reaches ``bar``: (positions,
     ||(I - P) f_c|| there).
 
@@ -443,17 +426,17 @@ def _kept_positions(c, basis, bar, norm_f):
     """
     inside, modal = np.zeros(c.shape[1]), np.zeros(c.shape[1])  # r may be 0: flat templates
     # a mode at a time, so that a band holds no (r, positions) temporary
-    for g0, g1, amp in zip(basis.starts, [*basis.starts[1:], len(c)], basis.amp):
+    for g0, g1, amp in zip(kernel.starts, [*kernel.starts[1:], len(c)], kernel.amp):
         part = (c[g0:g1] ** 2).sum(axis=0)  # ||c_g||**2
         inside += part
         modal += amp * np.sqrt(part)
     outside = np.sqrt(np.maximum(norm_f * norm_f - inside, 0.0))  # ||(I - P) f_c||
-    reach = basis.resid.max() * outside
+    reach = kernel.resid.max() * outside
     at = np.flatnonzero((np.sqrt(inside) + reach >= bar) & (modal + reach >= bar))
     return at, outside[at]
 
 
-def _candidate_pairs(c, basis, bar, outside):
+def _candidate_pairs(c, kernel, bar, outside):
     """Pairs of kept positions and entries whose own bound reaches ``bar``:
     (indices into those positions, entries, projected scores, slacks).
 
@@ -461,7 +444,7 @@ def _candidate_pairs(c, basis, bar, outside):
     is screened first by a looser one: the three leading coordinates exact
     and the rest by Cauchy-Schwarz.
     """
-    coef, resid = basis.coef, basis.resid
+    coef, resid = kernel.coef, kernel.resid
     head = resid[:, None] * outside
     for j in range(min(3, len(c))):
         head += coef[:, j, None] * c[j]
@@ -486,7 +469,7 @@ def _exact_top(pairs, exact, at):
     the correlations are wrong, and raises ``ArithmeticError``. Each
     position keeps its top score, from its lowest entry on ties.
     """
-    sub, consts, var_f, norm_f, margin, nu = exact
+    sub, kernel, var_f, norm_f, margin, nu = exact
     i, ks, proj, slack = pairs
     pos = at[i]
     reach = slack + margin * norm_f[pos]
@@ -494,14 +477,14 @@ def _exact_top(pairs, exact, at):
     np.maximum.at(floor, i, proj - reach)
     keep = proj + reach >= floor[i]
     pos, ks, proj, reach = pos[keep], ks[keep], proj[keep], reach[keep]
-    th, tw = consts.weights.shape[1:]
+    th, tw = kernel.weights.shape[1:]
     windows = sliding_window_view(sub, (th, tw))
     num = np.empty(len(pos))
     step = max(1, _CHUNK_ELEMS // (th * tw))
     for j in range(0, len(pos), step):
         p, k = pos[j : j + step], ks[j : j + step]
-        num[j : j + step] = (windows[p // nu, p % nu] * consts.weights[k]).sum(axis=(1, 2))
-    den = np.sqrt(consts.var_t[ks] * var_f[pos])
+        num[j : j + step] = (windows[p // nu, p % nu] * kernel.weights[k]).sum(axis=(1, 2))
+    den = np.sqrt(kernel.var_t[ks] * var_f[pos])
     scores = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
     np.clip(scores, -1.0, 1.0, out=scores)
     off = np.abs(scores * norm_f[pos] - proj) - reach
@@ -515,7 +498,7 @@ def _exact_top(pairs, exact, at):
     return pos[first], scores[first], ks[first]
 
 
-def _top(c, basis, bar, exact, lo, hi):
+def _top(c, kernel, bar, exact, lo, hi):
     """Each position's top exact score in the band ``[lo, hi)``: (positions, top, entry).
 
     One position test over the band, then the entry bound and the exact
@@ -524,13 +507,13 @@ def _top(c, basis, bar, exact, lo, hi):
     the chunks' results join without a merge.
     """
     norm_f = exact[3]
-    at, outside = _kept_positions(c[:, lo:hi], basis, bar[lo:hi], norm_f[lo:hi])
+    at, outside = _kept_positions(c[:, lo:hi], kernel, bar[lo:hi], norm_f[lo:hi])
     at += lo
-    step = max(1, _CHUNK_ELEMS // len(basis.coef))
+    step = max(1, _CHUNK_ELEMS // len(kernel.coef))
     tops = []
     for i in range(0, len(at) or 1, step):
         part = at[i : i + step]
-        pairs = _candidate_pairs(c[:, part], basis, bar[part], outside[i : i + step])
+        pairs = _candidate_pairs(c[:, part], kernel, bar[part], outside[i : i + step])
         tops.append(_exact_top(pairs, exact, part))
         del pairs  # freed before the next chunk's are built
     return [np.concatenate(a) for a in zip(*tops)]
@@ -553,7 +536,7 @@ def scan(
     clamped so the template always fits; an empty effective window yields an
     empty list.
 
-    Every scan correlates the bank's basis images (``_bank_basis``), which
+    Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
     A scan whose padded shape is the whole frame's runs on the workers, its
@@ -567,8 +550,7 @@ def scan(
     nu, nv, n = u1 - u0 + 1, v1 - v0 + 1, tw * th
     ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
-    consts = _bank_constants(bank)
-    basis = _bank_basis(bank, consts)
+    kernel = _kernel(bank)
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
     norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the running sums
@@ -576,16 +558,14 @@ def scan(
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     centred = sub - sub.mean()
     frame = np.fft.rfft2(centred, shape)
-    r = len(basis.images)
+    r = len(kernel.images)
     margin = _basis_margin(_fft_error(centred, shape[0] * shape[1], n), r)
     bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
     whole = shape == (_smooth5(img.height), _smooth5(img.width))
-    kept = bank.kernel_cache.get("frame", (None, None))
-    spectra = (kept[1] if kept[0] == shape else None) if whole else (
-        bank.kernel_cache.get("windows", {}).get(shape))
+    spectra = kernel.spectra(shape, whole)
     fresh = spectra is None
     spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128) if fresh else spectra
-    job = _ScanJob(frame, spectra, fresh, basis.images, shape, nv, nu)
+    job = _ScanJob(frame, spectra, fresh, kernel.images, shape, nv, nu)
     # A whole frame's basis images split evenly into chunks within
     # _CHUNK_ELEMS, at least one per worker, and its positions into one band
     # per worker; a window is one chunk and one band.
@@ -598,14 +578,12 @@ def scan(
 
     _on_workers(correlate, [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)])
     edges = [nv * nu * i // bands for i in range(bands + 1)]
-    exact = (sub, consts, var_f, norm_f, margin, nu)
-    tops = _on_workers(_top, [(c.reshape(r, nv * nu), basis, bar, exact, lo, hi)
+    exact = (sub, kernel, var_f, norm_f, margin, nu)
+    tops = _on_workers(_top, [(c.reshape(r, nv * nu), kernel, bar, exact, lo, hi)
                               for lo, hi in zip(edges, edges[1:]) if lo < hi])
     at, top, idx = (np.concatenate(a) for a in zip(*tops))
-    if fresh and whole:  # kept, or marked used, only once the scan has succeeded
-        bank.kernel_cache["frame"] = (shape, spectra)
-    elif not whole:
-        _keep_spectra(bank, shape, spectra)
+    if fresh or not whole:  # kept, or marked used, only once the scan has succeeded
+        kernel.keep(shape, spectra, whole)
 
     best = np.full(nv * nu, -np.inf)
     best[at] = top
@@ -621,7 +599,7 @@ def scan(
             (u0 + hits % nu).tolist(),
             (v0 + hits // nu).tolist(),
             best[hits].tolist(),
-            consts.angles[best_idx[hits]].tolist(),
+            kernel.angles[best_idx[hits]].tolist(),
         )
     ]
 

@@ -138,8 +138,10 @@ class TrackerSession:
         With no track the whole frame is scanned, and a detection starts
         one. With a track the filter predicts and the window comes from
         its covariance, or covers the whole frame after ``miss_limit``
-        misses. The clock advances by ``dt`` on every frame after the first.
+        misses. The clock advances by ``dt``, which must be finite and
+        positive, on every frame after the first.
         """
+        ekf.check_dt(dt)
         if self.bank is None:
             raise RuntimeError("no template installed; call apply_template first")
         try:

@@ -33,9 +33,9 @@ class TemplateBank:
     entries: tuple[BankEntry, ...]
     base_width: int
     base_height: int
-    # Template-side constants and spectra of the correlation kernel, filled
-    # lazily by ``matcher`` as it scans; derived data, so not compared or shown.
-    kernel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Set by ``matcher`` on the bank's first scan; derived data, so not
+    # compared or shown.
+    kernel: object = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -108,6 +108,10 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_sim_rejects_a_nan_dt(self, capsys):
+        assert main(["sim", "--scenario", "cv", "--frames", "5", "--dt", "nan", "--quiet"]) == 1
+        assert "dt must be positive and finite, got nan" in capsys.readouterr().err
+
     def test_config_error_is_one(self, tmp_path, template_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))

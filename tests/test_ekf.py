@@ -52,6 +52,13 @@ class TestProcessJacobian:
         with pytest.raises(ConfigError):
             process_jacobian(-1.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            process_jacobian(dt)
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            process_noise(dt, CFG)
+
 
 class TestProcessNoise:
     def test_unit_dt_default_sigma(self):

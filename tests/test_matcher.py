@@ -279,45 +279,45 @@ class TestScanExactness:
     @given(scan_cases(min_frame=68, max_frame=90), windows)
     def test_whole_frame_spectra_survive_window_scans(self, case, rects):
         img, bank, threshold = case
-        assert bank.kernel_cache == {}  # building a bank transforms nothing
+        assert bank.kernel is None  # building a bank transforms nothing
         full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
         whole = scan(img, bank, full, threshold)
-        kept = bank.kernel_cache["frame"]
+        kept = bank.kernel.frame
         assert kept[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
         for workers, rect in zip([1, 2] * len(rects), rects):
             window = Rect(*rect)
             inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
             assert scan_with(img, bank, window, threshold, workers) == inside
-            assert bank.kernel_cache["frame"] is kept
+            assert bank.kernel.frame is kept
         for p in whole[:: max(1, len(whole) // 25)]:
             assert (p.score, p.angle_deg) == best_of_bank(img, bank, p.u, p.v)
         assert bank == build_bank(bank.entries[0].patch, len(bank), 360.0 / len(bank))
-        assert "kernel_cache" not in repr(bank)
+        assert "kernel" not in repr(bank)
 
     def test_window_spectra_stay_within_their_budget(self, rng, checker22x36, monkeypatch):
         bank = build_bank(checker22x36, 4, 90.0)
         frame = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
         scan(frame, bank, frame.rect, 0.0)
-        kept = bank.kernel_cache["frame"]
+        kept = bank.kernel.frame
         budget = 600_000  # two or three of the shapes below
         monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", budget)
         for side in range(1, 60, 3):
             window = Rect(40, 40, side, side)
             fresh = build_bank(checker22x36, 4, 90.0)
             assert scan(frame, bank, window, 0.0) == scan(frame, fresh, window, 0.0)
-            shapes = bank.kernel_cache["windows"]
+            shapes = bank.kernel.windows
             assert 0 < sum(s.nbytes for s in shapes.values()) <= budget
-            assert bank.kernel_cache["frame"] is kept
+            assert bank.kernel.frame is kept
         assert len(shapes) >= 2
         assert list(shapes)[-1] == (matcher._smooth5(58 + 35), matcher._smooth5(58 + 21))
         monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", 0)
         newest = (matcher._smooth5(5 + 35), matcher._smooth5(5 + 21))
         scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
-        only = bank.kernel_cache["windows"]
+        only = bank.kernel.windows
         assert list(only) == [newest]  # over the budget alone, the newest shape is kept
         scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
-        assert bank.kernel_cache["windows"][newest] is only[newest]  # and reused warm
-        assert bank.kernel_cache["frame"] is kept
+        assert bank.kernel.windows[newest] is only[newest]  # and reused warm
+        assert bank.kernel.frame is kept
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, workers):
@@ -668,9 +668,24 @@ class TestReusedBuffersAndWhereChunksRun:
         assert [len(args[2]) for args in calls] == [130 * 110, 200 * 150]
         assert entries == exacts and len(entries) == 2 and all(0 < n <= 4860 for n in entries)
 
+    def test_kept_spectra_follow_the_frame_size_and_recency(self, rng, checker22x36):
+        """A whole frame of another size replaces the frame slot's spectra,
+        and a window shape scanned warm becomes the most recently used."""
+        bank = build_bank(checker22x36, 4, 90.0)
+        small = GrayImage(rng.integers(0, 256, (60, 80), dtype=np.uint8))
+        large = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
+        for img in (small, large, small):
+            fresh = build_bank(checker22x36, 4, 90.0)
+            assert scan(img, bank, img.rect, 0.5) == scan(img, fresh, img.rect, 0.5)
+            assert bank.kernel.frame[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
+        for side in (5, 9, 5):
+            scan(large, bank, Rect(40, 40, side, side), 0.5)
+        padded = [(matcher._smooth5(side + 35), matcher._smooth5(side + 21)) for side in (9, 5)]
+        assert list(bank.kernel.windows) == padded
+
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
-        weights = matcher._bank_constants(build_bank(default_target_patch(7))).weights
+        weights = matcher._kernel(build_bank(default_target_patch(7))).weights
         assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
 
 
@@ -716,7 +731,7 @@ def low_rank_cases(draw):
     plant(px, bank.entries[draw(st.integers(0, 35))].patch, u, v)
     du, dv = draw(st.integers(0, 6)), draw(st.integers(0, 6))  # the window holds (u, v)
     window = Rect(u - du, v - dv, du + draw(st.integers(1, 7)), dv + draw(st.integers(1, 7)))
-    eps = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+    eps = matcher._kernel(bank).resid.max()
     return GrayImage(px), bank, window, eps
 
 
@@ -724,9 +739,8 @@ class TestLowRankRoute:
     @pytest.mark.parametrize("seed, largest", [(1, 0.172), (3, 0.295), (7, 0.170), (42, 0.213)])
     def test_basis_is_orthonormal_and_bounds_every_residual(self, seed, largest):
         bank = build_bank(default_target_patch(seed))
-        consts = matcher._bank_constants(bank)
-        basis = matcher._bank_basis(bank, consts)
-        assert matcher._bank_basis(bank, consts) is basis  # built once, then cached
+        consts = basis = matcher._kernel(bank)
+        assert matcher._kernel(bank) is basis  # built once, then cached
         images = basis.images.reshape(len(basis.images), -1)
         assert len(images) == matcher._BASIS_RANK
         gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
@@ -747,7 +761,7 @@ class TestLowRankRoute:
         tpx = np.array([[209, 209, 209, 82, 82], [209, 209, 209, 82, 82], [209, 209, 209, 209, 209],
                         [82, 82, 209, 209, 209], [82, 82, 209, 209, 209]], dtype=np.uint8)
         bank = build_bank(GrayImage(tpx))
-        images = matcher._bank_basis(bank, matcher._bank_constants(bank)).images.reshape(-1, 25)
+        images = matcher._kernel(bank).images.reshape(-1, 25)
         gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
         assert len(images) == 12
         assert np.abs(gram - np.eye(12)).max() < 1e-14
@@ -762,8 +776,7 @@ class TestLowRankRoute:
         score: the position test keeps the position and the entry bound the
         entry. The images of one angle mode form one group."""
         img, bank, window, eps = case
-        consts = matcher._bank_constants(bank)
-        basis = matcher._bank_basis(bank, consts)
+        consts = basis = matcher._kernel(bank)
         r = len(basis.images)
         sizes = np.diff(basis.starts, append=r)
         assert np.array_equal(basis.starts, np.flatnonzero(np.diff(basis.mode, prepend=-1)))
@@ -796,7 +809,7 @@ class TestLowRankRoute:
     @given(low_rank_cases())
     def test_scans_equal_brute_force_and_the_rank_k_route(self, case):
         img, bank, window, eps = case
-        images = matcher._bank_basis(bank, matcher._bank_constants(bank)).images
+        images = matcher._kernel(bank).images
         images = images.reshape(len(images), -1)
         gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
         assert np.abs(gram - np.eye(len(images))).max() < 1e-14  # orthonormal to working precision
@@ -847,7 +860,7 @@ class TestLowRankRoute:
             window = Rect(40, 40, 130, 110)
         threshold = {"threshold 0": 0.0, "threshold -1": -1.0, "flat windows": 0.0, "flat bank": 0.0}.get(case, 0.9)
         if "residual" in case:
-            resid = matcher._bank_basis(bank, matcher._bank_constants(bank)).resid.max()
+            resid = matcher._kernel(bank).resid.max()
             threshold = resid if case == "at the residual" else resid / 2
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         calls = low_rank_calls(monkeypatch)
@@ -860,13 +873,13 @@ class TestLowRankRoute:
             assert on_workers(threads)
         else:
             assert threads == [threading.main_thread()]
-        assert "basis" in bank.kernel_cache
+        assert isinstance(bank.kernel, matcher._Kernel)
         if case == "large window":
             assert got == rank_k_scan(frame, bank, window, threshold)
         else:
             assert got == expected_points(frame, bank, window, threshold)
         if case == "flat bank":
-            assert len(matcher._bank_basis(bank, matcher._bank_constants(bank)).images) == 0
+            assert len(matcher._kernel(bank).images) == 0
             assert got == [MatchPoint(p.u, p.v, 0.0, 0.0) for p in got] and len(got) == 21 * 21
 
     def test_flat_windows_are_never_scored(self, rng, monkeypatch):
@@ -892,8 +905,9 @@ class TestLowRankRoute:
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         if warm:
             assert scan(frame, bank, window, 0.9) == expected
-        kept = dict(bank.kernel_cache.get("windows", {}))
-        kept_frame = bank.kernel_cache.get("frame")
+        kernel = matcher._kernel(bank)
+        kept = dict(kernel.windows)
+        kept_frame = kernel.frame
         raised = []
         exact_top = matcher._exact_top
 
@@ -913,8 +927,8 @@ class TestLowRankRoute:
         assert any(excinfo.value is exc for exc, _ in raised)  # an error raised, unchanged
         on_worker = [thread is not threading.main_thread() for _, thread in raised]
         assert on_worker == [where == "frame"] * len(raised)
-        assert bank.kernel_cache.get("frame") is kept_frame  # a failed scan keeps no new spectra
-        windows = bank.kernel_cache.get("windows", {})
+        assert bank.kernel.frame is kept_frame  # a failed scan keeps no new spectra
+        windows = bank.kernel.windows
         assert windows.keys() == kept.keys()
         assert all(windows[key] is spectra for key, spectra in kept.items())
         assert scan(frame, bank, window, 0.9) == expected

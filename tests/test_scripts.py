@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run end to end, also at horizons too short for some columns."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +68,19 @@ def test_replay_scans_smoke():
                                      ["this", "window_warm", "1"], ["other", "frame_cold", "1"],
                                      ["other", "window_cold", "1"], ["other", "window_warm", "1"]]
     assert all(float(r[3]) > 0.0 for r in rows)
+
+
+def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
+    """The other tree scans only banks of its own ``TemplateBank``, so a tree
+    that keeps other state on a bank can be replayed against this one."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    with open(tmp_path / "src" / "uastrack" / "matcher.py", "a") as f:
+        f.write(
+            "\n_scan = scan\n\n\n"
+            "def scan(img, bank, window, threshold=DEFAULT_THRESHOLD):\n"
+            "    if type(bank) is not TemplateBank:\n"
+            "        raise TypeError(f'a bank of {type(bank).__module__}')\n"
+            "    return _scan(img, bank, window, threshold)\n"
+        )
+    lines = output_lines("replay_scans.py", "--smoke", "--other", str(tmp_path))
+    assert [line.split()[0] for line in lines[2:]] == ["this"] * 3 + ["other"] * 3

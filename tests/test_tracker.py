@@ -117,6 +117,16 @@ class TestInitialize:
         with pytest.raises(RuntimeError):
             session.process(blank())
 
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
+    def test_process_rejects_a_bad_dt_and_changes_nothing(self, session, dt):
+        for frames in (0, 2):  # with no frame yet, then after two more
+            for _ in range(frames):
+                session.process(blank())
+            before = (session.frame_index, session.clock)
+            with pytest.raises(ConfigError, match="dt must be positive and finite"):
+                session.process(blank(), dt)
+            assert (session.frame_index, session.clock) == before
+
     def test_retry_after_lost(self, session, patch, rng):
         assert session.process(blank()).status == STATUS_LOST
         frame = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 100, 80)
