@@ -386,11 +386,17 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     A circular FFT correlation at the padded shape, at least the
     sub-image's, so no valid window wraps around. The result, (k1 - k0,
     nv, nu), is a view of the inverse transform.
+
+    The first inverse pass runs in place on the product, so a call frees
+    one transient array of that size, not two. Two such frees can cross
+    glibc malloc's trim threshold at a window's size, returning the pages
+    to the system to be faulted back in on the next scan.
     """
     if job.fresh:
         np.conjugate(_bank_spectra(job.kernels[k0:k1], job.shape), out=job.spectra[k0:k1])
     # irfft2, dropping between its two passes the rows no valid position needs
-    spectrum = np.fft.ifft(job.spectra[k0:k1] * job.frame, axis=1)
+    spectrum = job.spectra[k0:k1] * job.frame
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
     return np.fft.irfft(spectrum[:, : job.nv], job.shape[1], axis=2)[:, :, : job.nu]
 
 
