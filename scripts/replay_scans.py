@@ -9,7 +9,10 @@ banks built from the recorded ones, so the kernel each bank keeps (its
 template terms, basis and spectra) fills as it did in the loop. A scan is
 timed as one of four kinds: a whole frame (its window holds every valid
 centre) or a window, and cold (its bank's first scan of that kind, which
-builds the basis or spectra) or warm.
+builds the basis or spectra) or warm. The banks are bare: unlike a
+``TrackerSession``'s, they are not prepared (``matcher.prepare``) before
+their first whole frame. ``--threshold T`` replays every scan at T in
+place of its recorded threshold.
 
 With ``--other DIR``, that source tree is imported under another package
 name and replayed in the same process, in turn with this tree, the side
@@ -22,7 +25,8 @@ Each row prints, for one tree and one kind, the number of scans and the
 median and range over the rounds of the mean ms per scan.
 
     PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect]
-        [--seeds 1 2] [--frames 120] [--rounds 5] [--other ../parent] [--smoke]
+        [--seeds 1 2] [--frames 120] [--rounds 5] [--threshold 0.7]
+        [--other ../parent] [--smoke]
 """
 
 import argparse
@@ -75,9 +79,9 @@ def import_tree(root: Path):
     return tuple(importlib.import_module(f"uastrack_other.{name}") for name in ("matcher", "warp"))
 
 
-def replay(tree, scans, made):
-    """One pass over the scans on fresh banks of the tree's own ``warp``: ms
-    per kind, and every result."""
+def replay(tree, scans, made, override=None):
+    """One pass over the scans on fresh banks of the tree's own ``warp``, each
+    at its recorded threshold or at ``override``: ms per kind, and every result."""
     scan_module, warp_module = tree
     banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
     seen = set()
@@ -90,7 +94,7 @@ def replay(tree, scans, made):
         kind = ("frame" if whole else "window") + ("_warm" if (key, whole) in seen else "_cold")
         seen.add((key, whole))
         t0 = time.perf_counter()
-        points = scan_module.scan(img, bank, window, threshold)
+        points = scan_module.scan(img, bank, window, threshold if override is None else override)
         ms[kind].append((time.perf_counter() - t0) * 1e3)
         results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
     return ms, results
@@ -102,6 +106,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--frames", type=int, default=120)
     ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--threshold", type=float, help="replay every scan at this threshold")
     ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
     ap.add_argument("--smoke", action="store_true", help="one round of the first scenario, 3 frames")
     args = ap.parse_args(argv)
@@ -118,7 +123,7 @@ def main(argv=None) -> int:
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         results = []
         for tree in order:
-            ms, got = replay(trees[tree], scans, made)
+            ms, got = replay(trees[tree], scans, made, args.threshold)
             results.append(got)
             for kind, times in ms.items():
                 counts[kind] = len(times)
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
                     means[tree, kind].append(statistics.fmean(times))
         same = same and all(got == results[0] for got in results)
     print(f"# {len(scans)} scans of {' '.join(args.scenarios)} at seeds "
-          f"{' '.join(map(str, args.seeds))}, {args.frames} frames, {args.rounds} rounds")
+          f"{' '.join(map(str, args.seeds))}, {args.frames} frames, {args.rounds} rounds, "
+          + ("recorded thresholds" if args.threshold is None else f"threshold {args.threshold:g}"))
     print("tree kind scans median_ms range_ms")
     for (tree, kind), values in means.items():
         if values:

@@ -4,7 +4,9 @@
 For each target seed, each scan and each threshold, one round builds the
 bank of that seed's default target (the target of ``cv`` at that seed),
 times its first scan, which builds the basis and its spectra (cold), then
-the median of ``--reps`` scans after it (warm). The frame is uniform 8-bit
+the median of ``--reps`` scans after it (warm). The bank is bare: it is not
+prepared (``matcher.prepare``) as a ``TrackerSession`` prepares the banks it
+installs, so cold is the cost of a first scan without that preparation. The frame is uniform 8-bit
 noise with one bank entry planted at its centre. The scans are the whole
 frame and the 33x47-position window around the planted entry. Rounds go
 through every case in turn, so a shared machine's drift spreads over all of

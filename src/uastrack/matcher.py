@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -211,9 +212,9 @@ def _smooth5(size: int) -> int:
 
 @dataclass(eq=False)
 class _Kernel:
-    """What every scan of one bank shares, built on its first scan
-    (``_kernel``): the template-side terms of the score, the low-rank
-    basis, and the basis spectra kept at padded shapes."""
+    """What every scan of one bank shares, built by ``prepare`` or on its
+    first scan (``_kernel``): the template-side terms of the score, the
+    low-rank basis, and the basis spectra kept at padded shapes."""
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
@@ -250,7 +251,7 @@ class _Kernel:
 
 
 def _kernel(bank: TemplateBank) -> _Kernel:
-    """The bank's kernel, built on its first scan and kept on the bank.
+    """The bank's kernel, built by ``prepare`` or its first scan, kept on the bank.
 
     The basis is the weights' top angle-Fourier modes, orthonormalised. A
     rotated bank's weights vary smoothly with the angle, so their
@@ -380,6 +381,19 @@ def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     return cols.transpose(0, 2, 1)
 
 
+def _fill_spectra(spectra: np.ndarray, kernels: np.ndarray, shape: tuple, k0: int, k1: int) -> None:
+    """Write the conjugate spectra at ``shape`` of kernels ``[k0, k1)`` into ``spectra``."""
+    np.conjugate(_bank_spectra(kernels[k0:k1], shape), out=spectra[k0:k1])
+
+
+def _chunks(r: int, shape: tuple, whole: bool) -> list[tuple[int, int]]:
+    """A scan's r basis images in chunks ``[k0, k1)``: a whole frame's evenly within
+    ``_CHUNK_ELEMS``, at least one chunk per worker; a window's, one chunk."""
+    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
+    chunks = min(r, max(_WORKERS, -(-r // per_chunk))) if whole else 1
+    return [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)]
+
+
 def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     """The frame correlated with kernels ``[k0, k1)`` at every valid position.
 
@@ -393,7 +407,7 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     to the system to be faulted back in on the next scan.
     """
     if job.fresh:
-        np.conjugate(_bank_spectra(job.kernels[k0:k1], job.shape), out=job.spectra[k0:k1])
+        _fill_spectra(job.spectra, job.kernels, job.shape, k0, k1)
     # irfft2, dropping between its two passes the rows no valid position needs
     spectrum = job.spectra[k0:k1] * job.frame
     np.fft.ifft(spectrum, axis=1, out=spectrum)
@@ -572,17 +586,13 @@ def scan(
     fresh = spectra is None
     spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128) if fresh else spectra
     job = _ScanJob(frame, spectra, fresh, kernel.images, shape, nv, nu)
-    # A whole frame's basis images split evenly into chunks within
-    # _CHUNK_ELEMS, at least one per worker, and its positions into one band
-    # per worker; a window is one chunk and one band.
-    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
-    chunks, bands = (min(r, max(_WORKERS, -(-r // per_chunk))), _WORKERS) if whole else (1, 1)
     c = np.empty((r, nv, nu))
 
     def correlate(k0, k1):
         c[k0:k1] = _correlation(job, k0, k1)
 
-    _on_workers(correlate, [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)])
+    _on_workers(correlate, _chunks(r, shape, whole))
+    bands = _WORKERS if whole else 1  # a whole frame's positions, one band per worker
     edges = [nv * nu * i // bands for i in range(bands + 1)]
     exact = (sub, kernel, var_f, norm_f, margin, nu)
     tops = _on_workers(_top, [(c.reshape(r, nv * nu), kernel, bar, exact, lo, hi)
@@ -608,6 +618,21 @@ def scan(
             kernel.angles[best_idx[hits]].tolist(),
         )
     ]
+
+
+def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
+    """Build the bank's kernel, then the spectra a scan of a whole frame_w x
+    frame_h frame keeps in ``kernel.frame``, on the workers in that scan's
+    chunks. Does nothing when they are kept, or the template does not fit."""
+    if bank.base_width > frame_w or bank.base_height > frame_h:
+        return
+    kernel = _kernel(bank)
+    shape = (_smooth5(frame_h), _smooth5(frame_w))
+    if kernel.spectra(shape, True) is None:
+        r = len(kernel.images)
+        spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128)
+        _on_workers(partial(_fill_spectra, spectra, kernel.images, shape), _chunks(r, shape, True))
+        kernel.keep(shape, spectra, True)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:

@@ -191,13 +191,16 @@ def _upsample_bilinear(coarse: np.ndarray, h: int, w: int, cell: int) -> np.ndar
     x0 = np.minimum(x.astype(np.intp), coarse.shape[1] - 2)
     fy = (y - y0)[:, None]
     fx = x - x0
-    out = None  # the first term itself, as 0 + t == t; each sum rounds as in the expression
+    out, term = np.empty((h, w)), np.empty((h, w))  # row-major, as the render reads the world
+    dst = out  # the first term itself, as 0 + t == t; each sum rounds as in the expression
     for rows, wy in ((y0, 1 - fy), (y0 + 1, fy)):
         row = coarse[rows] * wy
         for cols, wx in ((x0, 1 - fx), (x0 + 1, fx)):
-            term = row.take(cols, axis=1)  # row-major, as the render reads the world
-            term *= wx
-            out = term if out is None else np.add(out, term, out=out)
+            row.take(cols, axis=1, out=dst, mode="clip")  # in range; "raise" would buffer out
+            dst *= wx
+            if dst is term:
+                out += term
+            dst = term
     return out
 
 

@@ -122,12 +122,15 @@ class TrackerSession:
     """Single-target tracking over one bank; one frame at a time.
 
     ``bank`` may start as None when the template is expected from the ground
-    link; acquisition begins once ``apply_template`` installs one.
+    link; acquisition begins once ``apply_template`` installs one. Each bank is
+    prepared for frames of the configured size as it is installed (``matcher.prepare``).
     """
 
     def __init__(self, bank: Optional[TemplateBank], cfg: TrackerConfig):
         self.bank = bank
         self.cfg = cfg
+        if bank is not None:
+            matcher.prepare(bank, cfg.optics.frame_w, cfg.optics.frame_h)
         self.state: Optional[ekf.TrackState] = None
         self.frame_index = -1
         self.clock = 0.0
@@ -187,6 +190,7 @@ class TrackerSession:
     def apply_template(self, patch: GrayImage) -> None:
         """Swap in a new target patch (operator upload); restarts acquisition."""
         self.bank = build_bank(patch, self.cfg.bank_count, self.cfg.bank_step_deg)
+        matcher.prepare(self.bank, self.cfg.optics.frame_w, self.cfg.optics.frame_h)
         self.state = None
 
 

@@ -33,8 +33,8 @@ class TemplateBank:
     entries: tuple[BankEntry, ...]
     base_width: int
     base_height: int
-    # Set by ``matcher`` on the bank's first scan; derived data, so not
-    # compared or shown.
+    # Set by ``matcher.prepare`` or on the bank's first scan; derived data,
+    # so not compared or shown.
     kernel: object = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:

@@ -70,6 +70,15 @@ def test_replay_scans_smoke():
     assert all(float(r[3]) > 0.0 for r in rows)
 
 
+def test_replay_scans_at_a_given_threshold():
+    """Every recorded scan replayed at 0.5 in both trees, with equal match points."""
+    lines = output_lines("replay_scans.py", "--smoke", "--threshold", "0.5", "--other", str(ROOT))
+    assert lines[0].endswith(", 3 frames, 1 rounds, threshold 0.5")
+    rows = [line.split() for line in lines[2:]]
+    assert [r[:3] for r in rows] == [[tree, kind, "1"] for tree in ("this", "other")
+                                     for kind in ("frame_cold", "window_cold", "window_warm")]
+
+
 def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
     """The other tree scans only banks of its own ``TemplateBank``, so a tree
     that keeps other state on a bank can be replayed against this one."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uastrack import scenesim
+from uastrack import matcher, scenesim
 from uastrack.errors import ConfigError
 from uastrack.imagebuf import GrayImage
 from uastrack.matcher import Detection, template_origin
@@ -131,6 +131,70 @@ class TestInitialize:
         assert session.process(blank()).status == STATUS_LOST
         frame = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 100, 80)
         assert session.process(frame).status == STATUS_INITIALIZED
+
+
+def padded(w, h):
+    return matcher._smooth5(h), matcher._smooth5(w)
+
+
+class TestPreparedBank:
+    """A session prepares every bank it installs for frames of the configured size."""
+
+    def test_bank_is_prepared_on_construction_and_on_apply_template(self, patch):
+        cfg = TrackerConfig(optics=OpticsConfig(frame_w=200, frame_h=150))
+        session = TrackerSession(build_bank(patch), cfg)
+        kept = session.bank.kernel.frame
+        assert kept[0] == padded(200, 150)
+        assert TrackerSession(session.bank, cfg).bank.kernel.frame is kept  # done once
+        session.apply_template(scenesim.default_target_patch(5))
+        assert session.bank.kernel.frame[0] == padded(200, 150)
+        assert session.bank.kernel.frame is not kept
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_prepared_spectra_equal_those_a_whole_frame_scan_keeps(self, seed, rng):
+        target = scenesim.default_target_patch(seed)
+        session = TrackerSession(build_bank(target), TrackerConfig())
+        fresh = build_bank(target)
+        frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+        matcher.scan(frame, fresh, matcher.valid_center_rect(22, 36, 320, 240))
+        assert fresh.kernel.frame[0] == session.bank.kernel.frame[0]
+        assert np.array_equal(fresh.kernel.frame[1], session.bank.kernel.frame[1])
+
+    def test_first_frame_builds_no_spectra_and_scores_as_unprepared(self, patch, rng, monkeypatch):
+        frame = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 100, 80)
+        cfg = TrackerConfig(optics=OpticsConfig(frame_w=320, frame_h=240))
+        prepared = TrackerSession(build_bank(patch), cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(matcher, "prepare", lambda bank, w, h: None)
+            bare = TrackerSession(build_bank(patch), cfg)
+        assert bare.bank.kernel is None
+        calls = []
+        spectra = matcher._bank_spectra
+        monkeypatch.setattr(matcher, "_bank_spectra", lambda *a: calls.append(a) or spectra(*a))
+        out = prepared.process(frame)
+        assert calls == []
+        expected = bare.process(frame)
+        assert len(calls) > 0  # the unprepared bank builds them in its scan
+        assert out.status == expected.status == STATUS_INITIALIZED
+        assert outcome_to_row(out) == outcome_to_row(expected)
+
+    @pytest.mark.parametrize("w, h", [(16, 16), (21, 240), (320, 35)])
+    def test_template_larger_than_the_configured_frame(self, patch, w, h):
+        session = TrackerSession(build_bank(patch), TrackerConfig(optics=OpticsConfig(frame_w=w, frame_h=h)))
+        assert session.bank.kernel is None
+        with pytest.raises(ConfigError):
+            session.process(blank(w, h))
+
+    def test_template_the_size_of_the_frame_is_prepared(self, patch):
+        session = TrackerSession(build_bank(patch), TrackerConfig(optics=OpticsConfig(frame_w=22, frame_h=36)))
+        assert session.bank.kernel.frame[0] == padded(22, 36)
+
+    def test_flat_template_prepares_no_basis_images(self):
+        flat = GrayImage.full(22, 36, 90)
+        session = TrackerSession(build_bank(flat), TrackerConfig())
+        shape, spectra = session.bank.kernel.frame
+        assert spectra.shape == (0, shape[0], shape[1] // 2 + 1) and shape == padded(320, 240)
+        assert session.process(blank()).status == STATUS_LOST
 
 
 def run_scenario(name, frames, seed=7, miss_limit=5, frame_w=320, frame_h=240):
