@@ -24,9 +24,14 @@ the exit code is 1).
 Each row prints, for one tree and one kind, the number of scans and the
 median and range over the rounds of the mean ms per scan.
 
+With ``--stages``, every tree replays on one scan worker, with each of the
+scan's stages (``STAGES``) timed through a wrapper on its ``matcher``, and
+a second table prints, for each tree and kind, the median over the rounds
+of the ms per scan in each stage, and in the rest of the scan ("other").
+
     PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect]
         [--seeds 1 2] [--frames 120] [--rounds 5] [--threshold 0.7]
-        [--other ../parent] [--smoke]
+        [--other ../parent] [--stages] [--smoke]
 """
 
 import argparse
@@ -35,6 +40,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from uastrack import matcher, scenesim, warp
@@ -42,6 +48,7 @@ from uastrack.sim import run_sim, scenario_optics
 from uastrack.tracker import TrackerConfig
 
 KINDS = ("frame_cold", "frame_warm", "window_cold", "window_warm")
+STAGES = ("_window_sums", "_correlation", "_kept_positions", "_candidate_pairs", "_exact_top")
 
 
 def record(names, seeds, frames):
@@ -79,25 +86,59 @@ def import_tree(root: Path):
     return tuple(importlib.import_module(f"uastrack_other.{name}") for name in ("matcher", "warp"))
 
 
-def replay(tree, scans, made, override=None):
+@contextmanager
+def timed_stages(scan_module, spent):
+    """``scan_module`` on one worker, each of its ``STAGES`` adding its ms to ``spent``."""
+    missing = [name for name in STAGES if not hasattr(scan_module, name)]
+    if missing:
+        sys.exit(f"error: {scan_module.__name__} has no {', '.join(missing)}")
+    saved = {name: getattr(scan_module, name) for name in ("_WORKERS", *STAGES)}
+
+    def timed(name, stage):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return stage(*args, **kwargs)
+            finally:
+                spent[name] += (time.perf_counter() - t0) * 1e3
+        return wrapper
+
+    scan_module._WORKERS = 1
+    for name in STAGES:
+        setattr(scan_module, name, timed(name, saved[name]))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(scan_module, name, value)
+
+
+def replay(tree, scans, made, override=None, stages=False):
     """One pass over the scans on fresh banks of the tree's own ``warp``, each
-    at its recorded threshold or at ``override``: ms per kind, and every result."""
+    at its recorded threshold or at ``override``: ms per kind, ms per kind and
+    stage (zero without ``stages``), and every result."""
     scan_module, warp_module = tree
     banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
     seen = set()
     ms = {kind: [] for kind in KINDS}
+    spent = dict.fromkeys(STAGES, 0.0)
+    staged = {kind: dict.fromkeys(STAGES, 0.0) for kind in KINDS}
     results = []
-    for key, img, window, threshold in scans:
-        bank = banks[key]
-        whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
-                                                          img.width, img.height))
-        kind = ("frame" if whole else "window") + ("_warm" if (key, whole) in seen else "_cold")
-        seen.add((key, whole))
-        t0 = time.perf_counter()
-        points = scan_module.scan(img, bank, window, threshold if override is None else override)
-        ms[kind].append((time.perf_counter() - t0) * 1e3)
-        results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
-    return ms, results
+    with timed_stages(scan_module, spent) if stages else nullcontext():
+        for key, img, window, threshold in scans:
+            bank = banks[key]
+            whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
+                                                              img.width, img.height))
+            kind = ("frame" if whole else "window") + ("_warm" if (key, whole) in seen else "_cold")
+            seen.add((key, whole))
+            before = dict(spent)
+            t0 = time.perf_counter()
+            points = scan_module.scan(img, bank, window, threshold if override is None else override)
+            ms[kind].append((time.perf_counter() - t0) * 1e3)
+            for name in STAGES:
+                staged[kind][name] += spent[name] - before[name]
+            results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
+    return ms, staged, results
 
 
 def main(argv=None) -> int:
@@ -108,6 +149,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--threshold", type=float, help="replay every scan at this threshold")
     ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
+    ap.add_argument("--stages", action="store_true",
+                    help="replay on one worker and time each stage of the scan")
     ap.add_argument("--smoke", action="store_true", help="one round of the first scenario, 3 frames")
     args = ap.parse_args(argv)
     if args.smoke:
@@ -117,27 +160,39 @@ def main(argv=None) -> int:
     if args.other is not None:
         trees["other"] = import_tree(args.other.resolve())
     means = {(tree, kind): [] for tree in trees for kind in KINDS}
+    stage_means = {(tree, kind): [] for tree in trees for kind in KINDS}
     counts = {}
     same = True
     for i in range(args.rounds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         results = []
         for tree in order:
-            ms, got = replay(trees[tree], scans, made, args.threshold)
+            ms, staged, got = replay(trees[tree], scans, made, args.threshold, args.stages)
             results.append(got)
             for kind, times in ms.items():
                 counts[kind] = len(times)
                 if times:
                     means[tree, kind].append(statistics.fmean(times))
+                    per_scan = {name: total / len(times) for name, total in staged[kind].items()}
+                    per_scan["other"] = statistics.fmean(times) - sum(per_scan.values())
+                    stage_means[tree, kind].append(per_scan)
         same = same and all(got == results[0] for got in results)
     print(f"# {len(scans)} scans of {' '.join(args.scenarios)} at seeds "
           f"{' '.join(map(str, args.seeds))}, {args.frames} frames, {args.rounds} rounds, "
-          + ("recorded thresholds" if args.threshold is None else f"threshold {args.threshold:g}"))
+          + ("recorded thresholds" if args.threshold is None else f"threshold {args.threshold:g}")
+          + (", one worker, stages timed" if args.stages else ""))
     print("tree kind scans median_ms range_ms")
     for (tree, kind), values in means.items():
         if values:
             print(tree, kind, counts[kind], f"{statistics.median(values):.2f}",
                   f"{min(values):.2f}-{max(values):.2f}")
+    if args.stages:
+        columns = (*STAGES, "other")
+        print("tree kind", *(name.lstrip("_") for name in columns))
+        for (tree, kind), rounds in stage_means.items():
+            if rounds:
+                print(tree, kind, *(f"{statistics.median(r[name] for r in rounds):.2f}"
+                                    for name in columns))
     if not same:
         print("# the trees returned different match points", file=sys.stderr)
     return 0 if same else 1

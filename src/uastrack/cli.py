@@ -24,7 +24,7 @@ from .ekf import NoiseConfig
 from .errors import ConfigError, ProtocolError, ScenarioError, UastrackError
 from .gimbal import GimbalState
 from .imagebuf import GrayImage, Rect, load_pgm, save_pgm
-from .sim import LinkRuntime, RunReport, print_outcome, run_sim, scenario_optics
+from .sim import LinkRuntime, RunReport, print_outcome, run_sim
 from .tracker import (
     DEFAULT_HFOV_DEG,
     OpticsConfig,
@@ -33,7 +33,7 @@ from .tracker import (
     TrackOutcome,
     write_log,
 )
-from .warp import build_bank
+from .warp import DEFAULT_BANK_COUNT, build_bank
 
 class UsageError(UastrackError):
     """Bad command line; maps to exit code 1."""
@@ -89,13 +89,7 @@ def load_config(path: Optional[str]) -> dict:
     return merged
 
 
-def tracker_config(cfg: dict, optics: Optional[OpticsConfig] = None) -> TrackerConfig:
-    if optics is None:
-        optics = OpticsConfig(
-            hfov=math.radians(cfg["hfov_deg"]),
-            frame_w=int(cfg["frame_w"]),
-            frame_h=int(cfg["frame_h"]),
-        )
+def tracker_config(cfg: dict) -> TrackerConfig:
     return TrackerConfig(
         threshold=float(cfg["threshold"]),
         noise=NoiseConfig(
@@ -105,7 +99,11 @@ def tracker_config(cfg: dict, optics: Optional[OpticsConfig] = None) -> TrackerC
         ),
         miss_limit=int(cfg["miss_limit"]),
         bank_count=int(cfg["bank_count"]),
-        optics=optics,
+        optics=OpticsConfig(
+            hfov=math.radians(cfg["hfov_deg"]),
+            frame_w=int(cfg["frame_w"]),
+            frame_h=int(cfg["frame_h"]),
+        ),
         p0_vel_var=float(cfg["p0_vel_var"]),
     )
 
@@ -141,7 +139,8 @@ def cmd_track(args) -> int:
     cfg_map = load_config(args.config)
     cfg = tracker_config(cfg_map)
     template = _read_pgm_file(args.template)
-    session = TrackerSession(build_bank(template, cfg.bank_count, cfg.bank_step_deg), cfg)
+    session = TrackerSession(None, cfg)
+    session.apply_template(template)
     outcomes = []
     t0 = time.perf_counter()
     for path in _frame_paths(args.frames):
@@ -157,15 +156,12 @@ def cmd_track(args) -> int:
 def _scenario_setup(args) -> tuple[dict, scenesim.Scenario, TrackerConfig]:
     """Config map, scenario and tracker config of a ``sim`` or ``serve`` run."""
     cfg_map = load_config(args.config)
+    cfg = tracker_config(cfg_map)
+    optics = cfg.optics
     scenario = scenesim.make_scenario(
-        args.scenario,
-        frame_w=int(cfg_map["frame_w"]),
-        frame_h=int(cfg_map["frame_h"]),
-        frames=args.frames,
-        seed=args.seed,
+        args.scenario, optics.frame_w, optics.frame_h, args.frames, args.seed
     )
-    scenario = dataclasses.replace(scenario, hfov=math.radians(cfg_map["hfov_deg"]))
-    return cfg_map, scenario, tracker_config(cfg_map, scenario_optics(scenario))
+    return cfg_map, dataclasses.replace(scenario, hfov=optics.hfov), cfg
 
 
 def cmd_sim(args) -> int:
@@ -227,7 +223,7 @@ def run_bench(
     )
     frame = scenesim.render(scenario, GimbalState(), 0)
     gx, gy, _ = scenesim.ground_truth(scenario, GimbalState(), 0)
-    bank = build_bank(template, 36, 10.0)
+    bank = build_bank(template)
     full = matcher.valid_center_rect(template.width, template.height, width, height)
     win = Rect(
         int(gx) - window_px // 2,
@@ -327,31 +323,29 @@ def cmd_roi(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="uastrack", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    run = _Parser(add_help=False)  # the flags of every command that tracks
+    run.add_argument("--config", default=None)
+    run.add_argument("--log", default=None)
+    run.add_argument("--dt", type=float, default=1.0)
+    run.add_argument("--quiet", action="store_true")
+    scene = _Parser(add_help=False)  # the flags of every command that simulates
+    scene.add_argument("--scenario", required=True, choices=scenesim.BUILTIN_NAMES)
+    scene.add_argument("--frames", type=int, default=scenesim.Scenario.frames)
+    scene.add_argument("--seed", type=int, default=scenesim.Scenario.seed)
 
-    t = sub.add_parser("track", help="offline tracking over a PGM frame sequence")
+    t = sub.add_parser("track", parents=[run], help="offline tracking over a PGM frame sequence")
     t.add_argument("--frames", required=True, help="directory of PGMs or a .list file")
     t.add_argument("--template", required=True)
-    t.add_argument("--config", default=None)
-    t.add_argument("--log", default=None)
-    t.add_argument("--dt", type=float, default=1.0)
-    t.add_argument("--quiet", action="store_true")
     t.set_defaults(func=cmd_track)
 
-    s = sub.add_parser("sim", help="closed-loop simulation")
-    s.add_argument("--scenario", required=True, choices=scenesim.BUILTIN_NAMES)
-    s.add_argument("--frames", type=int, default=300)
-    s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--config", default=None)
-    s.add_argument("--log", default=None)
+    s = sub.add_parser("sim", parents=[scene, run], help="closed-loop simulation")
     s.add_argument("--dump-frames", default=None)
-    s.add_argument("--dt", type=float, default=1.0)
-    s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_sim)
 
     b = sub.add_parser("bank", help="emit the rotated template bank as PGMs")
     b.add_argument("--template", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--count", type=int, default=36)
+    b.add_argument("--count", type=int, default=DEFAULT_BANK_COUNT)
     b.set_defaults(func=cmd_bank)
 
     be = sub.add_parser("bench", help="full-frame vs windowed scan timing")
@@ -362,17 +356,10 @@ def build_parser() -> _Parser:
     be.add_argument("--reps", type=int, default=3)
     be.set_defaults(func=cmd_bench)
 
-    sv = sub.add_parser("serve", help="run sim with the UDP ground link enabled")
+    sv = sub.add_parser("serve", parents=[scene, run], help="run sim with the UDP ground link enabled")
     sv.add_argument("--listen", required=True, help="host:port to bind")
-    sv.add_argument("--scenario", required=True, choices=scenesim.BUILTIN_NAMES)
-    sv.add_argument("--frames", type=int, default=300)
-    sv.add_argument("--seed", type=int, default=7)
-    sv.add_argument("--config", default=None)
-    sv.add_argument("--log", default=None)
     sv.add_argument("--peer", default=None, help="host:port for frame samples")
     sv.add_argument("--await-roi", action="store_true", help="idle until an operator ROI/patch arrives")
-    sv.add_argument("--dt", type=float, default=1.0)
-    sv.add_argument("--quiet", action="store_true")
     sv.set_defaults(func=cmd_serve)
 
     r = sub.add_parser("roi", help="send an operator ROI datagram")

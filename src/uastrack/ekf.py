@@ -21,6 +21,12 @@ from .util import round_half_away
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Filter noise intensities and the window sigma multiplier."""
@@ -31,8 +37,7 @@ class NoiseConfig:
 
     def __post_init__(self) -> None:
         for name in ("sigma", "r_pos", "kappa"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be strictly positive")
+            check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -60,21 +65,15 @@ class TrackState:
         return np.array([self.x, self.y, self.vx, self.vy])
 
 
-def initial_state(x: float, y: float, cfg: NoiseConfig, vel_var: float = 25.0) -> TrackState:
+def initial_state(x: float, y: float, cfg: NoiseConfig, vel_var: float) -> TrackState:
     """Fresh track at a detected position: zero velocity, generous velocity variance."""
     P = np.diag([cfg.r_pos, cfg.r_pos, vel_var, vel_var])
     return TrackState(x=x, y=y, vx=0.0, vy=0.0, P=P, misses=0)
 
 
-def check_dt(dt: float) -> None:
-    """Raise ``ConfigError`` unless the time step is finite and positive."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
-
-
 def process_jacobian(dt: float) -> np.ndarray:
     """Constant-velocity transition: identity with dt coupling position to velocity."""
-    check_dt(dt)
+    check_positive("dt", dt)
     A = np.eye(4)
     A[0, 2] = dt
     A[1, 3] = dt
@@ -88,7 +87,7 @@ def process_noise(dt: float, cfg: NoiseConfig) -> np.ndarray:
     v = dt*sigma, and position-velocity coupling b = dt^2*sigma/2 at
     (0,2)/(2,0) and (1,3)/(3,1).
     """
-    check_dt(dt)
+    check_positive("dt", dt)
     s = cfg.sigma
     a = dt * s + (dt ** 3) * s / 3.0
     b = 0.5 * dt * dt * s

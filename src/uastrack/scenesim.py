@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ScenarioError
 from .gimbal import GimbalState, pan_signed
 from .imagebuf import GrayImage, Rect
+from .tracker import OpticsConfig
 from .util import LazyPool, round_half_away
 from .warp import warp_patch
 
@@ -134,8 +135,8 @@ class Occlusion:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    frame_w: int = 320
-    frame_h: int = 240
+    frame_w: int = OpticsConfig.frame_w
+    frame_h: int = OpticsConfig.frame_h
     patch_w: int = 22
     patch_h: int = 36
     trajectory: Trajectory = field(default_factory=lambda: LineTrajectory(0.0, 0.0, 0.0, 0.0))
@@ -146,8 +147,8 @@ class Scenario:
     occlusions: tuple[Occlusion, ...] = ()
     seed: int = 7
     frames: int = 300                 # validated horizon
-    hfov: float = math.radians(30.0)
-    counts_per_radian: float = 1e4
+    hfov: float = OpticsConfig.hfov
+    counts_per_radian: float = OpticsConfig.counts_per_radian
     world_w: Optional[int] = None     # None: sized automatically from the trajectory
     world_h: Optional[int] = None
     patch: Optional[GrayImage] = None  # None: seeded procedural pattern
@@ -204,7 +205,7 @@ def _upsample_bilinear(coarse: np.ndarray, h: int, w: int, cell: int) -> np.ndar
     return out
 
 
-def default_target_patch(seed: int, w: int = 22, h: int = 36) -> GrayImage:
+def default_target_patch(seed: int, w: int = Scenario.patch_w, h: int = Scenario.patch_h) -> GrayImage:
     """Seeded blob pattern: smooth (tolerates small rotations), asymmetric
     (distinguishes rotations), values kept off the rails for relighting."""
     rng = _philox(seed, _STREAM_PATCH)
@@ -451,10 +452,10 @@ def _center_occlusion(frame_w: int, frame_h: int, start: int, end: int, size: in
 
 def make_scenario(
     name: str,
-    frame_w: int = 320,
-    frame_h: int = 240,
-    frames: int = 300,
-    seed: int = 7,
+    frame_w: int = Scenario.frame_w,
+    frame_h: int = Scenario.frame_h,
+    frames: int = Scenario.frames,
+    seed: int = Scenario.seed,
 ) -> Scenario:
     """Build a named preset scenario at the requested size and horizon."""
     cx, cy = frame_w / 2.0, frame_h / 2.0

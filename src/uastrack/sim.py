@@ -28,7 +28,6 @@ from .tracker import (
     TrackerSession,
     TrackOutcome,
 )
-from .warp import build_bank
 
 # Full frames of the last samples sent down, held so that an operator's ROI
 # is cropped from the frame it was drawn on; an ROI naming any other frame
@@ -175,11 +174,9 @@ def run_sim(
     link: Optional[LinkRuntime] = None,
 ) -> SimResult:
     """Closed-loop run: render, track, and actuate the simulated gimbal."""
-    if link is not None and link.await_roi:
-        session = TrackerSession(None, cfg)  # template arrives over the link
-    else:
-        bank = build_bank(scenesim.target_patch(scenario), cfg.bank_count, cfg.bank_step_deg)
-        session = TrackerSession(bank, cfg)
+    session = TrackerSession(None, cfg)
+    if link is None or not link.await_roi:  # else the template arrives over the link
+        session.apply_template(scenesim.target_patch(scenario))
     pose = gimbal.GimbalState()
     outcomes: list[TrackOutcome] = []
     outcome_frames: list[int] = []

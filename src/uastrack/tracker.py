@@ -17,12 +17,12 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, get_args, get_type_hints
 
-from . import ekf, matcher
+from . import ekf, gimbal, matcher
 from .errors import BoundsError, ConfigError
 from .imagebuf import GrayImage, Rect
 from .matcher import Detection
 from .util import round_half_away
-from .warp import TemplateBank, build_bank
+from .warp import DEFAULT_BANK_COUNT, TemplateBank, build_bank
 
 STATUS_INITIALIZED = "initialized"
 STATUS_TRACKING = "tracking"
@@ -30,8 +30,8 @@ STATUS_MISS = "miss"
 STATUS_REDETECTING = "redetecting"
 STATUS_LOST = "lost"
 
-# the config file states the field of view in degrees; radians(30.0) does not
-# round-trip through degrees() exactly, so the degree value is the source
+# the config file states the field of view in degrees, and degrees(radians(x))
+# is not always x, so the degree value is the source
 DEFAULT_HFOV_DEG = 30.0
 
 
@@ -48,7 +48,7 @@ class OpticsConfig:
     hfov: float = math.radians(DEFAULT_HFOV_DEG)  # horizontal field of view, radians
     frame_w: int = 320
     frame_h: int = 240
-    counts_per_radian: float = 1e4    # 100 microradians per count
+    counts_per_radian: float = gimbal.COUNTS_PER_RADIAN
 
     def __post_init__(self) -> None:
         if not 0.0 < self.hfov < math.pi:
@@ -57,8 +57,7 @@ class OpticsConfig:
         _require_integer("frame_h", self.frame_h)
         if self.frame_w < 1 or self.frame_h < 1:
             raise ConfigError("frame dimensions must be positive")
-        if self.counts_per_radian <= 0.0:
-            raise ConfigError("counts_per_radian must be positive")
+        ekf.check_positive("counts_per_radian", self.counts_per_radian)
 
     @property
     def angle_per_pixel(self) -> float:
@@ -71,7 +70,7 @@ class TrackerConfig:
     threshold: float = matcher.DEFAULT_THRESHOLD
     noise: ekf.NoiseConfig = field(default_factory=ekf.NoiseConfig)
     miss_limit: int = 5
-    bank_count: int = 36
+    bank_count: int = DEFAULT_BANK_COUNT
     optics: OpticsConfig = field(default_factory=OpticsConfig)
     p0_vel_var: float = 25.0
 
@@ -84,8 +83,7 @@ class TrackerConfig:
             raise ConfigError(f"miss_limit must be >= 1, got {self.miss_limit}")
         if self.bank_count < 1:
             raise ConfigError(f"bank_count must be >= 1, got {self.bank_count}")
-        if self.p0_vel_var <= 0.0:
-            raise ConfigError("p0_vel_var must be positive")
+        ekf.check_positive("p0_vel_var", self.p0_vel_var)
 
     @property
     def bank_step_deg(self) -> float:
@@ -121,9 +119,9 @@ def gimbal_offset(d: Detection, optics: OpticsConfig) -> tuple[int, int]:
 class TrackerSession:
     """Single-target tracking over one bank; one frame at a time.
 
-    ``bank`` may start as None when the template is expected from the ground
-    link; acquisition begins once ``apply_template`` installs one. Each bank is
-    prepared for frames of the configured size as it is installed (``matcher.prepare``).
+    ``bank`` may start as None; acquisition begins once ``apply_template``
+    builds one from a stored or operator-picked patch. Each bank is prepared
+    for frames of the configured size as it is installed (``matcher.prepare``).
     """
 
     def __init__(self, bank: Optional[TemplateBank], cfg: TrackerConfig):
@@ -144,7 +142,7 @@ class TrackerSession:
         misses. The clock advances by ``dt``, which must be finite and
         positive, on every frame after the first.
         """
-        ekf.check_dt(dt)
+        ekf.check_positive("dt", dt)
         if self.bank is None:
             raise RuntimeError("no template installed; call apply_template first")
         try:

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError
 from .imagebuf import GrayImage
 
+DEFAULT_BANK_COUNT = 36
+
 # Positions whose inverse map lands this far past the source border still
 # count as inside; absorbs floating-point noise at exact 90-degree multiples.
 _EDGE_EPS = 1e-9
@@ -101,7 +103,9 @@ def warp_patch(src: GrayImage, alpha: float) -> GrayImage:
     return GrayImage(_rotations(src, [alpha])[0])
 
 
-def build_bank(patch: GrayImage, count: int = 36, step_deg: float = 10.0) -> TemplateBank:
+def build_bank(
+    patch: GrayImage, count: int = DEFAULT_BANK_COUNT, step_deg: float = 360.0 / DEFAULT_BANK_COUNT
+) -> TemplateBank:
     """Generate ``count`` rotated copies at ``step_deg`` spacing covering 360 degrees.
 
     The step must be ``360.0 / count`` as computed in floats, which

@@ -1,5 +1,8 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -17,7 +20,9 @@ from uastrack.groundlink import (
     encode_roi_select,
 )
 from uastrack.imagebuf import GrayImage, Rect, load_pgm, save_pgm
-from uastrack.tracker import OpticsConfig, TrackerConfig
+from uastrack.tracker import TrackerConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -36,8 +41,6 @@ class TestConfig:
         assert cfg["miss_limit"] == 5
 
     def test_defaults_are_the_dataclass_defaults(self):
-        optics = OpticsConfig(frame_w=640, frame_h=480)
-        assert tracker_config(load_config(None), optics) == TrackerConfig(optics=optics)
         assert tracker_config(load_config(None)) == TrackerConfig()
 
     def test_defaults_match_readme(self):
@@ -111,6 +114,21 @@ class TestExitCodes:
     def test_sim_rejects_a_nan_dt(self, capsys):
         assert main(["sim", "--scenario", "cv", "--frames", "5", "--dt", "nan", "--quiet"]) == 1
         assert "dt must be positive and finite, got nan" in capsys.readouterr().err
+
+    def test_non_finite_config_value_is_an_error_before_any_frame(self, tmp_path):
+        """JSON's ``Infinity`` and ``NaN`` parse; an infinite kappa once
+        overflowed in ``ekf.search_window`` after frames had run."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kappa": Infinity}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "uastrack.cli", "sim", "--scenario", "cv", "--frames", "8",
+             "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "error: kappa must be positive and finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "frame" not in proc.stdout
 
     def test_config_error_is_one(self, tmp_path, template_file):
         cfg = tmp_path / "cfg.json"

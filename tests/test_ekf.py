@@ -153,7 +153,7 @@ class TestUpdate:
 
 class TestFilterProperties:
     def test_long_random_sequence_stays_sane(self, rng):
-        s = initial_state(0.0, 0.0, CFG)
+        s = initial_state(0.0, 0.0, CFG, 25.0)
         for _ in range(1000):
             s = predict(s, 1.0, CFG)
             assert np.abs(s.P - s.P.T).max() <= 1e-9
@@ -194,7 +194,7 @@ class TestFilterProperties:
         # exact simulation of the linear system: position error -> ~0,
         # velocity estimate -> true velocity
         vx, vy = 2.0, -1.0
-        s = initial_state(0.0, 0.0, CFG)
+        s = initial_state(0.0, 0.0, CFG, 25.0)
         for k in range(1, 51):
             s = predict(s, 1.0, CFG)
             s = update(s, (vx * k, vy * k), CFG)

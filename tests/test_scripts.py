@@ -93,3 +93,17 @@ def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
         )
     lines = output_lines("replay_scans.py", "--smoke", "--other", str(tmp_path))
     assert [line.split()[0] for line in lines[2:]] == ["this"] * 3 + ["other"] * 3
+
+
+def test_replay_scans_times_each_stage():
+    """With ``--stages``, each tree's scans run on one worker and a second table
+    splits each kind's ms per scan into the scan's stages and the rest."""
+    lines = output_lines("replay_scans.py", "--smoke", "--stages", "--other", str(ROOT))
+    assert lines[0].endswith(", recorded thresholds, one worker, stages timed")
+    assert lines[8].split() == ["tree", "kind", "window_sums", "correlation", "kept_positions",
+                                "candidate_pairs", "exact_top", "other"]
+    rows = [line.split() for line in lines[9:]]
+    assert [r[:2] for r in rows] == [[tree, kind] for tree in ("this", "other")
+                                     for kind in ("frame_cold", "window_cold", "window_warm")]
+    assert all(float(x) >= 0.0 for r in rows for x in r[2:])  # stages nest inside the scan
+    assert all(float(r[3]) > 0.0 for r in rows)  # every scan correlates

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uastrack import matcher, scenesim
+from uastrack.ekf import NoiseConfig
 from uastrack.errors import ConfigError
 from uastrack.imagebuf import GrayImage
 from uastrack.matcher import Detection, template_origin
@@ -109,6 +110,16 @@ class TestInitialize:
          (OpticsConfig, "frame_w", 320.5), (OpticsConfig, "frame_h", 240.0)],
     )
     def test_integer_fields_reject_fractions(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(NoiseConfig, "sigma"), (NoiseConfig, "r_pos"), (NoiseConfig, "kappa"),
+         (TrackerConfig, "p0_vel_var"), (OpticsConfig, "counts_per_radian")],
+    )
+    def test_non_finite_fields_rejected(self, cls, name, value):
         with pytest.raises(ConfigError, match=name):
             cls(**{name: value})
 
