@@ -28,6 +28,11 @@ With ``--stages``, every tree replays on one scan worker, with each of the
 scan's stages (``STAGES``) timed through a wrapper on its ``matcher``, and
 a second table prints, for each tree and kind, the median over the rounds
 of the ms per scan in each stage, and in the rest of the scan ("other").
+Its last columns (``COUNTS``) total, over the kind's scans, what the
+wrappers see pass through the stages: the positions entering the position
+test, the positions it keeps, the candidate pairs of position and entry,
+and the positions given a top exact score. The counts do not depend on
+timing, so the trees must count alike too (else the exit code is 1).
 
     PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect]
         [--seeds 1 2] [--frames 120] [--rounds 5] [--threshold 0.7]
@@ -49,6 +54,14 @@ from uastrack.tracker import TrackerConfig
 
 KINDS = ("frame_cold", "frame_warm", "window_cold", "window_warm")
 STAGES = ("_window_sums", "_correlation", "_kept_positions", "_candidate_pairs", "_exact_top")
+# (column, count) taken from a stage's arguments and result, by stage
+COUNTS = {
+    "_kept_positions": (("positions", lambda args, out: len(args[2])),  # a bar per position
+                        ("kept", lambda args, out: len(out[0]))),
+    "_candidate_pairs": (("pairs", lambda args, out: len(out[0])),),
+    "_exact_top": (("tops", lambda args, out: len(out[0])),),
+}
+COUNT_COLUMNS = tuple(column for counts in COUNTS.values() for column, _ in counts)
 
 
 def record(names, seeds, frames):
@@ -87,8 +100,9 @@ def import_tree(root: Path):
 
 
 @contextmanager
-def timed_stages(scan_module, spent):
-    """``scan_module`` on one worker, each of its ``STAGES`` adding its ms to ``spent``."""
+def timed_stages(scan_module, spent, tally):
+    """``scan_module`` on one worker, each of its ``STAGES`` adding its ms to
+    ``spent`` and its ``COUNTS`` to ``tally``."""
     missing = [name for name in STAGES if not hasattr(scan_module, name)]
     if missing:
         sys.exit(f"error: {scan_module.__name__} has no {', '.join(missing)}")
@@ -98,9 +112,12 @@ def timed_stages(scan_module, spent):
         def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return stage(*args, **kwargs)
+                out = stage(*args, **kwargs)
             finally:
                 spent[name] += (time.perf_counter() - t0) * 1e3
+            for column, count in COUNTS.get(name, ()):
+                tally[column] += count(args, out)
+            return out
         return wrapper
 
     scan_module._WORKERS = 1
@@ -116,29 +133,33 @@ def timed_stages(scan_module, spent):
 def replay(tree, scans, made, override=None, stages=False):
     """One pass over the scans on fresh banks of the tree's own ``warp``, each
     at its recorded threshold or at ``override``: ms per kind, ms per kind and
-    stage (zero without ``stages``), and every result."""
+    stage and counts per kind (zero without ``stages``), and every result."""
     scan_module, warp_module = tree
     banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
     seen = set()
     ms = {kind: [] for kind in KINDS}
     spent = dict.fromkeys(STAGES, 0.0)
     staged = {kind: dict.fromkeys(STAGES, 0.0) for kind in KINDS}
+    tally = dict.fromkeys(COUNT_COLUMNS, 0)
+    counted = {kind: dict.fromkeys(COUNT_COLUMNS, 0) for kind in KINDS}
     results = []
-    with timed_stages(scan_module, spent) if stages else nullcontext():
+    with timed_stages(scan_module, spent, tally) if stages else nullcontext():
         for key, img, window, threshold in scans:
             bank = banks[key]
             whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
                                                               img.width, img.height))
             kind = ("frame" if whole else "window") + ("_warm" if (key, whole) in seen else "_cold")
             seen.add((key, whole))
-            before = dict(spent)
+            before, counted_before = dict(spent), dict(tally)
             t0 = time.perf_counter()
             points = scan_module.scan(img, bank, window, threshold if override is None else override)
             ms[kind].append((time.perf_counter() - t0) * 1e3)
             for name in STAGES:
                 staged[kind][name] += spent[name] - before[name]
+            for column in COUNT_COLUMNS:
+                counted[kind][column] += tally[column] - counted_before[column]
             results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
-    return ms, staged, results
+    return ms, staged, counted, results
 
 
 def main(argv=None) -> int:
@@ -161,14 +182,17 @@ def main(argv=None) -> int:
         trees["other"] = import_tree(args.other.resolve())
     means = {(tree, kind): [] for tree in trees for kind in KINDS}
     stage_means = {(tree, kind): [] for tree in trees for kind in KINDS}
-    counts = {}
-    same = True
+    counts, stage_counts = {}, {}
+    same = counted_alike = True
     for i in range(args.rounds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        results = []
+        results, tallies = [], []
         for tree in order:
-            ms, staged, got = replay(trees[tree], scans, made, args.threshold, args.stages)
+            ms, staged, counted, got = replay(trees[tree], scans, made, args.threshold, args.stages)
             results.append(got)
+            tallies.append(counted)
+            for kind in KINDS:
+                stage_counts[tree, kind] = counted[kind]
             for kind, times in ms.items():
                 counts[kind] = len(times)
                 if times:
@@ -177,6 +201,7 @@ def main(argv=None) -> int:
                     per_scan["other"] = statistics.fmean(times) - sum(per_scan.values())
                     stage_means[tree, kind].append(per_scan)
         same = same and all(got == results[0] for got in results)
+        counted_alike = counted_alike and all(c == tallies[0] for c in tallies)
     print(f"# {len(scans)} scans of {' '.join(args.scenarios)} at seeds "
           f"{' '.join(map(str, args.seeds))}, {args.frames} frames, {args.rounds} rounds, "
           + ("recorded thresholds" if args.threshold is None else f"threshold {args.threshold:g}")
@@ -188,14 +213,17 @@ def main(argv=None) -> int:
                   f"{min(values):.2f}-{max(values):.2f}")
     if args.stages:
         columns = (*STAGES, "other")
-        print("tree kind", *(name.lstrip("_") for name in columns))
+        print("tree kind", *(name.lstrip("_") for name in columns), *COUNT_COLUMNS)
         for (tree, kind), rounds in stage_means.items():
             if rounds:
                 print(tree, kind, *(f"{statistics.median(r[name] for r in rounds):.2f}"
-                                    for name in columns))
+                                    for name in columns),
+                      *(stage_counts[tree, kind][column] for column in COUNT_COLUMNS))
     if not same:
         print("# the trees returned different match points", file=sys.stderr)
-    return 0 if same else 1
+    if not counted_alike:
+        print("# the trees' stages counted different positions or pairs", file=sys.stderr)
+    return 0 if same and counted_alike else 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ generator and a UDP ground link.
 """
 
 from .ekf import NoiseConfig, TrackState
-from .imagebuf import GrayImage, Rect, crop, load_pgm, region_mean, save_pgm
+from .imagebuf import GrayImage, Rect, crop, load_pgm, save_pgm
 from .matcher import Detection, MatchPoint, detect, scan, zmncc
 from .tracker import OpticsConfig, TrackerConfig, TrackerSession, gimbal_offset
 from .warp import TemplateBank, build_bank, warp_patch
@@ -31,7 +31,6 @@ __all__ = [
     "detect",
     "gimbal_offset",
     "load_pgm",
-    "region_mean",
     "save_pgm",
     "scan",
     "warp_patch",

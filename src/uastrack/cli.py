@@ -83,6 +83,9 @@ def load_config(path: Optional[str]) -> dict:
         # the keys with integer defaults are counts and sizes
         if isinstance(merged[key], int) and isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config {path}: {key} must be an integer, got {value}")
+        if key == "hfov_deg" and not 0.0 < value < 180.0:  # NaN too
+            written = json.dumps(value)
+            raise ConfigError(f"config {path}: hfov_deg must be in (0, 180), got {written}")
     if data.get("sample_every", 1) < 1:
         raise ConfigError(f"config {path}: sample_every must be >= 1")
     merged.update(data)

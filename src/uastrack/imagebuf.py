@@ -1,8 +1,7 @@
-"""Grayscale image container, binary PGM (P5) I/O, cropping, region statistics.
+"""Grayscale image container, binary PGM (P5) I/O and cropping.
 
 Pixel model: 8-bit luminance, row-major, index ``y * width + x``. Images are
 immutable after construction so they can be shared freely between threads.
-All statistics are computed in 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -192,9 +191,3 @@ def crop(img: GrayImage, r: Rect) -> GrayImage:
     """Extract the sub-image under ``r``; output (i, j) == input (r.x+i, r.y+j)."""
     _check_rect(img, r)
     return GrayImage(img.pixels[r.y : r.y2, r.x : r.x2].copy())
-
-
-def region_mean(img: GrayImage, r: Rect) -> float:
-    """Arithmetic mean of the samples under ``r``, in float64."""
-    _check_rect(img, r)
-    return float(img.pixels[r.y : r.y2, r.x : r.x2].mean(dtype=np.float64))

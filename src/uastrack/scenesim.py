@@ -7,9 +7,9 @@ a static target. Rendering is a pure function of (scenario, gimbal state,
 frame index): noise comes from a counter-based generator keyed on
 (seed, stream, frame), never from evaluation order.
 
-A render of frame k hands the noise draw of frame k + 1 to one background
-thread, as a camera reads out its next frame while the tracker works on
-this one; see ``_NoiseAhead``.
+Every noise draw runs on one background thread, and a render of frame k
+hands frame k + 1's to it, as a camera reads out its next frame while the
+tracker works on this one; see ``_NoiseAhead``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import ScenarioError
 from .gimbal import GimbalState, pan_signed
 from .imagebuf import GrayImage, Rect
 from .tracker import OpticsConfig
-from .util import LazyPool, round_half_away
+from .util import LazyPool, round_half_away, to_gray
 from .warp import warp_patch
 
 _STREAM_WORLD = 1
@@ -35,6 +35,8 @@ _STREAM_PATCH = 2
 _STREAM_NOISE = 3
 
 _MASK64 = (1 << 64) - 1
+
+OCCLUSION_GRAY = 64.0
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,10 @@ class CircleTrajectory:
     cx: float
     cy: float
     radius: float
-    angular_rate: float  # radians per frame
-    phase: float = 0.0
+    angular_rate: float  # radians per frame, from angle 0 at frame 0
 
     def position(self, frame: int) -> tuple[float, float]:
-        a = self.phase + self.angular_rate * frame
+        a = self.angular_rate * frame
         return self.cx + self.radius * math.cos(a), self.cy + self.radius * math.sin(a)
 
 
@@ -121,12 +122,12 @@ class Ramp:
 
 @dataclass(frozen=True)
 class Occlusion:
-    """Solid panel painted over frame-space ``rect`` for frames [start, end)."""
+    """Solid panel of gray ``OCCLUSION_GRAY`` painted over frame-space ``rect``
+    for frames [start, end)."""
 
     start: int
     end: int
     rect: Rect
-    fill: int = 64
 
     def active(self, frame: int) -> bool:
         return self.start <= frame < self.end
@@ -142,15 +143,12 @@ class Scenario:
     trajectory: Trajectory = field(default_factory=lambda: LineTrajectory(0.0, 0.0, 0.0, 0.0))
     target_spin: float = 0.0          # degrees per frame
     gain: Ramp = field(default_factory=lambda: Ramp.constant(1.0))
-    offset: Ramp = field(default_factory=lambda: Ramp.constant(0.0))
     noise_sigma: float = 0.0          # gray levels
     occlusions: tuple[Occlusion, ...] = ()
     seed: int = 7
     frames: int = 300                 # validated horizon
     hfov: float = OpticsConfig.hfov
     counts_per_radian: float = OpticsConfig.counts_per_radian
-    world_w: Optional[int] = None     # None: sized automatically from the trajectory
-    world_h: Optional[int] = None
     patch: Optional[GrayImage] = None  # None: seeded procedural pattern
 
     def __post_init__(self) -> None:
@@ -221,7 +219,7 @@ def default_target_patch(seed: int, w: int = Scenario.patch_w, h: int = Scenario
     # deterministic asymmetry so opposite rotations never look alike
     vals += 30.0 * np.exp(-((xx - 0.25 * w) ** 2 + (yy - 0.2 * h) ** 2) / (2.0 * 9.0))
     vals -= 30.0 * np.exp(-((xx - 0.8 * w) ** 2 + (yy - 0.85 * h) ** 2) / (2.0 * 9.0))
-    return GrayImage(np.clip(np.floor(vals + 0.5), 30.0, 190.0).astype(np.uint8))
+    return GrayImage(to_gray(vals, 30.0, 190.0))
 
 
 def _make_world(seed: int, w: int, h: int) -> np.ndarray:
@@ -231,8 +229,7 @@ def _make_world(seed: int, w: int, h: int) -> np.ndarray:
     coarse = rng.uniform(55.0, 175.0, (h // cell + 2, w // cell + 2))
     base = _upsample_bilinear(coarse, h, w, cell)
     base += rng.uniform(-7.0, 7.0, (h, w))
-    base += 0.5
-    return np.clip(np.floor(base, out=base), 30.0, 196.0, out=base).astype(np.uint8)
+    return to_gray(base, 30.0, 196.0)
 
 
 @dataclass(frozen=True)
@@ -247,6 +244,7 @@ class _Geometry:
 
 @lru_cache(maxsize=32)
 def _geometry(sc: Scenario) -> _Geometry:
+    """The world spans the trajectory plus the frame and ``pad`` on each side."""
     pad = 48
     xs = []
     ys = []
@@ -257,22 +255,10 @@ def _geometry(sc: Scenario) -> _Geometry:
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
 
-    if sc.world_w is None:
-        world_w = int(math.ceil(hi_x - lo_x)) + sc.frame_w + 2 * pad
-        off_x = -lo_x + pad + sc.frame_w / 2.0
-    else:
-        world_w = sc.world_w
-        off_x = (world_w - (hi_x + lo_x)) / 2.0
-    if sc.world_h is None:
-        world_h = int(math.ceil(hi_y - lo_y)) + sc.frame_h + 2 * pad
-        off_y = -lo_y + pad + sc.frame_h / 2.0
-    else:
-        world_h = sc.world_h
-        off_y = (world_h - (hi_y + lo_y)) / 2.0
-    if world_w < sc.frame_w or world_h < sc.frame_h:
-        raise ScenarioError(
-            f"world {world_w}x{world_h} smaller than the {sc.frame_w}x{sc.frame_h} frame"
-        )
+    world_w = int(math.ceil(hi_x - lo_x)) + sc.frame_w + 2 * pad
+    world_h = int(math.ceil(hi_y - lo_y)) + sc.frame_h + 2 * pad
+    off_x = -lo_x + pad + sc.frame_w / 2.0
+    off_y = -lo_y + pad + sc.frame_h / 2.0
 
     half_w = (sc.patch_w - 1) // 2
     half_h = (sc.patch_h - 1) // 2
@@ -324,16 +310,18 @@ def _draw_noise(seed: int, frame_index: int, shape: tuple[int, int], sigma: floa
 
 
 class _NoiseAhead:
-    """Draws frame k + 1's noise on a background thread while frame k is tracked.
+    """Draws every frame's noise on one background thread, frame k + 1's while
+    frame k is tracked.
 
     A render of frame k takes the draw in flight if its key (seed, frame
-    index, shape, sigma) equals frame k's and hands frame k + 1's to the
-    thread; every other render (frame 0, an out-of-order or repeated frame,
-    another scenario) draws inline. The last frame of a horizon hands
-    nothing on. numpy's generators release the interpreter lock while they
-    fill an array, so the draw runs alongside the scan. The thread starts
-    with the first noisy render that has a next frame; a forked child drops
-    the draw it inherited.
+    index, shape, sigma) equals frame k's; every other render (frame 0, an
+    out-of-order or repeated frame, another scenario) cancels the draw in
+    flight and submits its own. Either way it then hands frame k + 1's draw
+    to the thread, except on the last frame of a horizon. numpy's generators
+    release the interpreter lock while they fill an array, so a draw runs
+    alongside the scan, or alongside the rest of its own render. The thread
+    starts with the first noisy render; a forked child drops the draw it
+    inherited.
     """
 
     def __init__(self) -> None:
@@ -348,17 +336,20 @@ class _NoiseAhead:
 
     def take(self, key: tuple, ahead: tuple | None) -> Callable[[], np.ndarray]:
         """A call returning the noise for ``key``; starts the draw for ``ahead``
-        unless it is None. The call waits for a draw in flight and re-raises
-        its error, so a render makes it as late as it can."""
+        unless it is None. The call waits for the draw and re-raises its
+        error, so a render makes it as late as it can."""
         with self._lock:
+            pool = self._pool.get(1)
             pending, self._pending = self._pending, None
+            if pending is not None and pending[0] == key:
+                mine = pending[1]
+            else:
+                if pending is not None:
+                    pending[1].cancel()
+                mine = pool.submit(_draw_noise, *key)
             if ahead is not None:
-                self._pending = (ahead, self._pool.get(1).submit(_draw_noise, *ahead))
-        if pending is not None:
-            if pending[0] == key:
-                return pending[1].result
-            pending[1].cancel()
-        return partial(_draw_noise, *key)
+                self._pending = (ahead, pool.submit(_draw_noise, *ahead))
+        return mine.result
 
 
 _noise_ahead = _NoiseAhead()
@@ -429,25 +420,18 @@ def render(sc: Scenario, gimbal: GimbalState, frame_index: int) -> GrayImage:
             x0, y0 = max(r.x, 0), max(r.y, 0)
             x1, y1 = min(r.x2, sc.frame_w), min(r.y2, sc.frame_h)
             if x0 < x1 and y0 < y1:
-                frame[y0:y1, x0:x1] = float(occ.fill)
+                frame[y0:y1, x0:x1] = OCCLUSION_GRAY
 
-    # gain * frame + offset + noise, rounded half up and clipped, in place
+    # gain * frame + noise, rounded half up and clipped, in place
     frame *= sc.gain.at(frame_index)
-    frame += sc.offset.at(frame_index)
     if noise is not None:
         frame += noise()
-    frame += 0.5
-    np.floor(frame, out=frame)
-    np.clip(frame, 0.0, 255.0, out=frame)
-    return GrayImage(frame.astype(np.uint8))
+    return GrayImage(to_gray(frame))
 
 
-def _center_occlusion(frame_w: int, frame_h: int, start: int, end: int, size: int = 120) -> Occlusion:
-    return Occlusion(
-        start,
-        end,
-        Rect((frame_w - size) // 2, (frame_h - size) // 2, size, size),
-    )
+def _center_occlusion(frame_w: int, frame_h: int, start: int, end: int) -> Occlusion:
+    """A 120 px square panel over the frame's center."""
+    return Occlusion(start, end, Rect((frame_w - 120) // 2, (frame_h - 120) // 2, 120, 120))
 
 
 def make_scenario(

@@ -6,6 +6,8 @@ import math
 import os
 import threading
 
+import numpy as np
+
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, halves away from zero (sign-symmetric)."""
@@ -16,6 +18,18 @@ def round_half_away(x: float) -> int:
 
 def clamp(x, lo, hi):
     return max(lo, min(hi, x))
+
+
+def to_gray(values: np.ndarray, lo: float = 0.0, hi: float = 255.0) -> np.ndarray:
+    """``values`` rounded half up and clipped to [lo, hi], as uint8.
+
+    Works in place on the float array ``values``: it adds 0.5, clips, and
+    truncates in the cast. With ``lo >= 0`` nothing is negative after the
+    clip, so the truncation equals the floor of x + 0.5.
+    """
+    values += 0.5
+    np.clip(values, lo, hi, out=values)
+    return values.astype(np.uint8)
 
 
 class LazyPool:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .imagebuf import GrayImage
+from .util import to_gray
 
 DEFAULT_BANK_COUNT = 36
 
@@ -89,7 +90,7 @@ def _rotations(src: GrayImage, alphas: list[float]) -> np.ndarray:
     sxc = np.clip(sx, 0.0, float(w - 1))
     syc = np.clip(sy, 0.0, float(h - 1))
     vals = np.where(inside, _bilinear(f, sxc, syc), f.mean())
-    return np.clip(np.floor(vals + 0.5), 0.0, 255.0).astype(np.uint8)
+    return to_gray(vals)
 
 
 def warp_patch(src: GrayImage, alpha: float) -> GrayImage:

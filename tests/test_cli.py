@@ -130,6 +130,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "frame" not in proc.stdout
 
+    @pytest.mark.parametrize("written", ["200", "0", "180", "-5", "NaN"])
+    def test_field_of_view_out_of_range_is_named_in_degrees(self, tmp_path, capsys, written):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"hfov_deg": {written}}}')
+        args = ["sim", "--scenario", "cv", "--frames", "2", "--config", str(cfg), "--quiet"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"hfov_deg must be in (0, 180), got {written}\n" in err
+        assert "Traceback" not in err
+
+    def test_field_of_view_just_under_180_degrees_is_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"hfov_deg": 179.9}')
+        args = ["sim", "--scenario", "cv", "--frames", "2", "--config", str(cfg), "--quiet"]
+        assert main(args) == 0
+
     def test_config_error_is_one(self, tmp_path, template_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import region_mean_loops
 from uastrack.errors import BoundsError, PgmError
-from uastrack.imagebuf import GrayImage, Rect, crop, load_pgm, region_mean, save_pgm
+from uastrack.imagebuf import GrayImage, Rect, crop, load_pgm, save_pgm
 
 
 class TestGrayImage:
@@ -103,28 +102,3 @@ class TestCrop:
         b = Rect(1, 2, 4, 5)
         composed = Rect(a.x + b.x, a.y + b.y, b.w, b.h)
         assert crop(crop(img, a), b) == crop(img, composed)
-
-
-class TestRegionMean:
-    def test_constant(self):
-        assert region_mean(GrayImage.full(6, 6, 128), Rect(1, 1, 3, 3)) == 128.0
-
-    def test_two_sample_average(self):
-        img = GrayImage(np.array([[0, 255]], dtype=np.uint8))
-        assert region_mean(img, Rect(0, 0, 2, 1)) == 127.5
-
-    def test_matches_double_loop_oracle(self, rng):
-        img = GrayImage(rng.integers(0, 256, (9, 9), dtype=np.uint8))
-        r = Rect(2, 3, 5, 5)
-        expected = region_mean_loops(img.pixels.tolist(), r.x, r.y, r.w, r.h)
-        assert region_mean(img, r) == pytest.approx(expected, abs=1e-12)
-
-    def test_bounds_checked(self, ramp4):
-        with pytest.raises(BoundsError):
-            region_mean(ramp4, Rect(2, 2, 4, 4))
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_mean_in_range(self, seed):
-        g = np.random.default_rng(seed)
-        img = GrayImage(g.integers(0, 256, (6, 6), dtype=np.uint8))
-        assert 0.0 <= region_mean(img, Rect(0, 0, 6, 6)) <= 255.0

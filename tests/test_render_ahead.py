@@ -1,5 +1,6 @@
-"""Render ahead: frame k + 1's noise is drawn on a background thread while
-frame k is tracked, and every frame still equals the inline draw."""
+"""Render ahead: every frame's noise is drawn on one background thread,
+frame k + 1's while frame k is tracked, and every frame still equals the
+same draw made inline."""
 
 import dataclasses
 import os
@@ -89,9 +90,10 @@ def test_frames_in_order_are_drawn_ahead(draws):
     g = GimbalState()
     for k in range(HORIZON):
         assert np.array_equal(render(sc, g, k).pixels, reference(sc, g, k))
-    mine = {key[1]: name.startswith("uastrack-noise") for name, key in draws if key[0] == 90_210}
     assert len(draws) == HORIZON
-    assert mine == {k: k > 0 for k in range(HORIZON)}  # only frame 0 is drawn inline
+    # frame 0 too: a render with no draw in flight for its frame submits one
+    key = (sc.frame_h, sc.frame_w), sc.noise_sigma
+    assert draws == [("uastrack-noise_0", (90_210, k, *key)) for k in range(HORIZON)]
 
 
 def test_last_frame_submits_no_draw(draws):
@@ -107,9 +109,11 @@ def test_error_in_the_background_draw_reaches_its_render(monkeypatch):
     sc = dataclasses.replace(SCENARIOS[2], seed=90_212)
     g = GimbalState()
     draw = scenesim._draw_noise
+    failed = []
 
     def failing(*key):
-        if key[1] == 3 and threading.current_thread().name.startswith("uastrack-noise"):
+        if key[1] == 3 and not failed:  # only the draw made ahead of frame 3
+            failed.append(threading.current_thread().name)
             raise RuntimeError("noise draw failed")
         return draw(*key)
 
@@ -119,7 +123,8 @@ def test_error_in_the_background_draw_reaches_its_render(monkeypatch):
     with pytest.raises(RuntimeError, match="noise draw failed"):
         render(sc, g, 3)
     assert np.array_equal(render(sc, g, 4).pixels, reference(sc, g, 4))
-    assert np.array_equal(render(sc, g, 3).pixels, reference(sc, g, 3))
+    assert np.array_equal(render(sc, g, 3).pixels, reference(sc, g, 3))  # drawn again
+    assert failed == ["uastrack-noise_0"]
 
 
 def test_import_and_noise_free_renders_start_no_thread():
@@ -134,18 +139,16 @@ def test_import_and_noise_free_renders_start_no_thread():
         "    scenesim.render(quiet, GimbalState(), k)\n"
         "sc = scenesim.make_scenario('cv', frames=4)\n"
         "counts.append(threading.active_count())\n"
-        "scenesim.render(sc, GimbalState(), 3)  # the last frame draws nothing ahead\n"
-        "counts.append(threading.active_count())\n"
         "print(*counts, 'concurrent.futures' in sys.modules)\n"
-        "scenesim.render(sc, GimbalState(), 0)\n"
+        "scenesim.render(sc, GimbalState(), 3)  # the last frame draws nothing ahead\n"
         "print(threading.active_count())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(scenesim.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     first, second = out.stdout.splitlines()
-    assert first.split() == ["1", "1", "1", "False"]
-    assert int(second) == 2  # the noise thread starts with the first draw ahead
+    assert first.split() == ["1", "1", "False"]
+    assert int(second) == 2  # the noise thread starts with the first noisy render
 
 
 def test_threads_rendering_at_once_get_their_own_frames():

@@ -187,15 +187,15 @@ class TestTargetCompositing:
         assert panel.min() == panel.max() == 64
         assert render(sc, g, 8) != occluded
 
-    def test_explicit_world_too_small_raises(self):
-        with pytest.raises(ScenarioError):
-            static_scenario(world_w=100, world_h=50)
-
     def test_error_names_the_frame_that_leaves_the_world(self):
-        # x stays 0 on every frame; only the last frame's y leaves the world
+        # the world spans the trajectory, the frame and 48 px a side; a patch
+        # of 2 * 128 + 1 px touches its left edge on frame 0 and sticks 1 px
+        # out of its right edge on the last frame only
         with pytest.raises(ScenarioError, match="world at frame 99$"):
-            Scenario("x", frame_w=160, frame_h=120, trajectory=LineTrajectory(0, 0, 0, 1.0),
-                     frames=100, world_w=400, world_h=135)
+            Scenario("x", frame_w=160, frame_h=120, patch_w=257, patch_h=36,
+                     trajectory=LineTrajectory(0, 0, 1.0, 0), frames=100)
+        Scenario("x", frame_w=160, frame_h=120, patch_w=255, patch_h=36,
+                 trajectory=LineTrajectory(0, 0, 1.0, 0), frames=100)
 
 
 class TestTrajectories:

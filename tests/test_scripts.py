@@ -97,13 +97,40 @@ def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
 
 def test_replay_scans_times_each_stage():
     """With ``--stages``, each tree's scans run on one worker and a second table
-    splits each kind's ms per scan into the scan's stages and the rest."""
+    splits each kind's ms per scan into the scan's stages and the rest, and
+    counts what passes through the stages."""
     lines = output_lines("replay_scans.py", "--smoke", "--stages", "--other", str(ROOT))
     assert lines[0].endswith(", recorded thresholds, one worker, stages timed")
     assert lines[8].split() == ["tree", "kind", "window_sums", "correlation", "kept_positions",
-                                "candidate_pairs", "exact_top", "other"]
+                                "candidate_pairs", "exact_top", "other",
+                                "positions", "kept", "pairs", "tops"]
     rows = [line.split() for line in lines[9:]]
     assert [r[:2] for r in rows] == [[tree, kind] for tree in ("this", "other")
                                      for kind in ("frame_cold", "window_cold", "window_warm")]
-    assert all(float(x) >= 0.0 for r in rows for x in r[2:])  # stages nest inside the scan
+    assert all(float(x) >= 0.0 for r in rows for x in r[2:8])  # stages nest inside the scan
     assert all(float(r[3]) > 0.0 for r in rows)  # every scan correlates
+    counts = [[int(x) for x in r[8:]] for r in rows]
+    assert counts[:3] == counts[3:]  # the same tree twice counts alike
+    assert counts[0][0] == (320 - 22 + 1) * (240 - 36 + 1)  # a whole frame's positions
+    # each scan of a tracked target keeps some positions and scores some tops
+    assert all(positions >= kept >= tops > 0 and pairs > 0 for positions, kept, pairs, tops in counts)
+
+
+def test_replay_scans_fails_when_the_trees_count_differently(tmp_path):
+    """A tree whose position test keeps every position returns the same match
+    points, but counts differently, and that fails the replay."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    with open(tmp_path / "src" / "uastrack" / "matcher.py", "a") as f:
+        f.write(
+            "\n_kept = _kept_positions\n\n\n"
+            "def _kept_positions(c, kernel, bar, norm_f):\n"
+            "    return _kept(c, kernel, np.full_like(bar, -np.inf), norm_f)\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "replay_scans.py"), "--smoke", "--stages",
+         "--other", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "# the trees' stages counted different positions or pairs\n"
