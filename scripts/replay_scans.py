@@ -28,6 +28,8 @@ With ``--stages``, every tree replays on one scan worker, with each of the
 scan's stages (``STAGES``) timed through a wrapper on its ``matcher``, and
 a second table prints, for each tree and kind, the median over the rounds
 of the ms per scan in each stage, and in the rest of the scan ("other").
+A stage's time leaves out that of the stages it calls, so a tree whose
+correlation fills the spectra itself shows the fill apart too.
 Its last columns (``COUNTS``) total, over the kind's scans, what the
 wrappers see pass through the stages: the positions entering the position
 test, the positions it keeps, the candidate pairs of position and entry,
@@ -53,7 +55,8 @@ from uastrack.sim import run_sim, scenario_optics
 from uastrack.tracker import TrackerConfig
 
 KINDS = ("frame_cold", "frame_warm", "window_cold", "window_warm")
-STAGES = ("_window_sums", "_correlation", "_kept_positions", "_candidate_pairs", "_exact_top")
+STAGES = ("_window_sums", "_fill_spectra", "_correlation", "_kept_positions", "_candidate_pairs",
+          "_exact_top")
 # (column, count) taken from a stage's arguments and result, by stage
 COUNTS = {
     "_kept_positions": (("positions", lambda args, out: len(args[2])),  # a bar per position
@@ -107,14 +110,20 @@ def timed_stages(scan_module, spent, tally):
     if missing:
         sys.exit(f"error: {scan_module.__name__} has no {', '.join(missing)}")
     saved = {name: getattr(scan_module, name) for name in ("_WORKERS", *STAGES)}
+    running = []  # the stages in progress, innermost last
 
     def timed(name, stage):
         def wrapper(*args, **kwargs):
+            running.append(name)
             t0 = time.perf_counter()
             try:
                 out = stage(*args, **kwargs)
             finally:
-                spent[name] += (time.perf_counter() - t0) * 1e3
+                ms = (time.perf_counter() - t0) * 1e3
+                running.pop()
+                spent[name] += ms
+                if running:  # the calling stage's own time leaves this call out
+                    spent[running[-1]] -= ms
             for column, count in COUNTS.get(name, ()):
                 tally[column] += count(args, out)
             return out

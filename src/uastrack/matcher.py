@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -218,7 +217,6 @@ class _Kernel:
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
-    inv_norm: np.ndarray  # (K,) 1/||w_k||, 0 for a flat template
     angles: np.ndarray
     images: np.ndarray    # (r, th, tw) orthonormal, each summing to 0
     coef: np.ndarray      # (K, r) entry k's coordinates a_k over the images, / ||w_k||
@@ -306,7 +304,6 @@ def _kernel(bank: TemplateBank) -> _Kernel:
     kernel = _Kernel(
         weights,
         var_t,
-        inv_norm,
         np.array(bank.angles),
         images[:r].reshape(r, bank.base_height, bank.base_width),
         coef,
@@ -353,20 +350,6 @@ def _basis_margin(eta: float, r: int) -> float:
     return math.sqrt(2.0) * r * eta + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
 
 
-@dataclass(frozen=True)
-class _ScanJob:
-    """What every chunk of one correlation shares; chunks write disjoint
-    images of ``spectra`` when ``fresh`` and read nothing another chunk writes."""
-
-    frame: np.ndarray    # rfft2 of the mean-centred sub-image at ``shape``
-    spectra: np.ndarray  # (r, shape[0], shape[1]//2 + 1) conjugate spectra of ``kernels``
-    fresh: bool          # spectra still to be computed, each chunk its own
-    kernels: np.ndarray  # (r, th, tw) the bank's basis images
-    shape: tuple
-    nv: int
-    nu: int
-
-
 def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     """``np.fft.rfft2(weights, shape)`` bit for bit, by a cheaper route.
 
@@ -381,11 +364,6 @@ def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     return cols.transpose(0, 2, 1)
 
 
-def _fill_spectra(spectra: np.ndarray, kernels: np.ndarray, shape: tuple, k0: int, k1: int) -> None:
-    """Write the conjugate spectra at ``shape`` of kernels ``[k0, k1)`` into ``spectra``."""
-    np.conjugate(_bank_spectra(kernels[k0:k1], shape), out=spectra[k0:k1])
-
-
 def _chunks(r: int, shape: tuple, whole: bool) -> list[tuple[int, int]]:
     """A scan's r basis images in chunks ``[k0, k1)``: a whole frame's evenly within
     ``_CHUNK_ELEMS``, at least one chunk per worker; a window's, one chunk."""
@@ -394,11 +372,24 @@ def _chunks(r: int, shape: tuple, whole: bool) -> list[tuple[int, int]]:
     return [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)]
 
 
-def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
-    """The frame correlated with kernels ``[k0, k1)`` at every valid position.
+def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
+    """The conjugate spectra at ``shape`` of the basis ``images``, every one
+    filled before any correlation reads them: a whole frame's on the workers
+    in ``_chunks``, a window's on the calling thread."""
+    spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
+
+    def fill(k0, k1):
+        np.conjugate(_bank_spectra(images[k0:k1], shape), out=spectra[k0:k1])
+
+    _on_workers(fill, _chunks(len(images), shape, whole))
+    return spectra
+
+
+def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, nu: int) -> np.ndarray:
+    """The frame spectrum correlated with each of ``spectra`` at every valid position.
 
     A circular FFT correlation at the padded shape, at least the
-    sub-image's, so no valid window wraps around. The result, (k1 - k0,
+    sub-image's, so no valid window wraps around. The result, (len(spectra),
     nv, nu), is a view of the inverse transform.
 
     The first inverse pass runs in place on the product, so a call frees
@@ -406,12 +397,10 @@ def _correlation(job: _ScanJob, k0: int, k1: int) -> np.ndarray:
     glibc malloc's trim threshold at a window's size, returning the pages
     to the system to be faulted back in on the next scan.
     """
-    if job.fresh:
-        _fill_spectra(job.spectra, job.kernels, job.shape, k0, k1)
     # irfft2, dropping between its two passes the rows no valid position needs
-    spectrum = job.spectra[k0:k1] * job.frame
+    spectrum = spectra * frame
     np.fft.ifft(spectrum, axis=1, out=spectrum)
-    return np.fft.irfft(spectrum[:, : job.nv], job.shape[1], axis=2)[:, :, : job.nu]
+    return np.fft.irfft(spectrum[:, :nv], shape[1], axis=2)[:, :, :nu]
 
 
 def _executor():
@@ -584,12 +573,12 @@ def scan(
     whole = shape == (_smooth5(img.height), _smooth5(img.width))
     spectra = kernel.spectra(shape, whole)
     fresh = spectra is None
-    spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128) if fresh else spectra
-    job = _ScanJob(frame, spectra, fresh, kernel.images, shape, nv, nu)
+    if fresh:
+        spectra = _fill_spectra(kernel.images, shape, whole)
     c = np.empty((r, nv, nu))
 
     def correlate(k0, k1):
-        c[k0:k1] = _correlation(job, k0, k1)
+        c[k0:k1] = _correlation(frame, spectra[k0:k1], shape, nv, nu)
 
     _on_workers(correlate, _chunks(r, shape, whole))
     bands = _WORKERS if whole else 1  # a whole frame's positions, one band per worker
@@ -622,17 +611,15 @@ def scan(
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
     """Build the bank's kernel, then the spectra a scan of a whole frame_w x
-    frame_h frame keeps in ``kernel.frame``, on the workers in that scan's
-    chunks. Does nothing when they are kept, or the template does not fit."""
+    frame_h frame keeps in ``kernel.frame``, filled as that scan fills them
+    (``_fill_spectra``). Does nothing when they are kept, or the template
+    does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
     kernel = _kernel(bank)
     shape = (_smooth5(frame_h), _smooth5(frame_w))
     if kernel.spectra(shape, True) is None:
-        r = len(kernel.images)
-        spectra = np.empty((r, shape[0], shape[1] // 2 + 1), np.complex128)
-        _on_workers(partial(_fill_spectra, spectra, kernel.images, shape), _chunks(r, shape, True))
-        kernel.keep(shape, spectra, True)
+        kernel.keep(shape, _fill_spectra(kernel.images, shape, True), True)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:

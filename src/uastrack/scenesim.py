@@ -278,8 +278,6 @@ def _geometry(sc: Scenario) -> _Geometry:
     x0, y0 = sc.trajectory.position(0)
     base_x = round_half_away(x0 + off_x) - (sc.frame_w - 1) // 2
     base_y = round_half_away(y0 + off_y) - (sc.frame_h - 1) // 2
-    base_x = max(0, min(base_x, world_w - sc.frame_w))
-    base_y = max(0, min(base_y, world_h - sc.frame_h))
     return _Geometry(world_w, world_h, off_x, off_y, base_x, base_y)
 
 

@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import zmncc_loops
+from strategies import scenarios
 from uastrack import matcher
 from uastrack.errors import BoundsError
 from uastrack.imagebuf import GrayImage, Rect
@@ -271,7 +272,7 @@ class TestScanExactness:
                 best, angle = best_of_bank(img, bank, u, v)
                 if best >= threshold:
                     expected.append(MatchPoint(u, v, best, angle))
-        for workers in (1, 2):
+        for workers in (1, 2, 3):  # 3: chunks and bands split unevenly
             assert scan_with(img, bank, full, threshold, workers) == expected
             assert scan_with(img, bank, full, threshold, workers, chunk_elems=1) == expected
 
@@ -284,7 +285,7 @@ class TestScanExactness:
         whole = scan(img, bank, full, threshold)
         kept = bank.kernel.frame
         assert kept[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
-        for workers, rect in zip([1, 2] * len(rects), rects):
+        for workers, rect in zip([1, 2, 3] * len(rects), rects):
             window = Rect(*rect)
             inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
             assert scan_with(img, bank, window, threshold, workers) == inside
@@ -518,13 +519,20 @@ def chunk_threads(monkeypatch, name="_correlation"):
     return threads
 
 
+def basis_chunk(spectra):
+    """(first, stop) of the basis images whose spectra are ``spectra``, a slice
+    of the array of a bank's spectra at one shape."""
+    first = (spectra.ctypes.data - spectra.base.ctypes.data) // spectra.strides[0]
+    return first, first + len(spectra)
+
+
 def split_calls(monkeypatch):
     """What scans run from now on: the (first, stop) of every basis chunk and
     position band, and the number of positions of every position test, of
     every chunk of the entry bound and of every chunk of the exact stage."""
     calls = ([], [], [], [], [])
     names = ("_correlation", "_top", "_kept_positions", "_candidate_pairs", "_exact_top")
-    for ran, name, record in zip(calls, names, (lambda a: a[1:3], lambda a: a[4:6],
+    for ran, name, record in zip(calls, names, (lambda a: basis_chunk(a[1]), lambda a: a[4:6],
                                                 lambda a: len(a[2]), lambda a: len(a[2]),
                                                 lambda a: len(a[2]))):
         def recording(*args, task=getattr(matcher, name), ran=ran, record=record):
@@ -564,7 +572,7 @@ class TestReusedBuffersAndWhereChunksRun:
         patches = [GrayImage(px[2:7, 3:9].copy()), GrayImage(rng.integers(0, 256, (8, 3), dtype=np.uint8))]
         counts = [4, 1]
         references = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             banks = [build_bank(p, c, 360.0 / c) for p, c in zip(patches, counts)]
             for which, rect, threshold, chunk_elems in steps:
                 bank = banks[which]
@@ -577,7 +585,7 @@ class TestReusedBuffersAndWhereChunksRun:
                     references[key] = expected_points(img, bank, window, threshold)
                 assert got == references[key]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_scan_after_a_failed_chunk_is_exact(self, rng, checker22x36, workers, monkeypatch):
         bank = build_bank(checker22x36, 4, 90.0)
         frame = GrayImage(plant(rng.integers(0, 256, (80, 90), dtype=np.uint8), checker22x36, 45, 40))
@@ -586,7 +594,7 @@ class TestReusedBuffersAndWhereChunksRun:
         inside = scan_with(frame, bank, window, 0.3, workers)
         correlation = matcher._correlation
         with monkeypatch.context() as mp:  # correlations three times too large
-            mp.setattr(matcher, "_correlation", lambda job, k0, k1: 3.0 * correlation(job, k0, k1))
+            mp.setattr(matcher, "_correlation", lambda *args: 3.0 * correlation(*args))
             with pytest.raises(ArithmeticError, match="past its bound"):
                 scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems=1)
         assert scan_with(frame, bank, window, 0.3, workers) == inside
@@ -648,6 +656,38 @@ class TestReusedBuffersAndWhereChunksRun:
             bands.clear()
             scan(img, b, img.rect, 0.9 if img is frame else 0.0)
             assert on_workers(threads) and on_workers(bands) and len(bands) == 2
+
+    def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
+        """``prepare``, a bare bank's first whole frame and each new window
+        shape fill their spectra through ``_fill_spectra``, every image before
+        any correlation reads one: a whole frame's on the workers, a window's
+        on the calling thread. Warm scans fill nothing."""
+        events = []
+        fill, correlation = matcher._fill_spectra, matcher._correlation
+        monkeypatch.setattr(matcher, "_fill_spectra", lambda *args: events.append(args[1:]) or fill(*args))
+        monkeypatch.setattr(matcher, "_correlation", lambda *args: events.append("c") or correlation(*args))
+        monkeypatch.setattr(matcher, "_WORKERS", 2)
+        threads = chunk_threads(monkeypatch, "_bank_spectra")
+        patch = default_target_patch(7)
+        frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 150, 100))
+        prepared, bare = build_bank(patch), build_bank(patch)
+        matcher.prepare(prepared, 320, 240)
+        assert events == [((240, 320), True)] and len(threads) == 6 and on_workers(threads)
+        common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 90x54, 96x72
+        scans = [(prepared, frame.rect, []), (bare, frame.rect, [((240, 320), True)]),
+                 (bare, frame.rect, []), (bare, common, [((90, 54), False)]), (bare, common, []),
+                 (bare, grown, [((96, 72), False)]), (prepared, common, [((90, 54), False)])]
+        for bank, window, filled in scans:
+            events.clear()
+            threads.clear()
+            got = scan(frame, bank, window, 0.9)
+            chunks = 6 if window == frame.rect else 1
+            assert events == filled + ["c"] * chunks  # filled whole, then correlated
+            if filled:
+                assert len(threads) == chunks
+                assert on_workers(threads) if chunks > 1 else threads == [threading.main_thread()]
+            assert got == rank_k_scan(frame, bank, window, 0.9)
+        assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
 
     def test_large_windows_take_rank_r(self, rng, monkeypatch):
         """A window runs on the calling thread whatever its size, one position
@@ -920,7 +960,7 @@ class TestLowRankRoute:
 
         correlation = matcher._correlation
         with monkeypatch.context() as mp:  # correlations three times too large
-            mp.setattr(matcher, "_correlation", lambda job, k0, k1: 3.0 * correlation(job, k0, k1))
+            mp.setattr(matcher, "_correlation", lambda *args: 3.0 * correlation(*args))
             mp.setattr(matcher, "_exact_top", recording)
             with pytest.raises(ArithmeticError, match="past its bound") as excinfo:
                 scan(frame, bank, window, 0.9)
@@ -958,6 +998,38 @@ class TestLowRankRoute:
         points, positions = (sum(column) for column in zip(*compared))
         assert len(compared) == 30 and points > 0
         assert sum(len(args[2]) for args in calls) == positions  # every position bounded once
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(scenarios(), st.booleans())
+    def test_generated_closed_loop_scans_equal_the_rank_k_route(self, sc, prepared):
+        """Over generated scenes, every scan of a run, cold or warm and of any
+        window shape, equals the reference; a bank that is not prepared fills
+        its whole-frame spectra in its first whole-frame scan. Every frame
+        has one status and a window inside the valid centres, holding its
+        detection, and a finite, positive trace of P."""
+        from uastrack.sim import run_sim, scenario_optics
+        from uastrack.tracker import STATUS_INITIALIZED, STATUS_LOST, STATUS_MISS, \
+            STATUS_REDETECTING, STATUS_TRACKING, TrackerConfig
+
+        def both(img, bank, window, threshold):
+            got = scan(img, bank, window, threshold)
+            assert got == rank_k_scan(img, bank, window, threshold)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "scan", both)
+            if not prepared:
+                mp.setattr(matcher, "prepare", lambda bank, w, h: None)
+            result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
+        full = valid_center_rect(sc.patch_w, sc.patch_h, sc.frame_w, sc.frame_h)
+        statuses = {STATUS_INITIALIZED, STATUS_TRACKING, STATUS_MISS, STATUS_REDETECTING, STATUS_LOST}
+        assert [o.frame_index for o in result.outcomes] == list(range(sc.frames))
+        for o in result.outcomes:
+            assert o.status in statuses
+            assert full.contains(o.window) and o.window.w > 0 and o.window.h > 0
+            d, w = o.detection, o.window
+            assert d is None or (w.x <= d.x <= w.x2 - 1 and w.y <= d.y <= w.y2 - 1)
+            assert o.state is None or 0.0 < float(o.state.P.trace()) < math.inf
 
 
 def test_scan_makes_no_blas_call():

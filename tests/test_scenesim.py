@@ -28,6 +28,8 @@ from uastrack.scenesim import (
 from uastrack.tracker import gimbal_offset, OpticsConfig
 from uastrack.warp import build_bank, warp_patch
 
+from strategies import trajectories
+
 
 def static_scenario(noise=0.0, **kw):
     defaults = dict(
@@ -142,6 +144,20 @@ class TestCameraCoupling:
         g = GimbalState(pan_counts=30_000, max_counts_per_step=50_000)
         ox, oy = camera_origin(sc, g)
         assert ox >= 0 and oy >= 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(320, 240), (640, 480)]), st.integers(1, 60).flatmap(
+        lambda frames: st.tuples(st.just(frames), trajectories(frames))))
+    def test_base_origin_lies_inside_the_world(self, size, horizon):
+        """The world spans the trajectory plus the frame and a pad on each
+        side, so the camera's origin at zero gimbal is in range unclamped."""
+        frames, trajectory = horizon
+        sc = Scenario("generated", frame_w=size[0], frame_h=size[1], trajectory=trajectory,
+                      frames=frames)
+        g = scenesim._geometry(sc)
+        assert 0 <= g.base_origin_x <= g.world_w - sc.frame_w
+        assert 0 <= g.base_origin_y <= g.world_h - sc.frame_h
+        assert (g.base_origin_x, g.base_origin_y) == camera_origin(sc, GimbalState())
 
 
 class TestIllumination:

@@ -101,15 +101,16 @@ def test_replay_scans_times_each_stage():
     counts what passes through the stages."""
     lines = output_lines("replay_scans.py", "--smoke", "--stages", "--other", str(ROOT))
     assert lines[0].endswith(", recorded thresholds, one worker, stages timed")
-    assert lines[8].split() == ["tree", "kind", "window_sums", "correlation", "kept_positions",
-                                "candidate_pairs", "exact_top", "other",
+    assert lines[8].split() == ["tree", "kind", "window_sums", "fill_spectra", "correlation",
+                                "kept_positions", "candidate_pairs", "exact_top", "other",
                                 "positions", "kept", "pairs", "tops"]
     rows = [line.split() for line in lines[9:]]
     assert [r[:2] for r in rows] == [[tree, kind] for tree in ("this", "other")
                                      for kind in ("frame_cold", "window_cold", "window_warm")]
-    assert all(float(x) >= 0.0 for r in rows for x in r[2:8])  # stages nest inside the scan
-    assert all(float(r[3]) > 0.0 for r in rows)  # every scan correlates
-    counts = [[int(x) for x in r[8:]] for r in rows]
+    assert all(float(x) >= 0.0 for r in rows for x in r[2:9])  # stages nest inside the scan
+    assert all(float(r[4]) > 0.0 for r in rows)  # every scan correlates
+    assert all(float(r[3]) > 0.0 for r in rows if r[1].endswith("_cold"))  # a bare bank fills
+    counts = [[int(x) for x in r[9:]] for r in rows]
     assert counts[:3] == counts[3:]  # the same tree twice counts alike
     assert counts[0][0] == (320 - 22 + 1) * (240 - 36 + 1)  # a whole frame's positions
     # each scan of a tracked target keeps some positions and scores some tops
