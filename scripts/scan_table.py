@@ -15,7 +15,10 @@ them. Nothing else runs in the process: no noise thread, no render.
 Each row prints the range over the rounds of the cold time and of the warm
 median, in ms, and the match point count, which must be the same in every
 round (else the exit code is 1). The last line is the process's peak
-resident set size. Run it on two commits, alternating, to compare them.
+resident set size, then the largest basis spectra any bank kept, in MiB:
+those of its whole-frame slot (``frame_spectra_mib``) and those of its
+window shapes (``window_spectra_mib``). Run it on two commits,
+alternating, to compare them.
 
     PYTHONPATH=src python3 scripts/scan_table.py [--seeds 1 3 7 42]
         [--thresholds 0.9] [--rounds 5] [--reps 7] [--frame 320x240] [--smoke]
@@ -71,6 +74,7 @@ def main(argv=None) -> int:
     cold = {case: [] for case in cases}
     warm = {case: [] for case in cases}
     points = {case: set() for case in cases}
+    kept = {"frame": 0, "window": 0}  # bytes of spectra a bank keeps, the largest seen
     for _ in range(args.rounds):
         for case in cases:
             kind, threshold, seed = case
@@ -83,6 +87,9 @@ def main(argv=None) -> int:
             reps = [timed(img, bank, window, threshold) for _ in range(args.reps)]
             warm[case].append(statistics.median(ms for ms, _ in reps))
             points[case].update(count for _, count in reps)
+            frame_slot = bank.kernel.frame
+            kept["frame"] = max(kept["frame"], frame_slot[1].nbytes if frame_slot else 0)
+            kept["window"] = max(kept["window"], sum(s.nbytes for s in bank.kernel.windows.values()))
     print("scan threshold seed cold_ms warm_ms points")
     name = {"frame": f"frame{w}x{h}", "window": f"window{WINDOW[0]}x{WINDOW[1]}"}
     for case in cases:
@@ -90,7 +97,8 @@ def main(argv=None) -> int:
         spans = [f"{min(t):.1f}-{max(t):.1f}" for t in (cold[case], warm[case])]
         counts = "/".join(str(c) for c in sorted(points[case]))
         print(name[kind], threshold, seed, *spans, counts)
-    print(f"# peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
+    print(f"# peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}",
+          f"frame_spectra_mib {kept['frame'] / 2**20:.1f}", f"window_spectra_mib {kept['window'] / 2**20:.1f}")
     return 0 if all(len(p) == 1 for p in points.values()) else 1
 
 

@@ -25,13 +25,11 @@ from .warp import TemplateBank
 
 DEFAULT_THRESHOLD = 0.9
 
-# Cap on the elements of one piece of a scan's work: a chunk of a whole
-# frame's correlations, counted as basis images x padded area, and a chunk of
-# kept positions of the entry bound and the exact stage, counted as bank
-# entries x positions. It holds 2 images of a whole 320x240 frame (240x320),
-# chosen by measurement (README, "Scan kernel"); a larger image makes a chunk
-# of its own. It holds 4,860 positions of a 36-entry bank, more than a band
-# keeps at 0.9, and bounds the candidate pairs a band holds at any threshold.
+# Cap on the elements of one piece of a band's work: a chunk of its
+# correlations, counted as basis images x padded area (3 images of a 320x240
+# frame's 144x320 band; chosen by measurement, README "Scan kernel"), and a
+# chunk of kept positions, counted as bank entries x positions (4,860 of a
+# 36-entry bank, more than a band keeps at 0.9, bounding the pairs it holds).
 _CHUNK_ELEMS = 174_960
 
 # Budget for the basis spectra a bank keeps at window shapes, least recently
@@ -50,8 +48,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Scan worker threads: one per CPU this process may run on. With one, a
-# whole frame's chunks and bands run inline on the calling thread.
+# Scan worker threads: one per CPU this process may run on, and a whole
+# frame's bands. With one, a whole frame is one band on the calling thread.
 _WORKERS = _cpu_count()
 _pool = LazyPool("uastrack-scan")
 
@@ -224,7 +222,7 @@ class _Kernel:
     mode: np.ndarray      # (r,) each image's angle mode; a mode's images are consecutive
     starts: np.ndarray    # (G,) the first image of each mode g
     amp: np.ndarray       # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
-    # (padded shape, spectra) of the whole frame, never evicted by window scans
+    # (padded shape, spectra) of a whole frame's bands, never evicted by window scans
     frame: tuple | None = None
     # spectra by window padded shape, least recently used first
     windows: dict = field(default_factory=dict)
@@ -364,24 +362,29 @@ def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
     return cols.transpose(0, 2, 1)
 
 
-def _chunks(r: int, shape: tuple, whole: bool) -> list[tuple[int, int]]:
-    """A scan's r basis images in chunks ``[k0, k1)``: a whole frame's evenly within
-    ``_CHUNK_ELEMS``, at least one chunk per worker; a window's, one chunk."""
-    per_chunk = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
-    chunks = min(r, max(_WORKERS, -(-r // per_chunk))) if whole else 1
-    return [(r * i // chunks, r * (i + 1) // chunks) for i in range(chunks)]
+def _parts(n: int) -> list[tuple[int, int]]:
+    """``range(n)`` in one run ``[lo, hi)`` per worker, sizes differing by at most one."""
+    k = max(1, min(_WORKERS, n))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
-    """The conjugate spectra at ``shape`` of the basis ``images``, every one
-    filled before any correlation reads them: a whole frame's on the workers
-    in ``_chunks``, a window's on the calling thread."""
+def _bands(size: tuple, th: int) -> tuple[list[tuple[int, int]], tuple]:
+    """The rows of positions of a whole frame's sub-image of ``size`` in one
+    band per worker (``_parts``), and the padded shape of the tallest band's
+    sub-image, which every band takes."""
+    bands = _parts(size[0] - th + 1)
+    return bands, (_smooth5(bands[-1][1] - bands[-1][0] + th - 1), _smooth5(size[1]))
+
+
+def _fill_spectra(images: np.ndarray, shape: tuple, runs: list) -> np.ndarray:
+    """The conjugate spectra at ``shape`` of the basis ``images``, all filled
+    before any correlation reads them, one task a run ``[k0, k1)`` of images."""
     spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
 
     def fill(k0, k1):
         np.conjugate(_bank_spectra(images[k0:k1], shape), out=spectra[k0:k1])
 
-    _on_workers(fill, _chunks(len(images), shape, whole))
+    _on_workers(fill, runs)
     return spectra
 
 
@@ -507,25 +510,38 @@ def _exact_top(pairs, exact, at):
     return pos[first], scores[first], ks[first]
 
 
-def _top(c, kernel, bar, exact, lo, hi):
-    """Each position's top exact score in the band ``[lo, hi)``: (positions, top, entry).
-
-    One position test over the band, then the entry bound and the exact
-    stage on chunks of at most ``_CHUNK_ELEMS // K`` kept positions, so a
-    band holds one chunk's pairs at a time. Positions are independent, so
-    the chunks' results join without a merge.
-    """
-    norm_f = exact[3]
-    at, outside = _kept_positions(c[:, lo:hi], kernel, bar[lo:hi], norm_f[lo:hi])
-    at += lo
+def _band(sub, kernel, spectra, shape, threshold, first):
+    """Each position's top exact score in one band of sub-image ``sub``, a
+    window's or a row band of a whole frame's: (positions, counted from
+    ``first``, top, entry, var_f). Its own window sums, transform, margin
+    and bar; its correlations, a chunk of images at a time; one position
+    test; then the entry bound and the exact stage on chunks of at most
+    ``_CHUNK_ELEMS // K`` kept positions, so it holds one chunk's pairs at a
+    time."""
+    th, tw = kernel.weights.shape[1:]
+    nv, nu, n = sub.shape[0] - th + 1, sub.shape[1] - tw + 1, tw * th
+    sf, sff = _window_sums(sub, tw, th)
+    var_f = (n * sff - sf * sf).astype(np.float64).ravel()
+    norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the running sums
+    centred = sub - sub.mean()
+    frame = np.fft.rfft2(centred, shape)
+    r = len(spectra)
+    margin = _basis_margin(_fft_error(centred, shape[0] * shape[1], n), r)
+    bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
+    c = np.empty((r, nv * nu))
+    step = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))  # basis images a chunk
+    for k in range(0, r, step):
+        c.reshape(r, nv, nu)[k : k + step] = _correlation(frame, spectra[k : k + step], shape, nv, nu)
+    at, outside = _kept_positions(c, kernel, bar, norm_f)
     step = max(1, _CHUNK_ELEMS // len(kernel.coef))
     tops = []
     for i in range(0, len(at) or 1, step):
         part = at[i : i + step]
         pairs = _candidate_pairs(c[:, part], kernel, bar[part], outside[i : i + step])
-        tops.append(_exact_top(pairs, exact, part))
+        tops.append(_exact_top(pairs, (sub, kernel, var_f, norm_f, margin, nu), part))
         del pairs  # freed before the next chunk's are built
-    return [np.concatenate(a) for a in zip(*tops)]
+    at, top, idx = (np.concatenate(a) for a in zip(*tops))
+    return at + first, top, idx, var_f
 
 
 def scan(
@@ -548,45 +564,28 @@ def scan(
     Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
-    A scan whose padded shape is the whole frame's runs on the workers, its
-    basis images in chunks and its positions in bands (``_top``); any
-    other, on the calling thread.
+    A scan whose padded shape is the whole frame's splits its rows of
+    positions into one band per worker (``_bands``), each run on the workers
+    as a window runs (``_band``); any other is one band, on the calling thread.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
     if u0 > u1 or v0 > v1:
         return []
-    nu, nv, n = u1 - u0 + 1, v1 - v0 + 1, tw * th
+    nu, nv = u1 - u0 + 1, v1 - v0 + 1
     ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
     kernel = _kernel(bank)
-    sf, sff = _window_sums(sub, tw, th)
-    var_f = (n * sff - sf * sf).astype(np.float64).ravel()
-    norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the running sums
-
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-    centred = sub - sub.mean()
-    frame = np.fft.rfft2(centred, shape)
-    r = len(kernel.images)
-    margin = _basis_margin(_fft_error(centred, shape[0] * shape[1], n), r)
-    bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
     whole = shape == (_smooth5(img.height), _smooth5(img.width))
+    bands, shape = _bands(sub.shape, th) if whole else ([(0, nv)], shape)
     spectra = kernel.spectra(shape, whole)
     fresh = spectra is None
     if fresh:
-        spectra = _fill_spectra(kernel.images, shape, whole)
-    c = np.empty((r, nv, nu))
-
-    def correlate(k0, k1):
-        c[k0:k1] = _correlation(frame, spectra[k0:k1], shape, nv, nu)
-
-    _on_workers(correlate, _chunks(r, shape, whole))
-    bands = _WORKERS if whole else 1  # a whole frame's positions, one band per worker
-    edges = [nv * nu * i // bands for i in range(bands + 1)]
-    exact = (sub, kernel, var_f, norm_f, margin, nu)
-    tops = _on_workers(_top, [(c.reshape(r, nv * nu), kernel, bar, exact, lo, hi)
-                              for lo, hi in zip(edges, edges[1:]) if lo < hi])
-    at, top, idx = (np.concatenate(a) for a in zip(*tops))
+        spectra = _fill_spectra(kernel.images, shape, [(0, len(kernel.images))])
+    tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, shape, threshold, lo * nu)
+                               for lo, hi in bands])
+    at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
     if fresh or not whole:  # kept, or marked used, only once the scan has succeeded
         kernel.keep(shape, spectra, whole)
 
@@ -611,15 +610,15 @@ def scan(
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
     """Build the bank's kernel, then the spectra a scan of a whole frame_w x
-    frame_h frame keeps in ``kernel.frame``, filled as that scan fills them
-    (``_fill_spectra``). Does nothing when they are kept, or the template
-    does not fit."""
+    frame_h frame keeps in ``kernel.frame``, at the shape of its bands
+    (``_bands``), one run of images per worker (README, "Where the work
+    runs"). Does nothing when they are kept, or the template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
     kernel = _kernel(bank)
-    shape = (_smooth5(frame_h), _smooth5(frame_w))
+    _, shape = _bands((frame_h, frame_w), bank.base_height)
     if kernel.spectra(shape, True) is None:
-        kernel.keep(shape, _fill_spectra(kernel.images, shape, True), True)
+        kernel.keep(shape, _fill_spectra(kernel.images, shape, _parts(len(kernel.images))), True)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:

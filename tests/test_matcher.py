@@ -27,7 +27,15 @@ from uastrack.matcher import (
     valid_center_rect,
     zmncc,
 )
-from uastrack.scenesim import BUILTIN_NAMES, default_target_patch
+from uastrack.scenesim import (
+    BUILTIN_NAMES,
+    JumpTrajectory,
+    LineTrajectory,
+    Occlusion,
+    Ramp,
+    Scenario,
+    default_target_patch,
+)
 from uastrack.warp import build_bank, warp_patch
 
 
@@ -284,7 +292,7 @@ class TestScanExactness:
         full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
         whole = scan(img, bank, full, threshold)
         kept = bank.kernel.frame
-        assert kept[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
+        assert kept[0] == frame_slot(img, bank)
         for workers, rect in zip([1, 2, 3] * len(rects), rects):
             window = Rect(*rect)
             inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
@@ -335,55 +343,73 @@ class TestScanExactness:
     @pytest.mark.parametrize(
         "workers, chunk_elems, expected",
         [
-            # (basis chunks, position bands) of a whole 82x54 frame: its 12
-            # basis images pad to 90x54, and it has 47 x 33 = 1,551 positions
-            (1, matcher._CHUNK_ELEMS, ([(0, 12)], [(0, 1551)])),
-            (2, matcher._CHUNK_ELEMS, ([(0, 6), (6, 12)], [(0, 775), (775, 1551)])),
-            (5, matcher._CHUNK_ELEMS, ([(0, 2), (2, 4), (4, 7), (7, 9), (9, 12)],
-                                       [(0, 310), (310, 620), (620, 930), (930, 1240), (1240, 1551)])),
-            # a cap of 5 images at 90x54 needs 3 chunks, and holds 675 positions of 36 entries
-            (2, 5 * 90 * 54, ([(0, 4), (4, 8), (8, 12)], [(0, 775), (775, 1551)])),
+            # (first position, padded shape) of each band of a whole 82x54
+            # frame: its 47 x 33 = 1,551 positions split by rows, every band
+            # padded as the tallest band's sub-image, its rows + 35
+            (1, matcher._CHUNK_ELEMS, [(0, (90, 54))]),  # the frame's own shape
+            (2, matcher._CHUNK_ELEMS, [(0, (60, 54)), (23 * 33, (60, 54))]),  # 23 and 24 rows
+            (5, matcher._CHUNK_ELEMS, [(row * 33, (45, 54)) for row in (0, 9, 18, 28, 37)]),
+            # a cap of 24,300 elements holds 7 images at 60x54, and 675
+            # positions of 36 entries
+            (2, 24_300, [(0, (60, 54)), (23 * 33, (60, 54))]),
         ],
     )
     def test_bank_splits_evenly_into_chunks_within_the_cap(
         self, rng, workers, chunk_elems, expected, monkeypatch
     ):
-        """A whole frame's basis images split evenly into chunks within the
-        cap, at least one per worker, and its positions into one band per
-        worker. Each band runs one position test over all its positions,
-        then the entry bound and the exact stage on chunks of at most
-        cap // K kept positions: at threshold 0 every position of a noise
-        frame is kept."""
+        """A whole frame's rows of positions split evenly into one band per
+        worker, each at the padded shape of the tallest band, whose spectra
+        the bank keeps. Each band correlates its basis images in chunks of
+        at most cap // (padded area), runs one position test over its
+        positions, then the entry bound and the exact stage on chunks of at
+        most cap // K kept positions: at threshold 0 every position of a
+        noise frame is kept."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (82, 54), dtype=np.uint8))  # pads to 90x54
-        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
+        bands, chunks, tests, entries, exacts = split_calls(monkeypatch)
         points = scan_with(frame, bank, frame.rect, 0.0, workers, chunk_elems)
-        assert (sorted(chunks), sorted(bands)) == expected
-        assert sorted(tests) == sorted(hi - lo for lo, hi in expected[1])  # one test per band
+        assert sorted(bands) == expected
+        per_chunk = min(12, chunk_elems // (expected[0][1][0] * expected[0][1][1]))
+        images = [per_chunk] * (12 // per_chunk) + [12 % per_chunk] * (12 % per_chunk > 0)
+        assert sorted(chunks) == sorted(images * len(expected))
+        edges = [first for first, _ in expected] + [1551]
+        sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        assert sorted(tests) == sorted(sizes)  # one test per band
         step = chunk_elems // len(bank)
-        kept = sorted(min(step, hi - b) for lo, hi in expected[1] for b in range(lo, hi, step))
+        kept = sorted(min(step, size - b) for size in sizes for b in range(0, size, step))
         assert sorted(entries) == sorted(exacts) == kept
+        assert bank.kernel.frame[0] == expected[0][1]
         assert points == rank_k_scan(frame, bank, frame.rect, 0.0)
 
-    def test_whole_320x240_frame_takes_2_images_a_chunk_and_4860_positions_a_block(
-        self, rng, monkeypatch
-    ):
-        """Each band of a whole frame at 0.9 runs one position test over its
-        positions; on noise it keeps a handful, far fewer than 4,860, so its
-        entry bound and exact stage run as one chunk."""
+    def test_whole_320x240_frame_takes_one_144x320_band_per_worker(self, rng, monkeypatch):
+        """Two workers split a whole frame's 205 rows of 299 positions into
+        bands of 102 and 103 rows, each padded to 144x320; the bank keeps
+        12 spectra at that shape, 4.2 MiB. Each band at 0.9 runs one
+        position test over its positions; on noise it keeps a handful, far
+        fewer than 4,860, so its entry bound and exact stage run as one
+        chunk. One worker scans the frame as one band at 240x320, 2 images
+        a chunk."""
         bank = build_bank(default_target_patch(3))
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8),
                                 bank.entries[9].patch, 200, 90))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
+        bands, chunks, tests, entries, exacts = split_calls(monkeypatch)
         points = scan(frame, bank, frame.rect, 0.9)
-        assert sorted(chunks) == [(k, k + 2) for k in range(0, 12, 2)]
-        assert sorted(bands) == [(0, 30647), (30647, 61295)]  # 205 x 299 positions
-        assert sorted(tests) == [30647, 30648]
+        assert sorted(bands) == [(0, (144, 320)), (102 * 299, (144, 320))]
+        assert chunks == [3] * 8  # 174,960 // (144 * 320) images a chunk, 4 chunks a band
+        assert sorted(tests) == [102 * 299, 103 * 299]
         assert len(entries) == 2 and sorted(entries) == sorted(exacts)
         assert all(kept < 4860 for kept in entries)
+        assert bank.kernel.frame[1].shape == (12, 144, 161)
+        assert bank.kernel.frame[1].nbytes == 12 * 144 * 161 * 16  # 4.2 MiB
         assert points == rank_k_scan(frame, bank, frame.rect, 0.9)
         assert (200, 90, 1.0, 90.0) in {(p.u, p.v, p.score, p.angle_deg) for p in points}
+        bands.clear()
+        chunks.clear()
+        alone = build_bank(default_target_patch(3))
+        assert scan_with(frame, alone, frame.rect, 0.9, workers=1) == points
+        assert bands == [(0, (240, 320))] and alone.kernel.frame[0] == (240, 320)
+        assert chunks == [2] * 6
 
     def test_band_at_minus_1_runs_in_chunks_of_4860_kept_positions(self, rng, monkeypatch):
         """At threshold -1 a band keeps every position but the flat ones, and
@@ -394,11 +420,11 @@ class TestScanExactness:
         px[70:, 120:] = 33  # flat at every centre with u >= 130 and v >= 87
         frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        chunks, bands, tests, entries, exacts = split_calls(monkeypatch)
+        bands, chunks, tests, entries, exacts = split_calls(monkeypatch)
         points = scan(frame, bank, frame.rect, -1.0)
         flat = (148 - 130 + 1) * (101 - 87 + 1)  # of 139 x 85 = 11,815 positions
-        assert sorted(bands) == [(0, 5907), (5907, 11815)]
-        assert sorted(tests) == [5907, 5908]
+        assert sorted(first for first, _ in bands) == [0, 42 * 139]  # rows 0-41 and 42-84
+        assert sorted(tests) == [42 * 139, 43 * 139]
         assert sorted(entries) == sorted(exacts) and sum(entries) == 11815 - flat
         assert len(entries) == 4 and max(entries) == 4860  # two chunks a band
         assert points == rank_k_scan(frame, bank, frame.rect, -1.0)
@@ -519,20 +545,20 @@ def chunk_threads(monkeypatch, name="_correlation"):
     return threads
 
 
-def basis_chunk(spectra):
-    """(first, stop) of the basis images whose spectra are ``spectra``, a slice
-    of the array of a bank's spectra at one shape."""
-    first = (spectra.ctypes.data - spectra.base.ctypes.data) // spectra.strides[0]
-    return first, first + len(spectra)
+def frame_slot(img, bank):
+    """The padded shape of the bands of a whole ``img``, at which ``bank`` keeps
+    its whole-frame spectra."""
+    return matcher._bands((img.height, img.width), bank.base_height)[1]
 
 
 def split_calls(monkeypatch):
-    """What scans run from now on: the (first, stop) of every basis chunk and
-    position band, and the number of positions of every position test, of
-    every chunk of the entry bound and of every chunk of the exact stage."""
+    """What scans run from now on: the (first position, padded shape) of every
+    band, the number of basis images of every correlation, and the number of
+    positions of every position test, of every chunk of the entry bound and
+    of every chunk of the exact stage."""
     calls = ([], [], [], [], [])
-    names = ("_correlation", "_top", "_kept_positions", "_candidate_pairs", "_exact_top")
-    for ran, name, record in zip(calls, names, (lambda a: basis_chunk(a[1]), lambda a: a[4:6],
+    names = ("_band", "_correlation", "_kept_positions", "_candidate_pairs", "_exact_top")
+    for ran, name, record in zip(calls, names, (lambda a: (a[5], a[3]), lambda a: len(a[1]),
                                                 lambda a: len(a[2]), lambda a: len(a[2]),
                                                 lambda a: len(a[2]))):
         def recording(*args, task=getattr(matcher, name), ran=ran, record=record):
@@ -622,7 +648,7 @@ class TestReusedBuffersAndWhereChunksRun:
             for window, threshold in scans:  # each shape cold, then warm
                 threads.clear()
                 got.append(scan(frame, bank, window, threshold))
-                assert threads == [threading.main_thread()]  # one chunk, on this thread
+                assert threads and set(threads) == {threading.main_thread()}  # on this thread
         # one position test a scan, over 1,551 or 11,011 positions; 0.9 keeps
         # fewer than 4,860 of them, so one entry chunk a scan, and 0 and -1 keep all
         assert [len(args[2]) for args in calls] == [1551, 1551, 11011, 11011, 1551, 1551]
@@ -634,14 +660,14 @@ class TestReusedBuffersAndWhereChunksRun:
         assert len(got[-1]) == 33 * 47
 
     def test_only_whole_frame_scans_split(self, rng, monkeypatch):
-        """A whole frame hands its basis chunks and its position bands to the
-        workers, cold or warm; a window of any size, at any threshold, stays
-        on the calling thread."""
+        """A whole frame hands its bands, each with its own correlation, to
+        the workers, cold or warm; a window of any size, at any threshold,
+        is one band on the calling thread."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
-        bands = chunk_threads(monkeypatch, "_top")
+        bands = chunk_threads(monkeypatch, "_band")
         common = Rect(100, 80, 33, 47)  # 90x54
         grown = Rect(90, 70, 51, 61)  # 96x72
         for window, threshold in ((common, 0.0), (grown, 0.9), (grown, 0.9)):
@@ -659,12 +685,15 @@ class TestReusedBuffersAndWhereChunksRun:
 
     def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
         """``prepare``, a bare bank's first whole frame and each new window
-        shape fill their spectra through ``_fill_spectra``, every image before
-        any correlation reads one: a whole frame's on the workers, a window's
-        on the calling thread. Warm scans fill nothing."""
+        shape fill their spectra through ``_fill_spectra``, every image
+        before any correlation reads one: ``prepare``'s on the workers, one
+        run of images each, a scan's on the calling thread. Warm scans fill
+        nothing. What they keep are C-contiguous complex128 arrays of shape
+        (r, padded rows, padded columns // 2 + 1), which the correlations
+        read along their rows."""
         events = []
         fill, correlation = matcher._fill_spectra, matcher._correlation
-        monkeypatch.setattr(matcher, "_fill_spectra", lambda *args: events.append(args[1:]) or fill(*args))
+        monkeypatch.setattr(matcher, "_fill_spectra", lambda *args: events.append(args[1]) or fill(*args))
         monkeypatch.setattr(matcher, "_correlation", lambda *args: events.append("c") or correlation(*args))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch, "_bank_spectra")
@@ -672,22 +701,27 @@ class TestReusedBuffersAndWhereChunksRun:
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 150, 100))
         prepared, bare = build_bank(patch), build_bank(patch)
         matcher.prepare(prepared, 320, 240)
-        assert events == [((240, 320), True)] and len(threads) == 6 and on_workers(threads)
+        assert events == [(144, 320)] and len(threads) == 2 and on_workers(threads)
         common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 90x54, 96x72
-        scans = [(prepared, frame.rect, []), (bare, frame.rect, [((240, 320), True)]),
-                 (bare, frame.rect, []), (bare, common, [((90, 54), False)]), (bare, common, []),
-                 (bare, grown, [((96, 72), False)]), (prepared, common, [((90, 54), False)])]
+        scans = [(prepared, frame.rect, []), (bare, frame.rect, [(144, 320)]),
+                 (bare, frame.rect, []), (bare, common, [(90, 54)]), (bare, common, []),
+                 (bare, grown, [(96, 72)]), (prepared, common, [(90, 54)])]
         for bank, window, filled in scans:
             events.clear()
             threads.clear()
             got = scan(frame, bank, window, 0.9)
-            chunks = 6 if window == frame.rect else 1
+            # a whole frame: 2 bands at 144x320, each correlating 4 chunks of 3 images
+            chunks = 8 if window == frame.rect else 1
             assert events == filled + ["c"] * chunks  # filled whole, then correlated
-            if filled:
-                assert len(threads) == chunks
-                assert on_workers(threads) if chunks > 1 else threads == [threading.main_thread()]
+            assert threads == [threading.main_thread()] * len(filled)
             assert got == rank_k_scan(frame, bank, window, 0.9)
         assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
+        kept = [prepared.kernel.frame, bare.kernel.frame, *bare.kernel.windows.items(),
+                *prepared.kernel.windows.items()]
+        assert [shape for shape, _ in kept] == [(144, 320)] * 2 + [(90, 54), (96, 72), (90, 54)]
+        for shape, spectra in kept:
+            assert spectra.dtype == np.complex128 and spectra.flags.c_contiguous
+            assert spectra.shape == (12, shape[0], shape[1] // 2 + 1)
 
     def test_large_windows_take_rank_r(self, rng, monkeypatch):
         """A window runs on the calling thread whatever its size, one position
@@ -717,7 +751,7 @@ class TestReusedBuffersAndWhereChunksRun:
         for img in (small, large, small):
             fresh = build_bank(checker22x36, 4, 90.0)
             assert scan(img, bank, img.rect, 0.5) == scan(img, fresh, img.rect, 0.5)
-            assert bank.kernel.frame[0] == (matcher._smooth5(img.height), matcher._smooth5(img.width))
+            assert bank.kernel.frame[0] == frame_slot(img, bank)
         for side in (5, 9, 5):
             scan(large, bank, Rect(40, 40, side, side), 0.5)
         padded = [(matcher._smooth5(side + 35), matcher._smooth5(side + 21)) for side in (9, 5)]
@@ -911,8 +945,8 @@ class TestLowRankRoute:
         assert sum(len(args[2]) for args in calls) == (u1 - u0 + 1) * (v1 - v0 + 1)  # each bounded once
         if case == "whole frame":
             assert on_workers(threads)
-        else:
-            assert threads == [threading.main_thread()]
+        else:  # a flat bank has no basis images to correlate
+            assert set(threads) == ({threading.main_thread()} if case != "flat bank" else set())
         assert isinstance(bank.kernel, matcher._Kernel)
         if case == "large window":
             assert got == rank_k_scan(frame, bank, window, threshold)
@@ -1001,15 +1035,31 @@ class TestLowRankRoute:
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(scenarios(), st.booleans())
+    # 640x480, so bands run at a second frame size: warm on a prepared bank,
+    # cold on a bare one
+    @example(Scenario("generated", frame_w=640, frame_h=480, trajectory=LineTrajectory(-60.0, 25.0, 4.0, -3.0),
+                      target_spin=3.0, noise_sigma=2.0, occlusions=(Occlusion(3, 5, Rect(0, 0, 40, 40)),),
+                      seed=11, frames=5), True)
+    @example(Scenario("generated", frame_w=640, frame_h=480, trajectory=JumpTrajectory(-30.0, 10.0, 90.0, -60.0, 2),
+                      target_spin=-2.0, gain=Ramp((0.0, 4.0), (1.0, 0.7)), seed=12, frames=5), False)
     def test_generated_closed_loop_scans_equal_the_rank_k_route(self, sc, prepared):
         """Over generated scenes, every scan of a run, cold or warm and of any
         window shape, equals the reference; a bank that is not prepared fills
         its whole-frame spectra in its first whole-frame scan. Every frame
         has one status and a window inside the valid centres, holding its
-        detection, and a finite, positive trace of P."""
+        detection, and a finite, positive trace of P. A second run of the
+        scene writes a byte-identical track log."""
+        import tempfile
+
         from uastrack.sim import run_sim, scenario_optics
         from uastrack.tracker import STATUS_INITIALIZED, STATUS_LOST, STATUS_MISS, \
-            STATUS_REDETECTING, STATUS_TRACKING, TrackerConfig
+            STATUS_REDETECTING, STATUS_TRACKING, TrackerConfig, write_log
+
+        def logged(result):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "log.csv")
+                write_log(result.outcomes, path)
+                return Path(path).read_bytes()
 
         def both(img, bank, window, threshold):
             got = scan(img, bank, window, threshold)
@@ -1021,6 +1071,7 @@ class TestLowRankRoute:
             if not prepared:
                 mp.setattr(matcher, "prepare", lambda bank, w, h: None)
             result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
+        assert logged(run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))) == logged(result)
         full = valid_center_rect(sc.patch_w, sc.patch_h, sc.frame_w, sc.frame_h)
         statuses = {STATUS_INITIALIZED, STATUS_TRACKING, STATUS_MISS, STATUS_REDETECTING, STATUS_LOST}
         assert [o.frame_index for o in result.outcomes] == list(range(sc.frames))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uastrack import scenesim
+from uastrack import matcher, scenesim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,7 +54,14 @@ def test_scan_table_smoke():
     for r in rows:
         assert all(float(x) > 0.0 for span in r[3:5] for x in span.split("-"))
         assert r[5] == "1"  # the planted entry, alone above 0.9 in noise
-    assert lines[-1].startswith("# peak_rss_mb ")
+    tail = lines[-1].split()
+    assert tail[:2] == ["#", "peak_rss_mb"] and tail[3::2] == ["frame_spectra_mib", "window_spectra_mib"]
+    frame_mib, window_mib = (float(x) for x in tail[4::2])
+    # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
+    # at the 90x54 of the window
+    shape = matcher._bands((240, 320), 36)[1]
+    assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
+    assert window_mib == round(12 * 90 * (54 // 2 + 1) * 16 / 2**20, 1)
 
 
 def test_replay_scans_smoke():

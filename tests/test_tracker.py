@@ -144,21 +144,29 @@ class TestInitialize:
         assert session.process(frame).status == STATUS_INITIALIZED
 
 
-def padded(w, h):
-    return matcher._smooth5(h), matcher._smooth5(w)
+def frame_slot(w, h, th=36):
+    """The padded shape of the bands of a whole w x h frame: one band of rows
+    per scan worker, each padded as the tallest."""
+    return matcher._bands((h, w), th)[1]
 
 
 class TestPreparedBank:
     """A session prepares every bank it installs for frames of the configured size."""
 
-    def test_bank_is_prepared_on_construction_and_on_apply_template(self, patch):
+    @pytest.mark.parametrize("workers, shape", [(1, (150, 200)), (2, (96, 200)), (3, (75, 200))])
+    def test_bank_is_prepared_on_construction_and_on_apply_template(self, patch, monkeypatch,
+                                                                    workers, shape):
+        """At the padded shape of the tallest band of the frame's 115 rows of
+        positions, one band a worker: 150, 93 and 74 rows of pixels, padded to
+        5-smooth lengths."""
+        monkeypatch.setattr(matcher, "_WORKERS", workers)
         cfg = TrackerConfig(optics=OpticsConfig(frame_w=200, frame_h=150))
         session = TrackerSession(build_bank(patch), cfg)
         kept = session.bank.kernel.frame
-        assert kept[0] == padded(200, 150)
+        assert kept[0] == shape == frame_slot(200, 150)
         assert TrackerSession(session.bank, cfg).bank.kernel.frame is kept  # done once
         session.apply_template(scenesim.default_target_patch(5))
-        assert session.bank.kernel.frame[0] == padded(200, 150)
+        assert session.bank.kernel.frame[0] == shape
         assert session.bank.kernel.frame is not kept
 
     @pytest.mark.parametrize("seed", [1, 3, 7])
@@ -198,13 +206,13 @@ class TestPreparedBank:
 
     def test_template_the_size_of_the_frame_is_prepared(self, patch):
         session = TrackerSession(build_bank(patch), TrackerConfig(optics=OpticsConfig(frame_w=22, frame_h=36)))
-        assert session.bank.kernel.frame[0] == padded(22, 36)
+        assert session.bank.kernel.frame[0] == frame_slot(22, 36) == (36, 24)  # one band
 
     def test_flat_template_prepares_no_basis_images(self):
         flat = GrayImage.full(22, 36, 90)
         session = TrackerSession(build_bank(flat), TrackerConfig())
         shape, spectra = session.bank.kernel.frame
-        assert spectra.shape == (0, shape[0], shape[1] // 2 + 1) and shape == padded(320, 240)
+        assert spectra.shape == (0, shape[0], shape[1] // 2 + 1) and shape == frame_slot(320, 240)
         assert session.process(blank()).status == STATUS_LOST
 
 
