@@ -153,21 +153,28 @@ def frame_slot(w, h, th=36):
 class TestPreparedBank:
     """A session prepares every bank it installs for frames of the configured size."""
 
+    def test_bank_is_prepared_on_construction_and_on_apply_template(self, patch):
+        cfg = TrackerConfig(optics=OpticsConfig(frame_w=200, frame_h=150))
+        session = TrackerSession(build_bank(patch), cfg)
+        kept = session.bank.kernel.frame
+        assert kept[0] == frame_slot(200, 150)
+        assert TrackerSession(session.bank, cfg).bank.kernel.frame is kept  # done once
+        session.apply_template(scenesim.default_target_patch(5))
+        assert session.bank.kernel.frame[0] == frame_slot(200, 150)
+        assert session.bank.kernel.frame is not kept
+
     @pytest.mark.parametrize("workers, shape", [(1, (150, 200)), (2, (96, 200)), (3, (75, 200))])
-    def test_bank_is_prepared_on_construction_and_on_apply_template(self, patch, monkeypatch,
-                                                                    workers, shape):
+    def test_prepared_shape_is_the_tallest_band_for_each_worker_count(self, patch, monkeypatch,
+                                                                      workers, shape):
         """At the padded shape of the tallest band of the frame's 115 rows of
         positions, one band a worker: 150, 93 and 74 rows of pixels, padded to
         5-smooth lengths."""
         monkeypatch.setattr(matcher, "_WORKERS", workers)
         cfg = TrackerConfig(optics=OpticsConfig(frame_w=200, frame_h=150))
         session = TrackerSession(build_bank(patch), cfg)
-        kept = session.bank.kernel.frame
-        assert kept[0] == shape == frame_slot(200, 150)
-        assert TrackerSession(session.bank, cfg).bank.kernel.frame is kept  # done once
+        assert session.bank.kernel.frame[0] == shape == frame_slot(200, 150)
         session.apply_template(scenesim.default_target_patch(5))
         assert session.bank.kernel.frame[0] == shape
-        assert session.bank.kernel.frame is not kept
 
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_prepared_spectra_equal_those_a_whole_frame_scan_keeps(self, seed, rng):
