@@ -368,23 +368,22 @@ def _parts(n: int) -> list[tuple[int, int]]:
     return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _bands(size: tuple, th: int) -> tuple[list[tuple[int, int]], tuple]:
-    """The rows of positions of a whole frame's sub-image of ``size`` in one
-    band per worker (``_parts``), and the padded shape of the tallest band's
-    sub-image, which every band takes."""
-    bands = _parts(size[0] - th + 1)
-    return bands, (_smooth5(bands[-1][1] - bands[-1][0] + th - 1), _smooth5(size[1]))
+def _band_shape(size: tuple, th: int) -> tuple:
+    """The padded shape of every band of a whole frame of ``size``: its tallest
+    band's sub-image's (``_parts``). A band of any whole-frame scan is no taller."""
+    lo, hi = _parts(size[0] - th + 1)[-1]
+    return _smooth5(hi - lo + th - 1), _smooth5(size[1])
 
 
-def _fill_spectra(images: np.ndarray, shape: tuple, runs: list) -> np.ndarray:
-    """The conjugate spectra at ``shape`` of the basis ``images``, all filled
-    before any correlation reads them, one task a run ``[k0, k1)`` of images."""
+def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
+    """The conjugate basis spectra at ``shape``, all filled before any correlation
+    reads them: a whole frame's one run of images per worker, a window's inline."""
     spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
 
     def fill(k0, k1):
         np.conjugate(_bank_spectra(images[k0:k1], shape), out=spectra[k0:k1])
 
-    _on_workers(fill, runs)
+    _on_workers(fill, _parts(len(images)) if whole else [(0, len(images))])
     return spectra
 
 
@@ -564,9 +563,9 @@ def scan(
     Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
-    A scan whose padded shape is the whole frame's splits its rows of
-    positions into one band per worker (``_bands``), each run on the workers
-    as a window runs (``_band``); any other is one band, on the calling thread.
+    A whole-frame scan (its padded shape is the frame's) splits its rows of
+    positions into one band per worker at the frame's band shape (``_band_shape``),
+    each run as a window runs (``_band``); any other is one band, on the calling thread.
     """
     tw, th = bank.base_width, bank.base_height
     u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
@@ -578,11 +577,12 @@ def scan(
     kernel = _kernel(bank)
     shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
     whole = shape == (_smooth5(img.height), _smooth5(img.width))
-    bands, shape = _bands(sub.shape, th) if whole else ([(0, nv)], shape)
+    bands = _parts(nv) if whole else [(0, nv)]
+    shape = _band_shape((img.height, img.width), th) if whole else shape  # keyed on the frame
     spectra = kernel.spectra(shape, whole)
     fresh = spectra is None
     if fresh:
-        spectra = _fill_spectra(kernel.images, shape, [(0, len(kernel.images))])
+        spectra = _fill_spectra(kernel.images, shape, whole)
     tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, shape, threshold, lo * nu)
                                for lo, hi in bands])
     at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
@@ -611,14 +611,14 @@ def scan(
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
     """Build the bank's kernel, then the spectra a scan of a whole frame_w x
     frame_h frame keeps in ``kernel.frame``, at the shape of its bands
-    (``_bands``), one run of images per worker (README, "Where the work
-    runs"). Does nothing when they are kept, or the template does not fit."""
+    (``_band_shape``), filled as that scan fills them (``_fill_spectra``).
+    Does nothing when they are kept, or the template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
     kernel = _kernel(bank)
-    _, shape = _bands((frame_h, frame_w), bank.base_height)
+    shape = _band_shape((frame_h, frame_w), bank.base_height)
     if kernel.spectra(shape, True) is None:
-        kernel.keep(shape, _fill_spectra(kernel.images, shape, _parts(len(kernel.images))), True)
+        kernel.keep(shape, _fill_spectra(kernel.images, shape, True), True)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:

@@ -287,21 +287,55 @@ class TestScanExactness:
     @settings(max_examples=12, deadline=None)
     @given(scan_cases(min_frame=68, max_frame=90), windows)
     def test_whole_frame_spectra_survive_window_scans(self, case, rects):
+        """At each worker count (a process's is fixed at import, and the
+        frame slot's band shape follows it), a bare bank's whole frame keeps
+        its spectra at the frame's band shape, and no window scan, near-whole
+        or not, replaces them."""
         img, bank, threshold = case
         assert bank.kernel is None  # building a bank transforms nothing
         full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
         whole = scan(img, bank, full, threshold)
-        kept = bank.kernel.frame
-        assert kept[0] == frame_slot(img, bank)
-        for workers, rect in zip([1, 2, 3] * len(rects), rects):
-            window = Rect(*rect)
-            inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
-            assert scan_with(img, bank, window, threshold, workers) == inside
-            assert bank.kernel.frame is kept
         for p in whole[:: max(1, len(whole) // 25)]:
             assert (p.score, p.angle_deg) == best_of_bank(img, bank, p.u, p.v)
+        for workers in (1, 2, 3):
+            bank = build_bank(bank.entries[0].patch, len(bank), 360.0 / len(bank))
+            assert scan_with(img, bank, full, threshold, workers) == whole
+            kept = bank.kernel.frame
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matcher, "_WORKERS", workers)
+                assert kept[0] == frame_slot(img, bank)
+            for rect in rects:
+                window = Rect(*rect)
+                inside = [p for p in whole if window.contains(Rect(p.u, p.v, 1, 1))]
+                assert scan_with(img, bank, window, threshold, workers) == inside
+                assert bank.kernel.frame is kept
         assert bank == build_bank(bank.entries[0].patch, len(bank), 360.0 / len(bank))
         assert "kernel" not in repr(bank)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("img_size, patch_size, rect", [
+        ((320, 240), (22, 36), (0, 20, 320, 195)),  # 230 rows of pixels: pads to 240, bands to 135
+        ((72, 72), (2, 2), (-5, -5, 70, 70)),  # 66 rows: pads to 72, bands to 36 against 40
+    ])
+    def test_near_whole_window_shares_the_frame_slot(self, rng, workers, img_size, patch_size,
+                                                     rect, monkeypatch):
+        """A window whose sub-image pads to the frame's shape, with fewer rows
+        of positions than the frame, scans in bands at the frame's band shape:
+        it reuses the spectra ``prepare`` kept and never replaces them."""
+        monkeypatch.setattr(matcher, "_WORKERS", workers)
+        img = GrayImage(rng.integers(0, 256, img_size[::-1], dtype=np.uint8))
+        patch = GrayImage(rng.integers(0, 256, patch_size[::-1], dtype=np.uint8))
+        bank = build_bank(patch, 4, 90.0)
+        matcher.prepare(bank, *img_size)
+        kept = bank.kernel.frame
+        fills = chunk_threads(monkeypatch, "_fill_spectra")
+        window = Rect(*rect)
+        u0, u1, v0, v1 = matcher._clamp_window(window, *patch_size, *img_size)
+        sub_rows = v1 - v0 + patch_size[1]
+        assert sub_rows < img_size[1] and matcher._smooth5(sub_rows) == matcher._smooth5(img_size[1])
+        assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
+        assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
+        assert fills == [] and bank.kernel.frame is kept
 
     def test_window_spectra_stay_within_their_budget(self, rng, checker22x36, monkeypatch):
         bank = build_bank(checker22x36, 4, 90.0)
@@ -548,7 +582,7 @@ def chunk_threads(monkeypatch, name="_correlation"):
 def frame_slot(img, bank):
     """The padded shape of the bands of a whole ``img``, at which ``bank`` keeps
     its whole-frame spectra."""
-    return matcher._bands((img.height, img.width), bank.base_height)[1]
+    return matcher._band_shape((img.height, img.width), bank.base_height)
 
 
 def split_calls(monkeypatch):
@@ -686,9 +720,9 @@ class TestReusedBuffersAndWhereChunksRun:
     def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
         """``prepare``, a bare bank's first whole frame and each new window
         shape fill their spectra through ``_fill_spectra``, every image
-        before any correlation reads one: ``prepare``'s on the workers, one
-        run of images each, a scan's on the calling thread. Warm scans fill
-        nothing. What they keep are C-contiguous complex128 arrays of shape
+        before any correlation reads one: a whole frame's on the workers,
+        one run of images each, a window's on the calling thread. Warm scans
+        fill nothing. What they keep are C-contiguous complex128 arrays of shape
         (r, padded rows, padded columns // 2 + 1), which the correlations
         read along their rows."""
         events = []
@@ -713,7 +747,10 @@ class TestReusedBuffersAndWhereChunksRun:
             # a whole frame: 2 bands at 144x320, each correlating 4 chunks of 3 images
             chunks = 8 if window == frame.rect else 1
             assert events == filled + ["c"] * chunks  # filled whole, then correlated
-            assert threads == [threading.main_thread()] * len(filled)
+            if window == frame.rect:
+                assert len(threads) == 2 * len(filled) and (not filled or on_workers(threads))
+            else:
+                assert threads == [threading.main_thread()] * len(filled)
             assert got == rank_k_scan(frame, bank, window, 0.9)
         assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
         kept = [prepared.kernel.frame, bare.kernel.frame, *bare.kernel.windows.items(),

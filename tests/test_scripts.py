@@ -59,7 +59,7 @@ def test_scan_table_smoke():
     frame_mib, window_mib = (float(x) for x in tail[4::2])
     # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
     # at the 90x54 of the window
-    shape = matcher._bands((240, 320), 36)[1]
+    shape = matcher._band_shape((240, 320), 36)
     assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
     assert window_mib == round(12 * 90 * (54 // 2 + 1) * 16 / 2**20, 1)
 

@@ -147,7 +147,7 @@ class TestInitialize:
 def frame_slot(w, h, th=36):
     """The padded shape of the bands of a whole w x h frame: one band of rows
     per scan worker, each padded as the tallest."""
-    return matcher._bands((h, w), th)[1]
+    return matcher._band_shape((h, w), th)
 
 
 class TestPreparedBank:
