@@ -207,7 +207,7 @@ def run_bench(
     reps: int,
     seed: int = 11,
 ) -> BenchResult:
-    """Time full-frame vs windowed scans of a seeded frame with a planted target.
+    """Time full-frame vs windowed scans of a seeded frame with ``template`` planted.
 
     The first full-frame scan of the fresh bank is timed on its own
     (``full_cold_ms``); ``full_ms`` is the mean of the ``reps`` scans after it.
@@ -223,6 +223,7 @@ def run_bench(
         trajectory=scenesim.LineTrajectory(0.0, 0.0, 0.0, 0.0),
         seed=seed,
         frames=1,
+        patch=template,
     )
     frame = scenesim.render(scenario, GimbalState(), 0)
     gx, gy, _ = scenesim.ground_truth(scenario, GimbalState(), 0)

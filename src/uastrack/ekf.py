@@ -142,9 +142,9 @@ def search_window(s: TrackState, full: Rect, tpl_w: int, tpl_h: int, cfg: NoiseC
 
     Half-extents are kappa predicted position sigmas plus half the template,
     so the template core stays inside even at the window edge. The window is
-    clamped to ``full``, the center positions where the template fits the
-    frame (``matcher.valid_center_rect``); a degenerate or all-covering
-    window collapses to ``full``.
+    clipped to ``full``, the center positions where the template fits the
+    frame (``matcher.valid_center_rect``); a window with a non-finite extent,
+    or none inside ``full``, is ``full``.
     """
     sx = math.sqrt(max(s.P[0, 0], 0.0))
     sy = math.sqrt(max(s.P[1, 1], 0.0))
@@ -154,11 +154,4 @@ def search_window(s: TrackState, full: Rect, tpl_w: int, tpl_h: int, cfg: NoiseC
     half_y = math.ceil(cfg.kappa * sy) + (tpl_h + 1) // 2
     cx = round_half_away(s.x)
     cy = round_half_away(s.y)
-
-    u0 = max(cx - half_x, full.x)
-    u1 = min(cx + half_x, full.x2 - 1)
-    v0 = max(cy - half_y, full.y)
-    v1 = min(cy + half_y, full.y2 - 1)
-    if u0 > u1 or v0 > v1:
-        return full
-    return Rect(u0, v0, u1 - u0 + 1, v1 - v0 + 1)
+    return Rect(cx - half_x, cy - half_y, 2 * half_x + 1, 2 * half_y + 1).clip(full) or full

@@ -29,11 +29,8 @@ DEFAULT_SLEW = 2_000           # max counts applied per axis per tick
 class GimbalState:
     pan_counts: int = 0
     tilt_counts: int = 0
-    max_counts_per_step: int = DEFAULT_SLEW
 
     def __post_init__(self) -> None:
-        if self.max_counts_per_step < 1:
-            raise ValueError("slew limit must be at least 1 count per tick")
         if not 0 <= self.pan_counts < PAN_FULL_REV:
             raise ValueError(f"pan {self.pan_counts} outside [0, {PAN_FULL_REV})")
         if abs(self.tilt_counts) > TILT_LIMIT:
@@ -57,9 +54,8 @@ def pan_signed(state: GimbalState) -> int:
 
 def command(state: GimbalState, d_pan: int, d_tilt: int) -> GimbalState:
     """Apply a relative move; slew-clips each axis, clamps tilt, wraps pan."""
-    slew = state.max_counts_per_step
-    dp = clamp(int(d_pan), -slew, slew)
-    dt = clamp(int(d_tilt), -slew, slew)
+    dp = clamp(int(d_pan), -DEFAULT_SLEW, DEFAULT_SLEW)
+    dt = clamp(int(d_tilt), -DEFAULT_SLEW, DEFAULT_SLEW)
     pan = (state.pan_counts + dp) % PAN_FULL_REV
     tilt = clamp(state.tilt_counts + dt, -TILT_LIMIT, TILT_LIMIT)
     return replace(state, pan_counts=pan, tilt_counts=tilt)

@@ -7,6 +7,7 @@ immutable after construction so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +20,9 @@ _HEADER_WHITESPACE = b" \t\n\r\x0b\x0c"
 class Rect:
     """Axis-aligned pixel rectangle: top-left corner plus strictly positive size.
 
-    ``x``/``y`` may be negative for intermediate geometry (e.g. an unclamped
-    search window); containment within a target image is checked at use sites.
+    ``x``/``y`` may be negative for intermediate geometry (e.g. an unclipped
+    search window); a use site keeps it inside its bounds with ``contains``
+    or ``clip``.
     """
 
     x: int
@@ -53,6 +55,14 @@ class Rect:
             and other.x2 <= self.x2
             and other.y2 <= self.y2
         )
+
+    def clip(self, bounds: "Rect") -> Optional["Rect"]:
+        """The part of this rect inside ``bounds``; None when they share no pixel."""
+        x, y = max(self.x, bounds.x), max(self.y, bounds.y)
+        x2, y2 = min(self.x2, bounds.x2), min(self.y2, bounds.y2)
+        if x >= x2 or y >= y2:
+            return None
+        return Rect(x, y, x2 - x, y2 - y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +190,8 @@ def save_pgm(img: GrayImage) -> bytes:
     return header + img.tobytes()
 
 
-def _check_rect(img: GrayImage, r: Rect) -> None:
-    if r.x < 0 or r.y < 0 or r.x2 > img.width or r.y2 > img.height:
-        raise BoundsError(
-            f"rect {r} outside image {img.width}x{img.height}"
-        )
-
-
 def crop(img: GrayImage, r: Rect) -> GrayImage:
     """Extract the sub-image under ``r``; output (i, j) == input (r.x+i, r.y+j)."""
-    _check_rect(img, r)
+    if not img.rect.contains(r):
+        raise BoundsError(f"rect {r} outside image {img.width}x{img.height}")
     return GrayImage(img.pixels[r.y : r.y2, r.x : r.x2].copy())

@@ -125,7 +125,7 @@ def zmncc(img: GrayImage, tpl: GrayImage, u: int, v: int) -> float:
     th, tw = tpl.pixels.shape
     x0 = template_origin(u, tw)
     y0 = template_origin(v, th)
-    if x0 < 0 or y0 < 0 or x0 + tw > img.width or y0 + th > img.height:
+    if not img.rect.contains(Rect(x0, y0, tw, th)):
         raise BoundsError(
             f"template {tw}x{th} at center ({u}, {v}) outside image "
             f"{img.width}x{img.height}"
@@ -157,16 +157,6 @@ def score_arrays(region: np.ndarray, template: np.ndarray) -> float:
         return 0.0
     c = float((df * dt).sum()) / den
     return min(1.0, max(-1.0, c))
-
-
-def _clamp_window(window: Rect, tpl_w: int, tpl_h: int, frame_w: int, frame_h: int):
-    xlo, xhi = center_bounds(tpl_w, frame_w)
-    ylo, yhi = center_bounds(tpl_h, frame_h)
-    u0 = max(window.x, xlo)
-    u1 = min(window.x + window.w - 1, xhi)
-    v0 = max(window.y, ylo)
-    v1 = min(window.y + window.h - 1, yhi)
-    return u0, u1, v0, v1
 
 
 def _window_sums(sub: np.ndarray, tw: int, th: int) -> tuple[np.ndarray, np.ndarray]:
@@ -557,8 +547,8 @@ def scan(
     a threshold equal to a score includes it, the next float above excludes
     it), tagged with the maximizing entry's angle (ties resolved to the
     lowest angle). Results are in row-major position order. The window is
-    clamped so the template always fits; an empty effective window yields an
-    empty list.
+    clipped to ``valid_center_rect``, so the template always fits; a window
+    outside it, or a template larger than the frame, yields an empty list.
 
     Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
@@ -568,10 +558,12 @@ def scan(
     each run as a window runs (``_band``); any other is one band, on the calling thread.
     """
     tw, th = bank.base_width, bank.base_height
-    u0, u1, v0, v1 = _clamp_window(window, tw, th, img.width, img.height)
-    if u0 > u1 or v0 > v1:
+    if tw > img.width or th > img.height:
         return []
-    nu, nv = u1 - u0 + 1, v1 - v0 + 1
+    window = window.clip(valid_center_rect(tw, th, img.width, img.height))
+    if window is None:
+        return []
+    u0, v0, nu, nv = window.x, window.y, window.w, window.h
     ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
     kernel = _kernel(bank)

@@ -26,8 +26,9 @@ import numpy as np
 from .errors import ScenarioError
 from .gimbal import GimbalState, pan_signed
 from .imagebuf import GrayImage, Rect
+from .matcher import template_origin
 from .tracker import OpticsConfig
-from .util import LazyPool, round_half_away, to_gray
+from .util import LazyPool, clamp, round_half_away, to_gray
 from .warp import warp_patch
 
 _STREAM_WORLD = 1
@@ -115,10 +116,6 @@ class Ramp:
     def at(self, frame: int) -> float:
         return float(np.interp(frame, self.frames, self.values))
 
-    @classmethod
-    def constant(cls, value: float) -> "Ramp":
-        return cls((0.0,), (float(value),))
-
 
 @dataclass(frozen=True)
 class Occlusion:
@@ -142,7 +139,7 @@ class Scenario:
     patch_h: int = 36
     trajectory: Trajectory = field(default_factory=lambda: LineTrajectory(0.0, 0.0, 0.0, 0.0))
     target_spin: float = 0.0          # degrees per frame
-    gain: Ramp = field(default_factory=lambda: Ramp.constant(1.0))
+    gain: Ramp = field(default_factory=Ramp)
     noise_sigma: float = 0.0          # gray levels
     occlusions: tuple[Occlusion, ...] = ()
     seed: int = 7
@@ -242,6 +239,11 @@ class _Geometry:
     base_origin_y: int
 
 
+def _target_rect(sc: Scenario, cx: int, cy: int) -> Rect:
+    """The pixels the target's sprite covers when centred at (cx, cy)."""
+    return Rect(template_origin(cx, sc.patch_w), template_origin(cy, sc.patch_h), sc.patch_w, sc.patch_h)
+
+
 @lru_cache(maxsize=32)
 def _geometry(sc: Scenario) -> _Geometry:
     """The world spans the trajectory plus the frame and ``pad`` on each side."""
@@ -260,24 +262,17 @@ def _geometry(sc: Scenario) -> _Geometry:
     off_x = -lo_x + pad + sc.frame_w / 2.0
     off_y = -lo_y + pad + sc.frame_h / 2.0
 
-    half_w = (sc.patch_w - 1) // 2
-    half_h = (sc.patch_h - 1) // 2
+    world = Rect(0, 0, world_w, world_h)
     for k, (px, py) in enumerate(zip(xs, ys)):
-        wx = round_half_away(px + off_x)
-        wy = round_half_away(py + off_y)
-        if (
-            wx - half_w < 0
-            or wy - half_h < 0
-            or wx - half_w + sc.patch_w > world_w
-            or wy - half_h + sc.patch_h > world_h
-        ):
+        placed = _target_rect(sc, round_half_away(px + off_x), round_half_away(py + off_y))
+        if not world.contains(placed):
             raise ScenarioError(
                 f"trajectory leaves the {world_w}x{world_h} world at frame {k}"
             )
 
     x0, y0 = sc.trajectory.position(0)
-    base_x = round_half_away(x0 + off_x) - (sc.frame_w - 1) // 2
-    base_y = round_half_away(y0 + off_y) - (sc.frame_h - 1) // 2
+    base_x = template_origin(round_half_away(x0 + off_x), sc.frame_w)
+    base_y = template_origin(round_half_away(y0 + off_y), sc.frame_h)
     return _Geometry(world_w, world_h, off_x, off_y, base_x, base_y)
 
 
@@ -358,8 +353,8 @@ def camera_origin(sc: Scenario, gimbal: GimbalState) -> tuple[int, int]:
     g = _geometry(sc)
     dx = round_half_away(pan_signed(gimbal) * sc.pixels_per_count)
     dy = round_half_away(gimbal.tilt_counts * sc.pixels_per_count)
-    ox = max(0, min(g.base_origin_x + dx, g.world_w - sc.frame_w))
-    oy = max(0, min(g.base_origin_y + dy, g.world_h - sc.frame_h))
+    ox = clamp(g.base_origin_x + dx, 0, g.world_w - sc.frame_w)
+    oy = clamp(g.base_origin_y + dy, 0, g.world_h - sc.frame_h)
     return ox, oy
 
 
@@ -401,24 +396,20 @@ def render(sc: Scenario, gimbal: GimbalState, frame_index: int) -> GrayImage:
     frame = world[oy : oy + sc.frame_h, ox : ox + sc.frame_w].astype(np.float64)
 
     # composite the rotated target (full sprite rectangle, mean-filled corners)
-    sprite = _sprite(sc, target_angle_deg(sc, frame_index))
+    view = Rect(0, 0, sc.frame_w, sc.frame_h)
     wx, wy = target_world_center(sc, frame_index)
-    left = wx - (sc.patch_w - 1) // 2 - ox
-    top = wy - (sc.patch_h - 1) // 2 - oy
-    fx0 = max(left, 0)
-    fy0 = max(top, 0)
-    fx1 = min(left + sc.patch_w, sc.frame_w)
-    fy1 = min(top + sc.patch_h, sc.frame_h)
-    if fx0 < fx1 and fy0 < fy1:
-        frame[fy0:fy1, fx0:fx1] = sprite[fy0 - top : fy1 - top, fx0 - left : fx1 - left]
+    placed = _target_rect(sc, wx - ox, wy - oy)
+    r = placed.clip(view)
+    if r is not None:
+        sprite = _sprite(sc, target_angle_deg(sc, frame_index))
+        sx, sy = r.x - placed.x, r.y - placed.y
+        frame[r.y : r.y2, r.x : r.x2] = sprite[sy : sy + r.h, sx : sx + r.w]
 
     for occ in sc.occlusions:
         if occ.active(frame_index):
-            r = occ.rect
-            x0, y0 = max(r.x, 0), max(r.y, 0)
-            x1, y1 = min(r.x2, sc.frame_w), min(r.y2, sc.frame_h)
-            if x0 < x1 and y0 < y1:
-                frame[y0:y1, x0:x1] = OCCLUSION_GRAY
+            r = occ.rect.clip(view)
+            if r is not None:
+                frame[r.y : r.y2, r.x : r.x2] = OCCLUSION_GRAY
 
     # gain * frame + noise, rounded half up and clipped, in place
     frame *= sc.gain.at(frame_index)

@@ -289,6 +289,27 @@ class TestBench:
         assert r.full_ms > r.windowed_ms
         assert r.speedup > 1.0
 
+    def test_plants_the_template_it_is_given(self, monkeypatch):
+        """The bench frame holds the template the bank is built from, not the
+        default seed-11 pattern, so the windowed scan finds it at the truth:
+        a static target at the frame's centre."""
+        patch = scenesim.default_target_patch(7)
+        real_scan = matcher.scan
+        scans = []
+
+        def recording(img, bank, window, threshold):
+            points = real_scan(img, bank, window, threshold)
+            scans.append((img, window, points))
+            return points
+
+        monkeypatch.setattr(matcher, "scan", recording)
+        run_bench(160, 120, patch, window_px=48, reps=1)
+        img, window, points = scans[-1]
+        assert window.area == 48 * 48
+        best = max(points, key=lambda p: p.score)
+        assert (best.u, best.v, best.angle_deg) == ((160 - 1) // 2, (120 - 1) // 2, 0.0)
+        assert matcher.zmncc(img, patch, best.u, best.v) == 1.0
+
     def test_first_window_scan_is_timed_apart(self, monkeypatch):
         """A slow first window scan lands in ``windowed_cold_ms``, not in the warm mean."""
         patch = scenesim.default_target_patch(7)

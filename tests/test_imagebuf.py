@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uastrack.errors import BoundsError, PgmError
 from uastrack.imagebuf import GrayImage, Rect, crop, load_pgm, save_pgm
@@ -29,6 +29,27 @@ class TestGrayImage:
     def test_rect_positive_size(self):
         with pytest.raises(ValueError):
             Rect(0, 0, 0, 4)
+
+
+def pixels_of(r):
+    return {(x, y) for y in range(r.y, r.y2) for x in range(r.x, r.x2)}
+
+
+rects = st.builds(Rect, st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 8), st.integers(1, 8))
+
+
+class TestRect:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rects, rects)
+    @example(Rect(0, 0, 3, 3), Rect(3, 0, 3, 3))  # edges touch: no shared pixel
+    @example(Rect(0, 0, 3, 3), Rect(2, 2, 3, 3))  # one shared pixel
+    def test_clip_is_the_shared_pixels(self, a, b):
+        """``clip`` covers exactly the pixels of both rects, and is None
+        exactly when they share none."""
+        shared = pixels_of(a) & pixels_of(b)
+        clipped = a.clip(b)
+        assert (clipped is None) == (not shared)
+        assert clipped is None or pixels_of(clipped) == shared
 
 
 class TestPgm:

@@ -151,6 +151,8 @@ class TestScan:
         bank = build_bank(checker22x36)
         frame = GrayImage.full(120, 160, 10)
         assert scan(frame, bank, Rect(-30, -30, 5, 5), 0.5) == []
+        narrow = GrayImage.full(21, 160, 10)  # no centre fits the 22-wide template
+        assert scan(narrow, bank, narrow.rect, 0.5) == []
 
     def test_subwindow_scores_subset(self, rng, checker22x36):
         bank = build_bank(checker22x36)
@@ -330,8 +332,7 @@ class TestScanExactness:
         kept = bank.kernel.frame
         fills = chunk_threads(monkeypatch, "_fill_spectra")
         window = Rect(*rect)
-        u0, u1, v0, v1 = matcher._clamp_window(window, *patch_size, *img_size)
-        sub_rows = v1 - v0 + patch_size[1]
+        sub_rows = scanned(img, bank, window).h + patch_size[1] - 1
         assert sub_rows < img_size[1] and matcher._smooth5(sub_rows) == matcher._smooth5(img_size[1])
         assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
         assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
@@ -545,6 +546,12 @@ class TestScanExactness:
         assert (sf[-1, -1], sff[-1, -1]) == (tw * th * 255, tw * th * 255**2)
 
 
+def scanned(img, bank, window):
+    """The centre positions of ``window`` that ``scan`` scores in ``img``:
+    the window clipped to ``valid_center_rect``, or None when it has none."""
+    return window.clip(valid_center_rect(bank.base_width, bank.base_height, img.width, img.height))
+
+
 _expected = {}
 
 
@@ -554,11 +561,10 @@ def expected_points(img, bank, window, threshold):
     key = (img.pixels.tobytes(), img.pixels.shape, bank.angles,
            tuple(e.patch.pixels.tobytes() for e in bank.entries), window, threshold)
     if key not in _expected:
-        tw, th = bank.base_width, bank.base_height
-        u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
+        r = scanned(img, bank, window)
         points = []
-        for v in range(v0, v1 + 1):
-            for u in range(u0, u1 + 1):
+        for v in range(r.y, r.y2) if r else ():
+            for u in range(r.x, r.x2):
                 best, angle = best_of_bank(img, bank, u, v)
                 if best >= threshold:
                     points.append(MatchPoint(u, v, best, angle))
@@ -894,10 +900,10 @@ class TestLowRankRoute:
         assert len(np.unique(basis.mode)) == len(basis.starts)  # a mode's images are consecutive
         assert set(sizes.tolist()) <= {1, 2}  # a mode gives a real and an imaginary image, or one
         th, tw = bank.base_height, bank.base_width
-        u0, u1, v0, v1 = matcher._clamp_window(window, tw, th, img.width, img.height)
-        x0, y0 = template_origin(u0, tw), template_origin(v0, th)
+        win = scanned(img, bank, window)
+        x0, y0 = template_origin(win.x, tw), template_origin(win.y, th)
         f = sliding_window_view(img.pixels.astype(np.float64), (th, tw))[
-            y0 : y0 + v1 - v0 + 1, x0 : x0 + u1 - u0 + 1].reshape(-1, th * tw)
+            y0 : y0 + win.h, x0 : x0 + win.w].reshape(-1, th * tw)
         f_c = f - f.mean(axis=1, keepdims=True)
         norm = np.sqrt((f_c * f_c).sum(axis=1))
         c = (f_c[None] * basis.images.reshape(r, 1, -1)).sum(axis=2)  # (r, positions)
@@ -924,10 +930,9 @@ class TestLowRankRoute:
         images = images.reshape(len(images), -1)
         gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
         assert np.abs(gram - np.eye(len(images))).max() < 1e-14  # orthonormal to working precision
-        u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
-                                               img.width, img.height)
+        r = scanned(img, bank, window)
         best = {(u, v): best_of_bank(img, bank, u, v)
-                for v in range(v0, v1 + 1) for u in range(u0, u1 + 1)}
+                for v in range(r.y, r.y2) for u in range(r.x, r.x2)}
         scores = sorted(s for s, _ in best.values() if s > eps)
         thresholds = [float(np.nextafter(eps, 2.0)), eps + (1.0 - eps) / 2, eps, 0.0, -1.0]
         if scores:
@@ -977,9 +982,8 @@ class TestLowRankRoute:
         calls = low_rank_calls(monkeypatch)
         threads = chunk_threads(monkeypatch)
         got = scan(frame, bank, window, threshold)
-        u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
-                                               frame.width, frame.height)
-        assert sum(len(args[2]) for args in calls) == (u1 - u0 + 1) * (v1 - v0 + 1)  # each bounded once
+        positions = scanned(frame, bank, window).area
+        assert sum(len(args[2]) for args in calls) == positions  # each bounded once
         if case == "whole frame":
             assert on_workers(threads)
         else:  # a flat bank has no basis images to correlate
@@ -1058,9 +1062,7 @@ class TestLowRankRoute:
         def both(img, bank, window, threshold):
             got = scan(img, bank, window, threshold)
             assert got == rank_k_scan(img, bank, window, threshold)
-            u0, u1, v0, v1 = matcher._clamp_window(window, bank.base_width, bank.base_height,
-                                                   img.width, img.height)
-            compared.append((len(got), (u1 - u0 + 1) * (v1 - v0 + 1)))
+            compared.append((len(got), scanned(img, bank, window).area))
             return got
 
         calls = low_rank_calls(monkeypatch)

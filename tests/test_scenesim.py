@@ -122,7 +122,7 @@ class TestCameraCoupling:
         sc = static_scenario(patch=noise_patch)
         bank = build_bank(target_patch(sc))
         optics = OpticsConfig(hfov=sc.hfov, frame_w=sc.frame_w, frame_h=sc.frame_h)
-        gimbal = command(GimbalState(max_counts_per_step=10_000), -700, 400)
+        gimbal = command(GimbalState(), -700, 400)
         frame = render(sc, gimbal, 0)
         gx, gy, _ = ground_truth(sc, gimbal, 0)
         cx, cy = (sc.frame_w - 1) / 2, (sc.frame_h - 1) / 2
@@ -141,7 +141,7 @@ class TestCameraCoupling:
 
     def test_origin_clamped_to_world(self):
         sc = static_scenario()
-        g = GimbalState(pan_counts=30_000, max_counts_per_step=50_000)
+        g = GimbalState(pan_counts=30_000)
         ox, oy = camera_origin(sc, g)
         assert ox >= 0 and oy >= 0
 

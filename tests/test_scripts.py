@@ -42,7 +42,7 @@ def test_behaviour_digest_is_repeatable():
     runs = [line.split() for line in lines]
     assert [r[:2] for r in runs] == [[name, seed] for name in scenesim.BUILTIN_NAMES
                                      for seed in ("1", "7")]
-    assert all(len(r[2]) == len(r[3]) == 64 and r[4] == "3" for r in runs)  # a scan a frame
+    assert all(len(r[2]) == len(r[3]) == len(r[5]) == 64 and r[4] == "3" for r in runs)  # a scan a frame
     assert output_lines("behaviour_digest.py", "--frames", "3") == lines
 
 
