@@ -201,7 +201,8 @@ def _smooth5(size: int) -> int:
 class _Kernel:
     """What every scan of one bank shares, built by ``prepare`` or on its
     first scan (``_kernel``): the template-side terms of the score, the
-    low-rank basis, and the basis spectra kept at padded shapes."""
+    low-rank basis, and the basis spectra, a whole frame's in ``frame`` and
+    each window shape's in ``windows``."""
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
@@ -212,23 +213,14 @@ class _Kernel:
     mode: np.ndarray      # (r,) each image's angle mode; a mode's images are consecutive
     starts: np.ndarray    # (G,) the first image of each mode g
     amp: np.ndarray       # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
-    # (padded shape, spectra) of a whole frame's bands, never evicted by window scans
+    # (band shape, spectra) of a whole frame, written by ``_frame_spectra`` only
     frame: tuple | None = None
     # spectra by window padded shape, least recently used first
     windows: dict = field(default_factory=dict)
 
-    def spectra(self, shape: tuple, whole: bool) -> np.ndarray | None:
-        """The conjugate basis spectra kept at ``shape``, or None."""
-        if whole:
-            return self.frame[1] if self.frame and self.frame[0] == shape else None
-        return self.windows.get(shape)
-
-    def keep(self, shape: tuple, spectra: np.ndarray, whole: bool) -> None:
-        """Keep the spectra a scan used: the whole frame's in ``frame``, a
-        window's as the most recently used, within ``_WINDOW_SPECTRA_BYTES``."""
-        if whole:
-            self.frame = (shape, spectra)
-            return
+    def keep(self, shape: tuple, spectra: np.ndarray) -> None:
+        """Keep a window's spectra as the most recently used, within
+        ``_WINDOW_SPECTRA_BYTES``."""
         windows = self.windows
         windows.pop(shape, None)
         windows[shape] = spectra
@@ -360,7 +352,7 @@ def _parts(n: int) -> list[tuple[int, int]]:
 
 def _band_shape(size: tuple, th: int) -> tuple:
     """The padded shape of every band of a whole frame of ``size``: its tallest
-    band's sub-image's (``_parts``). A band of any whole-frame scan is no taller."""
+    band's sub-image's (``_parts``)."""
     lo, hi = _parts(size[0] - th + 1)[-1]
     return _smooth5(hi - lo + th - 1), _smooth5(size[1])
 
@@ -375,6 +367,16 @@ def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
 
     _on_workers(fill, _parts(len(images)) if whole else [(0, len(images))])
     return spectra
+
+
+def _frame_spectra(kernel: _Kernel, frame_h: int, frame_w: int, th: int) -> tuple:
+    """``kernel.frame``: the (shape, spectra) of every band of a whole frame_w x
+    frame_h frame (``_band_shape``), filled on the workers unless they are
+    kept at that shape. The one writer of ``kernel.frame``."""
+    shape = _band_shape((frame_h, frame_w), th)
+    if kernel.frame is None or kernel.frame[0] != shape:
+        kernel.frame = (shape, _fill_spectra(kernel.images, shape, True))
+    return kernel.frame
 
 
 def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, nu: int) -> np.ndarray:
@@ -553,33 +555,36 @@ def scan(
     Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
-    A whole-frame scan (its padded shape is the frame's) splits its rows of
-    positions into one band per worker at the frame's band shape (``_band_shape``),
-    each run as a window runs (``_band``); any other is one band, on the calling thread.
+    A whole-frame scan, one whose clipped window is every valid centre,
+    splits its rows of positions into one band per worker and takes its
+    spectra from ``_frame_spectra``, as ``prepare`` does; any other is one
+    band on the calling thread, its spectra kept in ``kernel.windows`` once
+    it has succeeded. Each band runs as a window runs (``_band``).
     """
     tw, th = bank.base_width, bank.base_height
     if tw > img.width or th > img.height:
         return []
-    window = window.clip(valid_center_rect(tw, th, img.width, img.height))
+    full = valid_center_rect(tw, th, img.width, img.height)
+    window = window.clip(full)
     if window is None:
         return []
     u0, v0, nu, nv = window.x, window.y, window.w, window.h
     ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
     kernel = _kernel(bank)
-    shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-    whole = shape == (_smooth5(img.height), _smooth5(img.width))
-    bands = _parts(nv) if whole else [(0, nv)]
-    shape = _band_shape((img.height, img.width), th) if whole else shape  # keyed on the frame
-    spectra = kernel.spectra(shape, whole)
-    fresh = spectra is None
-    if fresh:
-        spectra = _fill_spectra(kernel.images, shape, whole)
+    whole = window == full
+    if whole:
+        shape, spectra = _frame_spectra(kernel, img.height, img.width, th)
+    else:
+        shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
+        spectra = kernel.windows.get(shape)
+        if spectra is None:
+            spectra = _fill_spectra(kernel.images, shape, False)
     tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, shape, threshold, lo * nu)
-                               for lo, hi in bands])
+                               for lo, hi in (_parts(nv) if whole else [(0, nv)])])
     at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
-    if fresh or not whole:  # kept, or marked used, only once the scan has succeeded
-        kernel.keep(shape, spectra, whole)
+    if not whole:  # kept, or marked used, only once the scan has succeeded
+        kernel.keep(shape, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best[at] = top
@@ -601,16 +606,12 @@ def scan(
 
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
-    """Build the bank's kernel, then the spectra a scan of a whole frame_w x
-    frame_h frame keeps in ``kernel.frame``, at the shape of its bands
-    (``_band_shape``), filled as that scan fills them (``_fill_spectra``).
-    Does nothing when they are kept, or the template does not fit."""
+    """Build the bank's kernel and the spectra a whole frame_w x frame_h frame
+    scans with (``_frame_spectra``), as that scan would build them. Does
+    nothing when they are kept, or the template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
-    kernel = _kernel(bank)
-    shape = _band_shape((frame_h, frame_w), bank.base_height)
-    if kernel.spectra(shape, True) is None:
-        kernel.keep(shape, _fill_spectra(kernel.images, shape, True), True)
+    _frame_spectra(_kernel(bank), frame_h, frame_w, bank.base_height)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:

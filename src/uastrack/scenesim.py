@@ -418,9 +418,31 @@ def render(sc: Scenario, gimbal: GimbalState, frame_index: int) -> GrayImage:
     return GrayImage(to_gray(frame))
 
 
-def _center_occlusion(frame_w: int, frame_h: int, start: int, end: int) -> Occlusion:
-    """A 120 px square panel over the frame's center."""
-    return Occlusion(start, end, Rect((frame_w - 120) // 2, (frame_h - 120) // 2, 120, 120))
+def _centre_panel(frame_w: int, frame_h: int, side: int, start: int, end: int) -> Occlusion:
+    """A ``side`` px square panel over the frame's centre for frames [start, end)."""
+    return Occlusion(start, end, Rect((frame_w - side) // 2, (frame_h - side) // 2, side, side))
+
+
+def _presets(frame_w: int, frame_h: int, frames: int) -> dict[str, dict]:
+    """Each builtin scenario's settings other than its size, horizon and seed;
+    ``noise_sigma`` is 2.0 where a preset does not set it."""
+    drift = LineTrajectory(0.0, 0.0, 1.2, 0.5)
+    return {
+        "cv": dict(trajectory=drift),
+        "turn": dict(trajectory=CircleTrajectory(0.0, 0.0, 40.0, 0.02)),
+        "spin": dict(target_spin=3.0),
+        "occlude": dict(trajectory=drift, occlusions=(_centre_panel(frame_w, frame_h, 120, 40, 44),)),
+        "relight": dict(trajectory=drift, gain=Ramp((0.0, float(max(frames - 1, 1))), (0.7, 1.3)),
+                        noise_sigma=1.0),
+        "blurless-stopstart": dict(trajectory=WaypointTrajectory(((0.0, 0.0), (90.0, 30.0)), speed=2.0)),
+        # the target teleports while a panel hides its old position; the search
+        # budget runs out and a full-frame scan must reacquire it
+        "redetect": dict(trajectory=JumpTrajectory(0.0, 0.0, 120.0, 90.0, at_frame=30),
+                         occlusions=(_centre_panel(frame_w, frame_h, 60, 30, 35),)),
+    }
+
+
+BUILTIN_NAMES = tuple(_presets(Scenario.frame_w, Scenario.frame_h, Scenario.frames))
 
 
 def make_scenario(
@@ -430,77 +452,9 @@ def make_scenario(
     frames: int = Scenario.frames,
     seed: int = Scenario.seed,
 ) -> Scenario:
-    """Build a named preset scenario at the requested size and horizon."""
-    cx, cy = frame_w / 2.0, frame_h / 2.0
-    common = dict(frame_w=frame_w, frame_h=frame_h, frames=frames, seed=seed)
-    if name == "cv":
-        return Scenario(
-            name, trajectory=LineTrajectory(0.0, 0.0, 1.2, 0.5), noise_sigma=2.0, **common
-        )
-    if name == "turn":
-        return Scenario(
-            name,
-            trajectory=CircleTrajectory(0.0, 0.0, 40.0, 0.02),
-            noise_sigma=2.0,
-            **common,
-        )
-    if name == "spin":
-        return Scenario(
-            name,
-            trajectory=LineTrajectory(0.0, 0.0, 0.0, 0.0),
-            target_spin=3.0,
-            noise_sigma=2.0,
-            **common,
-        )
-    if name == "occlude":
-        return Scenario(
-            name,
-            trajectory=LineTrajectory(0.0, 0.0, 1.2, 0.5),
-            noise_sigma=2.0,
-            occlusions=(_center_occlusion(frame_w, frame_h, 40, 44),),
-            **common,
-        )
-    if name == "relight":
-        return Scenario(
-            name,
-            trajectory=LineTrajectory(0.0, 0.0, 1.2, 0.5),
-            gain=Ramp((0.0, float(max(frames - 1, 1))), (0.7, 1.3)),
-            noise_sigma=1.0,
-            **common,
-        )
-    if name == "blurless-stopstart":
-        return Scenario(
-            name,
-            trajectory=WaypointTrajectory(((0.0, 0.0), (90.0, 30.0)), speed=2.0),
-            noise_sigma=2.0,
-            **common,
-        )
-    if name == "redetect":
-        # target teleports while a panel hides its old position; the search
-        # budget runs out and a full-frame scan must reacquire it
-        return Scenario(
-            name,
-            trajectory=JumpTrajectory(0.0, 0.0, 120.0, 90.0, at_frame=30),
-            noise_sigma=2.0,
-            occlusions=(
-                Occlusion(30, 35, Rect((frame_w - 60) // 2, (frame_h - 60) // 2, 60, 60)),
-            ),
-            **common,
-        )
-    raise ScenarioError(f"unknown scenario {name!r}")
-
-
-BUILTIN_NAMES = (
-    "cv",
-    "turn",
-    "spin",
-    "occlude",
-    "relight",
-    "blurless-stopstart",
-    "redetect",
-)
-
-
-def builtin_scenarios() -> list[Scenario]:
-    """Preset scenarios at default size, horizon, and seed."""
-    return [make_scenario(name) for name in BUILTIN_NAMES]
+    """Build a named preset scenario (``_presets``) at the requested size and horizon."""
+    presets = _presets(frame_w, frame_h, frames)
+    if name not in presets:
+        raise ScenarioError(f"unknown scenario {name!r}")
+    settings = {"noise_sigma": 2.0, **presets[name]}
+    return Scenario(name, frame_w=frame_w, frame_h=frame_h, frames=frames, seed=seed, **settings)

@@ -316,27 +316,31 @@ class TestScanExactness:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("img_size, patch_size, rect", [
-        ((320, 240), (22, 36), (0, 20, 320, 195)),  # 230 rows of pixels: pads to 240, bands to 135
-        ((72, 72), (2, 2), (-5, -5, 70, 70)),  # 66 rows: pads to 72, bands to 36 against 40
+        ((320, 240), (22, 36), (0, 20, 320, 195)),  # 230 rows of pixels: pads to the frame's 240
+        ((72, 72), (2, 2), (-5, -5, 70, 70)),  # 66 rows: pads to the frame's 72
     ])
-    def test_near_whole_window_shares_the_frame_slot(self, rng, workers, img_size, patch_size,
-                                                     rect, monkeypatch):
+    def test_near_whole_window_scans_as_a_window(self, rng, workers, img_size, patch_size,
+                                                 rect, monkeypatch):
         """A window whose sub-image pads to the frame's shape, with fewer rows
-        of positions than the frame, scans in bands at the frame's band shape:
-        it reuses the spectra ``prepare`` kept and never replaces them."""
+        of positions than the frame, is a window: one band on the calling
+        thread, which fills its spectra once, at its own padded shape, and
+        keeps them in ``windows``; the spectra ``prepare`` kept stay."""
         monkeypatch.setattr(matcher, "_WORKERS", workers)
         img = GrayImage(rng.integers(0, 256, img_size[::-1], dtype=np.uint8))
         patch = GrayImage(rng.integers(0, 256, patch_size[::-1], dtype=np.uint8))
         bank = build_bank(patch, 4, 90.0)
         matcher.prepare(bank, *img_size)
         kept = bank.kernel.frame
-        fills = chunk_threads(monkeypatch, "_fill_spectra")
+        fills = chunk_threads(monkeypatch, "_bank_spectra")
         window = Rect(*rect)
-        sub_rows = scanned(img, bank, window).h + patch_size[1] - 1
+        sub = scanned(img, bank, window)
+        sub_rows, sub_cols = sub.h + patch_size[1] - 1, sub.w + patch_size[0] - 1
         assert sub_rows < img_size[1] and matcher._smooth5(sub_rows) == matcher._smooth5(img_size[1])
         assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
+        assert fills == [threading.main_thread()]
+        assert list(bank.kernel.windows) == [(matcher._smooth5(sub_rows), matcher._smooth5(sub_cols))]
         assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
-        assert fills == [] and bank.kernel.frame is kept
+        assert fills == [threading.main_thread()] and bank.kernel.frame is kept
 
     def test_window_spectra_stay_within_their_budget(self, rng, checker22x36, monkeypatch):
         bank = build_bank(checker22x36, 4, 90.0)
@@ -955,8 +959,8 @@ class TestLowRankRoute:
     )
     def test_route(self, rng, monkeypatch, case):
         """Every scan takes the rank-r route, whatever its threshold, bank or
-        size, and equals brute force. Only a scan whose padded shape is the
-        whole frame's runs on the workers; a window runs on the calling thread."""
+        size, and equals brute force. Only a scan of every valid centre runs
+        on the workers; a window runs on the calling thread."""
         patch = default_target_patch(1)
         count = 12 if case == "12 entries" else 36
         if case == "4x3 template":
@@ -1042,8 +1046,14 @@ class TestLowRankRoute:
         assert any(excinfo.value is exc for exc, _ in raised)  # an error raised, unchanged
         on_worker = [thread is not threading.main_thread() for _, thread in raised]
         assert on_worker == [where == "frame"] * len(raised)
-        assert bank.kernel.frame is kept_frame  # a failed scan keeps no new spectra
-        windows = bank.kernel.windows
+        if where == "frame":  # filled before any correlation, as ``prepare`` fills them
+            prepared = build_bank(default_target_patch(7))
+            matcher.prepare(prepared, frame.width, frame.height)
+            assert bank.kernel.frame[0] == prepared.kernel.frame[0]
+            assert np.array_equal(bank.kernel.frame[1], prepared.kernel.frame[1])
+        else:
+            assert bank.kernel.frame is kept_frame
+        windows = bank.kernel.windows  # a failed window scan keeps no new spectra
         assert windows.keys() == kept.keys()
         assert all(windows[key] is spectra for key, spectra in kept.items())
         assert scan(frame, bank, window, 0.9) == expected

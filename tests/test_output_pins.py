@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of pixels that the scene render, the target patch
 and the rotated bank produce; a change to how they are drawn, composited or
-rounded that moves one gray level anywhere fails here.
+rounded that moves one gray level anywhere fails here. One more pins the
+builtin scenarios themselves, whose panels and ramps the 10-frame renders
+never reach.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ RENDERS = "50d82f61b7e1e0a974b7d7b9c64955a5f8847f706c6b4291250e21297e29409b"
 PATCHES = "d01071a0ba6e39571feedc22a92dd6841b037182f17a317fd8b5af7cccf075d7"
 BANKS = "a646cbf967ad8addc42fcf8996f3827dac66e180595feb6d1b229124afd89c75"
 BENCH_FRAME = "ba40379c112bd46d3a3cfcf34b2b098fc25333d0e030bdb17cde6c20bf8f063c"
+SCENARIOS = "10ab3a41ce0678510961c88b95f478f197f21a9542026d0323cc7baf686ec501"
 
 
 def _renders() -> str:
@@ -64,6 +67,21 @@ def _bench_frame() -> str:
         frames=1,
     )
     return hashlib.sha256(scenesim.render(sc, GimbalState(), 0).pixels.tobytes()).hexdigest()
+
+
+def _scenarios() -> str:
+    """Every builtin at three frame sizes, three horizons and two seeds, as ``repr``."""
+    h = hashlib.sha256()
+    for name in scenesim.BUILTIN_NAMES:
+        for w, hh in ((320, 240), (640, 480), (200, 150)):
+            for frames in (1, 50, 300):
+                for seed in (1, 7):
+                    h.update(repr(scenesim.make_scenario(name, w, hh, frames, seed)).encode())
+    return h.hexdigest()
+
+
+def test_builtin_scenarios_are_pinned():
+    assert _scenarios() == SCENARIOS
 
 
 def test_renders_patches_banks_and_bench_frame_are_pinned():

@@ -18,7 +18,6 @@ from uastrack.scenesim import (
     Ramp,
     Scenario,
     WaypointTrajectory,
-    builtin_scenarios,
     camera_origin,
     ground_truth,
     make_scenario,
@@ -239,7 +238,7 @@ class TestTrajectories:
 
 class TestBuiltins:
     def test_names_resolvable(self):
-        scenarios = builtin_scenarios()
+        scenarios = [make_scenario(n) for n in BUILTIN_NAMES]
         assert [s.name for s in scenarios] == list(BUILTIN_NAMES)
 
     def test_unknown_name_rejected(self):
