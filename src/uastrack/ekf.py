@@ -137,21 +137,20 @@ def mark_miss(s: TrackState) -> TrackState:
     return replace(s, misses=s.misses + 1)
 
 
-def search_window(s: TrackState, full: Rect, tpl_w: int, tpl_h: int, cfg: NoiseConfig) -> Rect:
+def search_window(s: TrackState, full: Rect, cfg: NoiseConfig) -> Rect:
     """Center-position window around the predicted position.
 
-    Half-extents are kappa predicted position sigmas plus half the template,
-    so the template core stays inside even at the window edge. The window is
-    clipped to ``full``, the center positions where the template fits the
-    frame (``matcher.valid_center_rect``); a window with a non-finite extent,
-    or none inside ``full``, is ``full``.
+    Half-extents are kappa predicted position sigmas. The window is clipped
+    to ``full``, the center positions where the template fits the frame
+    (``matcher.valid_center_rect``); a window with a non-finite extent, or
+    none inside ``full``, is ``full``.
     """
     sx = math.sqrt(max(s.P[0, 0], 0.0))
     sy = math.sqrt(max(s.P[1, 1], 0.0))
     if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(s.x) and math.isfinite(s.y)):
         return full
-    half_x = math.ceil(cfg.kappa * sx) + (tpl_w + 1) // 2
-    half_y = math.ceil(cfg.kappa * sy) + (tpl_h + 1) // 2
+    half_x = math.ceil(cfg.kappa * sx)
+    half_y = math.ceil(cfg.kappa * sy)
     cx = round_half_away(s.x)
     cy = round_half_away(s.y)
     return Rect(cx - half_x, cy - half_y, 2 * half_x + 1, 2 * half_y + 1).clip(full) or full

@@ -34,9 +34,9 @@ _CHUNK_ELEMS = 174_960
 
 # Budget for the basis spectra a bank keeps at window shapes, least recently
 # used evicted first; the newest shape stays even when it alone exceeds the
-# budget. A tracking window keeps the 12 spectra of the basis images: 0.5 MB
-# at 90x54, the padded shape of the common 1,551-position window of a 22x36
-# template. The whole-frame spectra are kept apart and never evicted by
+# budget. A tracking window keeps the 12 spectra of the basis images: 0.16 MB
+# at 48x32, the padded shape of the common 121-position (11x11) window of a
+# 22x36 template. The whole-frame spectra are kept apart and never evicted by
 # window scans.
 _WINDOW_SPECTRA_BYTES = 16 << 20
 
@@ -84,7 +84,7 @@ class MatchPoint:
 
 @dataclass(frozen=True)
 class Detection:
-    """Centroid of all match points plus the single best-scoring one."""
+    """Centroid of the best match point's cluster plus the best point itself."""
 
     x: float
     y: float
@@ -614,15 +614,23 @@ def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
     _frame_spectra(_kernel(bank), frame_h, frame_w, bank.base_height)
 
 
-def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD) -> Detection | None:
-    """Centroid of all match points; best score/angle from the top point.
+def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD,
+           box: tuple[int, int] | None = None) -> Detection | None:
+    """Centroid of the best point's cluster; best score/angle from the top point.
 
-    Returns None on an empty list. Ties on score keep the earliest point in
-    scan order, so output is deterministic.
+    With ``box`` = (tw, th), the template's size, the cluster is the points
+    within +-(tw // 2, th // 2) of the best point, edges included, so a
+    false match elsewhere in the window does not pull the centroid; with no
+    box it is every point. ``support`` is the cluster's size. Returns None
+    on an empty list. Ties on score keep the earliest point in scan order,
+    so output is deterministic.
     """
     if not points:
         return None
     best = max(points, key=lambda p: p.score)
+    if box is not None:
+        hx, hy = box[0] // 2, box[1] // 2
+        points = [p for p in points if abs(p.u - best.u) <= hx and abs(p.v - best.v) <= hy]
     return Detection(
         x=sum(p.u for p in points) / len(points),
         y=sum(p.v for p in points) / len(points),

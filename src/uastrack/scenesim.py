@@ -298,8 +298,11 @@ def _sprite(sc: Scenario, angle_deg: float) -> np.ndarray:
 
 
 def _draw_noise(seed: int, frame_index: int, shape: tuple[int, int], sigma: float) -> np.ndarray:
-    """Sensor noise of one frame, a function of its arguments only."""
-    return _philox(seed, _STREAM_NOISE, frame_index).normal(0.0, sigma, shape)
+    """Sensor noise of one frame, a function of its arguments only: the bits of
+    ``normal(0.0, sigma, shape)`` but a zero's sign, which a pixel's sum erases."""
+    noise = _philox(seed, _STREAM_NOISE, frame_index).standard_normal(shape)
+    noise *= sigma
+    return noise
 
 
 class _NoiseAhead:

@@ -159,12 +159,11 @@ class TrackerSession:
         if self.state is not None:
             pred = ekf.predict(self.state, dt, self.cfg.noise)
             if pred.misses < self.cfg.miss_limit:
-                window = ekf.search_window(
-                    pred, full, self.bank.base_width, self.bank.base_height, self.cfg.noise
-                )
+                window = ekf.search_window(pred, full, self.cfg.noise)
         det = matcher.detect(
             matcher.scan(frame, self.bank, window, self.cfg.threshold),
             self.cfg.threshold,
+            (self.bank.base_width, self.bank.base_height),
         )
         cmd = None
         if det is not None:
@@ -187,8 +186,11 @@ class TrackerSession:
 
     def apply_template(self, patch: GrayImage) -> None:
         """Swap in a new target patch (operator upload); restarts acquisition."""
-        self.bank = build_bank(patch, self.cfg.bank_count, self.cfg.bank_step_deg)
-        matcher.prepare(self.bank, self.cfg.optics.frame_w, self.cfg.optics.frame_h)
+        # prepared before the old bank goes: freed first, its pages could go back
+        # to the system and the new fill fault fresh ones in (~1,200 an upload)
+        bank = build_bank(patch, self.cfg.bank_count, self.cfg.bank_step_deg)
+        matcher.prepare(bank, self.cfg.optics.frame_w, self.cfg.optics.frame_h)
+        self.bank = bank
         self.state = None
 
 

@@ -187,7 +187,7 @@ class TestFilterProperties:
                     s = mark_miss(s)
                 assert np.array_equal(s.P, s.P.T)
                 np.linalg.cholesky(s.P)  # raises unless positive definite
-                win = search_window(s, full, 22, 36, cfg)
+                win = search_window(s, full, cfg)
                 assert win.area > 0 and full.contains(win)
 
     def test_converges_on_noiseless_constant_velocity(self):
@@ -205,23 +205,23 @@ class TestFilterProperties:
 
 class TestSearchWindow:
     def test_frozen_half_extents(self):
-        # sqrt(4)=2 sigma, kappa 3 -> 6; template halves 11 and 18
+        # sqrt(4)=2 sigma, kappa 3 -> 6 each side of the predicted centre
         s = make_state(200.0, 200.0, p=np.diag([4.0, 4.0, 1.0, 1.0]))
-        win = search_window(s, valid_center_rect(22, 36, 640, 480), 22, 36, CFG)
-        assert (win.w, win.h) == (35, 49)
-        assert (win.x, win.y) == (200 - 17, 200 - 24)
+        win = search_window(s, valid_center_rect(22, 36, 640, 480), CFG)
+        assert (win.w, win.h) == (13, 13)
+        assert (win.x, win.y) == (200 - 6, 200 - 6)
 
     def test_infinite_variance_full_frame(self):
         s = make_state(50.0, 50.0, p=np.diag([np.inf, np.inf, 1.0, 1.0]))
-        win = search_window(s, valid_center_rect(22, 36, 320, 240), 22, 36, CFG)
+        win = search_window(s, valid_center_rect(22, 36, 320, 240), CFG)
         assert win == Rect(10, 17, 320 - 22 + 1, 240 - 36 + 1)
 
     def test_windows_nest_across_misses(self):
         s = make_state(100.0, 100.0, p=np.diag([2.0, 2.0, 4.0, 4.0]))
         first = predict(s, 1.0, CFG)
         second = predict(mark_miss(first), 1.0, CFG)
-        w1 = search_window(first, valid_center_rect(22, 36, 640, 480), 22, 36, CFG)
-        w2 = search_window(second, valid_center_rect(22, 36, 640, 480), 22, 36, CFG)
+        w1 = search_window(first, valid_center_rect(22, 36, 640, 480), CFG)
+        w2 = search_window(second, valid_center_rect(22, 36, 640, 480), CFG)
         assert w2.contains(w1)
         assert w2.area > w1.area
 
@@ -230,14 +230,14 @@ class TestSearchWindow:
         areas = []
         for _ in range(40):
             s = predict(mark_miss(s), 1.0, CFG)
-            areas.append(search_window(s, valid_center_rect(22, 36, 320, 240), 22, 36, CFG).area)
+            areas.append(search_window(s, valid_center_rect(22, 36, 320, 240), CFG).area)
         assert all(a <= b for a, b in zip(areas, areas[1:]))
         full = Rect(10, 17, 299, 205).area
         assert areas[-1] == full
 
     def test_off_frame_prediction_returns_full_area(self):
         s = make_state(-500.0, -500.0, p=np.eye(4))
-        win = search_window(s, valid_center_rect(22, 36, 320, 240), 22, 36, CFG)
+        win = search_window(s, valid_center_rect(22, 36, 320, 240), CFG)
         assert win == Rect(10, 17, 299, 205)
 
 

@@ -1184,6 +1184,35 @@ class TestDetect:
         assert min(p.u for p in points) <= d.x <= max(p.u for p in points)
         assert min(p.v for p in points) <= d.y <= max(p.v for p in points)
 
+    def test_box_keeps_a_far_false_cluster_out_of_the_centroid(self):
+        true = [MatchPoint(100, 80, 0.97, 10.0), MatchPoint(102, 83, 0.93, 10.0)]
+        false = [MatchPoint(200, 150, 0.95, 40.0), MatchPoint(201, 150, 0.94, 40.0)]
+        d = detect(false + true, 0.9, (22, 36))
+        assert d == Detection(101.0, 81.5, 0.97, 10.0, 2)
+        # with no box every point counts, as before
+        assert detect(false + true, 0.9).support == 4
+
+    def test_box_support_is_the_cluster_size(self, rng):
+        best = MatchPoint(60, 70, 0.99, 0.0)
+        near = [
+            MatchPoint(60 + int(du), 70 + int(dv), 0.9, 0.0)
+            for du, dv in zip(rng.integers(-11, 12, 30), rng.integers(-18, 19, 30))
+        ]
+        far = [MatchPoint(60 + 12, 70, 0.95, 0.0), MatchPoint(60, 70 - 19, 0.95, 0.0)]
+        d = detect(near + far + [best], 0.9, (22, 36))
+        assert d.support == len(near) + 1
+        assert d.x == sum(p.u for p in near + [best]) / d.support
+        assert d.y == sum(p.v for p in near + [best]) / d.support
+
+    @pytest.mark.parametrize("du, dv", [(11, 0), (-11, 0), (0, 18), (0, -18), (11, -18), (-11, 18)])
+    def test_box_edge_is_inside(self, du, dv):
+        # a 22x36 box reaches +-(22 // 2, 36 // 2) = +-(11, 18), edges included
+        best = MatchPoint(50, 50, 0.99, 0.0)
+        edge = MatchPoint(50 + du, 50 + dv, 0.91, 0.0)
+        assert detect([best, edge], 0.9, (22, 36)).support == 2
+        beyond = MatchPoint(edge.u + int(np.sign(du)), edge.v + int(np.sign(dv)), 0.91, 0.0)
+        assert detect([best, beyond], 0.9, (22, 36)).support == 1
+
     def test_tie_keeps_first(self):
         d = detect(
             [MatchPoint(1, 1, 0.95, 30.0), MatchPoint(2, 2, 0.95, 40.0)], 0.9

@@ -163,6 +163,22 @@ class TestPreparedBank:
         assert session.bank.kernel.frame[0] == frame_slot(200, 150)
         assert session.bank.kernel.frame is not kept
 
+    def test_apply_template_prepares_the_new_bank_before_installing_it(self, patch, monkeypatch):
+        cfg = TrackerConfig(optics=OpticsConfig(frame_w=200, frame_h=150))
+        session = TrackerSession(build_bank(patch), cfg)
+        old = session.bank
+        seen = []
+        prepare = matcher.prepare
+        monkeypatch.setattr(
+            matcher, "prepare", lambda bank, w, h: seen.append((bank, session.bank)) or prepare(bank, w, h)
+        )
+        session.apply_template(scenesim.default_target_patch(5))
+        assert len(seen) == 1
+        prepared, installed = seen[0]
+        assert installed is old
+        assert prepared is session.bank and prepared is not old
+        assert prepared.kernel.frame[0] == frame_slot(200, 150)
+
     @pytest.mark.parametrize("workers, shape", [(1, (150, 200)), (2, (96, 200)), (3, (75, 200))])
     def test_prepared_shape_is_the_tallest_band_for_each_worker_count(self, patch, monkeypatch,
                                                                       workers, shape):
