@@ -8,7 +8,7 @@ the median of ``--reps`` scans after it (warm). The bank is bare: it is not
 prepared (``matcher.prepare``) as a ``TrackerSession`` prepares the banks it
 installs, so cold is the cost of a first scan without that preparation. The frame is uniform 8-bit
 noise with one bank entry planted at its centre. The scans are the whole
-frame and the 33x47-position window around the planted entry. Rounds go
+frame and the 11x11-position window around the planted entry. Rounds go
 through every case in turn, so a shared machine's drift spreads over all of
 them. Nothing else runs in the process: no noise thread, no render.
 
@@ -17,7 +17,7 @@ median, in ms, and the match point count, which must be the same in every
 round (else the exit code is 1). The last line is the process's peak
 resident set size, then the largest basis spectra any bank kept, in MiB:
 those of its whole-frame slot (``frame_spectra_mib``) and those of its
-window shapes (``window_spectra_mib``). Run it on two commits,
+window slot (``window_spectra_mib``). Run it on two commits,
 alternating, to compare them.
 
     PYTHONPATH=src python3 scripts/scan_table.py [--seeds 1 3 7 42]
@@ -37,7 +37,7 @@ from uastrack.matcher import scan, template_origin
 from uastrack.scenesim import default_target_patch
 from uastrack.warp import build_bank
 
-WINDOW = (33, 47)  # the common tracking window of a 22x36 template, in positions
+WINDOW = (11, 11)  # the common tracking window, in positions (``ekf.search_window``)
 
 
 def case_frame(seed: int, w: int, h: int):
@@ -87,9 +87,9 @@ def main(argv=None) -> int:
             reps = [timed(img, bank, window, threshold) for _ in range(args.reps)]
             warm[case].append(statistics.median(ms for ms, _ in reps))
             points[case].update(count for _, count in reps)
-            frame_slot = bank.kernel.frame
-            kept["frame"] = max(kept["frame"], frame_slot[1].nbytes if frame_slot else 0)
-            kept["window"] = max(kept["window"], sum(s.nbytes for s in bank.kernel.windows.values()))
+            for kind in kept:  # each kind's slot on the kernel
+                slot = getattr(bank.kernel, kind)
+                kept[kind] = max(kept[kind], slot[1].nbytes if slot else 0)
     print("scan threshold seed cold_ms warm_ms points")
     name = {"frame": f"frame{w}x{h}", "window": f"window{WINDOW[0]}x{WINDOW[1]}"}
     for case in cases:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,14 +31,6 @@ DEFAULT_THRESHOLD = 0.9
 # chunk of kept positions, counted as bank entries x positions (4,860 of a
 # 36-entry bank, more than a band keeps at 0.9, bounding the pairs it holds).
 _CHUNK_ELEMS = 174_960
-
-# Budget for the basis spectra a bank keeps at window shapes, least recently
-# used evicted first; the newest shape stays even when it alone exceeds the
-# budget. A tracking window keeps the 12 spectra of the basis images: 0.16 MB
-# at 48x32, the padded shape of the common 121-position (11x11) window of a
-# 22x36 template. The whole-frame spectra are kept apart and never evicted by
-# window scans.
-_WINDOW_SPECTRA_BYTES = 16 << 20
 
 
 def _cpu_count() -> int:
@@ -201,8 +193,8 @@ def _smooth5(size: int) -> int:
 class _Kernel:
     """What every scan of one bank shares, built by ``prepare`` or on its
     first scan (``_kernel``): the template-side terms of the score, the
-    low-rank basis, and the basis spectra, a whole frame's in ``frame`` and
-    each window shape's in ``windows``."""
+    low-rank basis, and the basis spectra of the last padded shape each scan
+    kind filled, a whole frame's in ``frame`` and a window's in ``window``."""
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
@@ -213,19 +205,9 @@ class _Kernel:
     mode: np.ndarray      # (r,) each image's angle mode; a mode's images are consecutive
     starts: np.ndarray    # (G,) the first image of each mode g
     amp: np.ndarray       # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
-    # (band shape, spectra) of a whole frame, written by ``_frame_spectra`` only
+    # (padded shape, spectra) of each scan kind, written by ``_spectra`` only
     frame: tuple | None = None
-    # spectra by window padded shape, least recently used first
-    windows: dict = field(default_factory=dict)
-
-    def keep(self, shape: tuple, spectra: np.ndarray) -> None:
-        """Keep a window's spectra as the most recently used, within
-        ``_WINDOW_SPECTRA_BYTES``."""
-        windows = self.windows
-        windows.pop(shape, None)
-        windows[shape] = spectra
-        while len(windows) > 1 and sum(s.nbytes for s in windows.values()) > _WINDOW_SPECTRA_BYTES:
-            del windows[next(iter(windows))]
+    window: tuple | None = None
 
 
 def _kernel(bank: TemplateBank) -> _Kernel:
@@ -359,24 +341,33 @@ def _band_shape(size: tuple, th: int) -> tuple:
 
 def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
     """The conjugate basis spectra at ``shape``, all filled before any correlation
-    reads them: a whole frame's one run of images per worker, a window's inline."""
+    reads them: a whole frame's one run of images per worker, a window's inline,
+    each run a chunk of at most ``_CHUNK_ELEMS`` // (padded area) images at a
+    time, as the correlations take them."""
     spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
+    step = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
 
     def fill(k0, k1):
-        np.conjugate(_bank_spectra(images[k0:k1], shape), out=spectra[k0:k1])
+        for k in range(k0, k1, step):
+            j = min(k + step, k1)
+            np.conjugate(_bank_spectra(images[k:j], shape), out=spectra[k:j])
 
     _on_workers(fill, _parts(len(images)) if whole else [(0, len(images))])
     return spectra
 
 
-def _frame_spectra(kernel: _Kernel, frame_h: int, frame_w: int, th: int) -> tuple:
-    """``kernel.frame``: the (shape, spectra) of every band of a whole frame_w x
-    frame_h frame (``_band_shape``), filled on the workers unless they are
-    kept at that shape. The one writer of ``kernel.frame``."""
-    shape = _band_shape((frame_h, frame_w), th)
-    if kernel.frame is None or kernel.frame[0] != shape:
-        kernel.frame = (shape, _fill_spectra(kernel.images, shape, True))
-    return kernel.frame
+def _spectra(kernel: _Kernel, shape: tuple, whole: bool) -> np.ndarray:
+    """The basis spectra at ``shape`` for a whole frame (``whole``, kept in
+    ``kernel.frame``) or a window (kept in ``kernel.window``): the slot's own
+    when it holds that shape, else filled by ``_fill_spectra`` and kept at
+    once, before any correlation reads them. The one writer of both slots, so
+    each scan kind keeps the spectra of the last padded shape it filled."""
+    name = "frame" if whole else "window"
+    slot = getattr(kernel, name)
+    if slot is None or slot[0] != shape:
+        slot = (shape, _fill_spectra(kernel.images, shape, whole))
+        setattr(kernel, name, slot)
+    return slot[1]
 
 
 def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, nu: int) -> np.ndarray:
@@ -556,10 +547,11 @@ def scan(
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
     A whole-frame scan, one whose clipped window is every valid centre,
-    splits its rows of positions into one band per worker and takes its
-    spectra from ``_frame_spectra``, as ``prepare`` does; any other is one
-    band on the calling thread, its spectra kept in ``kernel.windows`` once
-    it has succeeded. Each band runs as a window runs (``_band``).
+    splits its rows of positions into one band per worker at the frame's
+    band shape (``_band_shape``); any other is one band on the calling
+    thread at its own padded shape. Each band runs as a window runs
+    (``_band``), with the spectra its scan kind keeps (``_spectra``), the
+    call ``prepare`` makes for a whole frame.
     """
     tw, th = bank.base_width, bank.base_height
     if tw > img.width or th > img.height:
@@ -574,17 +566,13 @@ def scan(
     kernel = _kernel(bank)
     whole = window == full
     if whole:
-        shape, spectra = _frame_spectra(kernel, img.height, img.width, th)
+        shape = _band_shape((img.height, img.width), th)
     else:
         shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-        spectra = kernel.windows.get(shape)
-        if spectra is None:
-            spectra = _fill_spectra(kernel.images, shape, False)
+    spectra = _spectra(kernel, shape, whole)
     tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, shape, threshold, lo * nu)
                                for lo, hi in (_parts(nv) if whole else [(0, nv)])])
     at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
-    if not whole:  # kept, or marked used, only once the scan has succeeded
-        kernel.keep(shape, spectra)
 
     best = np.full(nv * nu, -np.inf)
     best[at] = top
@@ -607,11 +595,11 @@ def scan(
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
     """Build the bank's kernel and the spectra a whole frame_w x frame_h frame
-    scans with (``_frame_spectra``), as that scan would build them. Does
-    nothing when they are kept, or the template does not fit."""
+    scans with (``_spectra`` at ``_band_shape``), as that scan would build
+    them. Does nothing when they are kept, or the template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
-    _frame_spectra(_kernel(bank), frame_h, frame_w, bank.base_height)
+    _spectra(_kernel(bank), _band_shape((frame_h, frame_w), bank.base_height), True)
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD,

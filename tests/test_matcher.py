@@ -324,7 +324,7 @@ class TestScanExactness:
         """A window whose sub-image pads to the frame's shape, with fewer rows
         of positions than the frame, is a window: one band on the calling
         thread, which fills its spectra once, at its own padded shape, and
-        keeps them in ``windows``; the spectra ``prepare`` kept stay."""
+        keeps them in ``window``; the spectra ``prepare`` kept stay."""
         monkeypatch.setattr(matcher, "_WORKERS", workers)
         img = GrayImage(rng.integers(0, 256, img_size[::-1], dtype=np.uint8))
         patch = GrayImage(rng.integers(0, 256, patch_size[::-1], dtype=np.uint8))
@@ -337,35 +337,12 @@ class TestScanExactness:
         sub_rows, sub_cols = sub.h + patch_size[1] - 1, sub.w + patch_size[0] - 1
         assert sub_rows < img_size[1] and matcher._smooth5(sub_rows) == matcher._smooth5(img_size[1])
         assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
-        assert fills == [threading.main_thread()]
-        assert list(bank.kernel.windows) == [(matcher._smooth5(sub_rows), matcher._smooth5(sub_cols))]
+        padded = (matcher._smooth5(sub_rows), matcher._smooth5(sub_cols))
+        step = matcher._CHUNK_ELEMS // (padded[0] * padded[1])  # images a fill chunk
+        runs = [threading.main_thread()] * -(-len(bank.kernel.images) // step)
+        assert fills == runs and bank.kernel.window[0] == padded
         assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
-        assert fills == [threading.main_thread()] and bank.kernel.frame is kept
-
-    def test_window_spectra_stay_within_their_budget(self, rng, checker22x36, monkeypatch):
-        bank = build_bank(checker22x36, 4, 90.0)
-        frame = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
-        scan(frame, bank, frame.rect, 0.0)
-        kept = bank.kernel.frame
-        budget = 600_000  # two or three of the shapes below
-        monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", budget)
-        for side in range(1, 60, 3):
-            window = Rect(40, 40, side, side)
-            fresh = build_bank(checker22x36, 4, 90.0)
-            assert scan(frame, bank, window, 0.0) == scan(frame, fresh, window, 0.0)
-            shapes = bank.kernel.windows
-            assert 0 < sum(s.nbytes for s in shapes.values()) <= budget
-            assert bank.kernel.frame is kept
-        assert len(shapes) >= 2
-        assert list(shapes)[-1] == (matcher._smooth5(58 + 35), matcher._smooth5(58 + 21))
-        monkeypatch.setattr(matcher, "_WINDOW_SPECTRA_BYTES", 0)
-        newest = (matcher._smooth5(5 + 35), matcher._smooth5(5 + 21))
-        scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
-        only = bank.kernel.windows
-        assert list(only) == [newest]  # over the budget alone, the newest shape is kept
-        scan(frame, bank, Rect(40, 40, 5, 5), 0.0)
-        assert bank.kernel.windows[newest] is only[newest]  # and reused warm
-        assert bank.kernel.frame is kept
+        assert fills == runs and bank.kernel.frame is kept
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, workers):
@@ -728,13 +705,15 @@ class TestReusedBuffersAndWhereChunksRun:
             assert on_workers(threads) and on_workers(bands) and len(bands) == 2
 
     def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
-        """``prepare``, a bare bank's first whole frame and each new window
-        shape fill their spectra through ``_fill_spectra``, every image
-        before any correlation reads one: a whole frame's on the workers,
-        one run of images each, a window's on the calling thread. Warm scans
-        fill nothing. What they keep are C-contiguous complex128 arrays of shape
-        (r, padded rows, padded columns // 2 + 1), which the correlations
-        read along their rows."""
+        """``prepare``, a bare bank's first whole frame and each window of
+        another padded shape than the last fill their spectra through
+        ``_fill_spectra``, every image before any correlation reads one: a
+        whole frame's on the workers, one run of images each, a window's on
+        the calling thread, each run in chunks of at most
+        ``_CHUNK_ELEMS`` // (padded area) images (3 at 144x320, all 12 at
+        90x54). Warm scans fill nothing. What they keep are C-contiguous
+        complex128 arrays of shape (r, padded rows, padded columns // 2 +
+        1), which the correlations read along their rows."""
         events = []
         fill, correlation = matcher._fill_spectra, matcher._correlation
         monkeypatch.setattr(matcher, "_fill_spectra", lambda *args: events.append(args[1]) or fill(*args))
@@ -745,11 +724,11 @@ class TestReusedBuffersAndWhereChunksRun:
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 150, 100))
         prepared, bare = build_bank(patch), build_bank(patch)
         matcher.prepare(prepared, 320, 240)
-        assert events == [(144, 320)] and len(threads) == 2 and on_workers(threads)
+        assert events == [(144, 320)] and len(threads) == 4 and on_workers(threads)
         common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 90x54, 96x72
         scans = [(prepared, frame.rect, []), (bare, frame.rect, [(144, 320)]),
                  (bare, frame.rect, []), (bare, common, [(90, 54)]), (bare, common, []),
-                 (bare, grown, [(96, 72)]), (prepared, common, [(90, 54)])]
+                 (bare, grown, [(96, 72)]), (bare, common, [(90, 54)]), (prepared, common, [(90, 54)])]
         for bank, window, filled in scans:
             events.clear()
             threads.clear()
@@ -758,14 +737,13 @@ class TestReusedBuffersAndWhereChunksRun:
             chunks = 8 if window == frame.rect else 1
             assert events == filled + ["c"] * chunks  # filled whole, then correlated
             if window == frame.rect:
-                assert len(threads) == 2 * len(filled) and (not filled or on_workers(threads))
+                assert len(threads) == 4 * len(filled) and (not filled or on_workers(threads))
             else:
                 assert threads == [threading.main_thread()] * len(filled)
             assert got == rank_k_scan(frame, bank, window, 0.9)
         assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
-        kept = [prepared.kernel.frame, bare.kernel.frame, *bare.kernel.windows.items(),
-                *prepared.kernel.windows.items()]
-        assert [shape for shape, _ in kept] == [(144, 320)] * 2 + [(90, 54), (96, 72), (90, 54)]
+        kept = [prepared.kernel.frame, bare.kernel.frame, bare.kernel.window, prepared.kernel.window]
+        assert [shape for shape, _ in kept] == [(144, 320)] * 2 + [(90, 54)] * 2
         for shape, spectra in kept:
             assert spectra.dtype == np.complex128 and spectra.flags.c_contiguous
             assert spectra.shape == (12, shape[0], shape[1] // 2 + 1)
@@ -789,25 +767,39 @@ class TestReusedBuffersAndWhereChunksRun:
         assert [len(args[2]) for args in calls] == [130 * 110, 200 * 150]
         assert entries == exacts and len(entries) == 2 and all(0 < n <= 4860 for n in entries)
 
-    def test_kept_spectra_follow_the_frame_size_and_recency(self, rng, checker22x36):
-        """A whole frame of another size replaces the frame slot's spectra,
-        and a window shape scanned warm becomes the most recently used."""
+    def test_each_scan_kind_keeps_its_last_shape(self, rng, checker22x36):
+        """A whole frame of another size replaces the frame slot's spectra, and a
+        window of another padded shape the window slot's, each leaving the
+        other slot as it was; a warm rescan of either kind reuses the array
+        it kept."""
         bank = build_bank(checker22x36, 4, 90.0)
         small = GrayImage(rng.integers(0, 256, (60, 80), dtype=np.uint8))
         large = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
-        for img in (small, large, small):
+        frames, windows = [], []
+        for img in (small, large, small, small):
             fresh = build_bank(checker22x36, 4, 90.0)
             assert scan(img, bank, img.rect, 0.5) == scan(img, fresh, img.rect, 0.5)
-            assert bank.kernel.frame[0] == frame_slot(img, bank)
-        for side in (5, 9, 5):
-            scan(large, bank, Rect(40, 40, side, side), 0.5)
-        padded = [(matcher._smooth5(side + 35), matcher._smooth5(side + 21)) for side in (9, 5)]
-        assert list(bank.kernel.windows) == padded
+            assert bank.kernel.frame[0] == frame_slot(img, bank) and bank.kernel.window is None
+            frames.append(bank.kernel.frame[1])
+        for side in (5, 9, 5, 5):
+            rect = Rect(40, 40, side, side)
+            assert scan(large, bank, rect, 0.5) == scan(large, build_bank(checker22x36, 4, 90.0), rect, 0.5)
+            assert bank.kernel.window[0] == (matcher._smooth5(side + 35), matcher._smooth5(side + 21))
+            assert bank.kernel.frame[1] is frames[-1]
+            windows.append(bank.kernel.window[1])
+        assert [frames[i] is frames[i - 1] for i in (1, 2, 3)] == [False, False, True]
+        assert [windows[i] is windows[i - 1] for i in (1, 2, 3)] == [False, False, True]
+        scan(small, bank, small.rect, 0.5)  # a warm whole frame leaves the window slot
+        assert bank.kernel.frame[1] is frames[-1] and bank.kernel.window[1] is windows[-1]
 
     @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
-        weights = matcher._kernel(build_bank(default_target_patch(7))).weights
+        kernel = matcher._kernel(build_bank(default_target_patch(7)))
+        weights = kernel.weights
         assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
+        expected = np.conj(np.fft.rfft2(kernel.images, shape))
+        for whole in (False, True):  # in chunks of images, on this thread or on the workers
+            assert np.array_equal(matcher._fill_spectra(kernel.images, shape, whole), expected)
 
 
 def low_rank_calls(monkeypatch):
@@ -1025,8 +1017,7 @@ class TestLowRankRoute:
         if warm:
             assert scan(frame, bank, window, 0.9) == expected
         kernel = matcher._kernel(bank)
-        kept = dict(kernel.windows)
-        kept_frame = kernel.frame
+        kept_frame, kept_window = kernel.frame, kernel.window
         raised = []
         exact_top = matcher._exact_top
 
@@ -1046,16 +1037,21 @@ class TestLowRankRoute:
         assert any(excinfo.value is exc for exc, _ in raised)  # an error raised, unchanged
         on_worker = [thread is not threading.main_thread() for _, thread in raised]
         assert on_worker == [where == "frame"] * len(raised)
-        if where == "frame":  # filled before any correlation, as ``prepare`` fills them
+        # a slot's spectra are filled and kept before any correlation, so the
+        # failed scan's kind keeps sound spectra and the other kind its own
+        if where == "frame":  # as ``prepare`` fills them
             prepared = build_bank(default_target_patch(7))
             matcher.prepare(prepared, frame.width, frame.height)
             assert bank.kernel.frame[0] == prepared.kernel.frame[0]
             assert np.array_equal(bank.kernel.frame[1], prepared.kernel.frame[1])
-        else:
+            assert bank.kernel.window is kept_window
+        else:  # as a fresh bank's scan of the window fills them
+            fresh = build_bank(default_target_patch(7))
+            assert scan(frame, fresh, window, 0.9) == expected
+            assert bank.kernel.window[0] == fresh.kernel.window[0]
+            assert np.array_equal(bank.kernel.window[1], fresh.kernel.window[1])
+            assert bank.kernel.window is kept_window or not warm
             assert bank.kernel.frame is kept_frame
-        windows = bank.kernel.windows  # a failed window scan keeps no new spectra
-        assert windows.keys() == kept.keys()
-        assert all(windows[key] is spectra for key, spectra in kept.items())
         assert scan(frame, bank, window, 0.9) == expected
         assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)
 

@@ -50,7 +50,7 @@ def test_scan_table_smoke():
     lines = output_lines("scan_table.py", "--smoke")
     rows = [line.split() for line in lines[1:-1]]
     assert lines[0].split() == ["scan", "threshold", "seed", "cold_ms", "warm_ms", "points"]
-    assert [r[:3] for r in rows] == [["frame320x240", "0.9", "1"], ["window33x47", "0.9", "1"]]
+    assert [r[:3] for r in rows] == [["frame320x240", "0.9", "1"], ["window11x11", "0.9", "1"]]
     for r in rows:
         assert all(float(x) > 0.0 for span in r[3:5] for x in span.split("-"))
         assert r[5] == "1"  # the planted entry, alone above 0.9 in noise
@@ -58,10 +58,10 @@ def test_scan_table_smoke():
     assert tail[:2] == ["#", "peak_rss_mb"] and tail[3::2] == ["frame_spectra_mib", "window_spectra_mib"]
     frame_mib, window_mib = (float(x) for x in tail[4::2])
     # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
-    # at the 90x54 of the window
+    # at the 48x32 of the window
     shape = matcher._band_shape((240, 320), 36)
     assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
-    assert window_mib == round(12 * 90 * (54 // 2 + 1) * 16 / 2**20, 1)
+    assert window_mib == round(12 * 48 * (32 // 2 + 1) * 16 / 2**20, 1)
 
 
 def test_replay_scans_smoke():
