@@ -17,9 +17,11 @@ place of its recorded threshold.
 With ``--other DIR``, that source tree is imported under another package
 name and replayed in the same process, in turn with this tree, the side
 that goes first alternating from round to round. Each tree scans banks
-built by its own ``warp.build_bank``, so the two may keep different state
-on a bank. The two must return equal match points for every scan (else
-the exit code is 1).
+built by its own ``warp.build_bank`` over windows of its own
+``imagebuf.Rect``, so the two may keep different state on a bank, and a
+tree that compares a window with its valid centres sees a whole frame as
+one. The two must return equal match points for every scan (else the
+exit code is 1).
 
 Each row prints, for one tree and one kind, the number of scans and the
 median and range over the rounds of the mean ms per scan.
@@ -50,7 +52,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from uastrack import matcher, scenesim, warp
+from uastrack import imagebuf, matcher, scenesim, warp
 from uastrack.sim import run_sim, scenario_optics
 from uastrack.tracker import TrackerConfig
 
@@ -91,15 +93,16 @@ def record(names, seeds, frames):
 
 
 def import_tree(root: Path):
-    """``matcher`` and ``warp`` of the source tree at ``root``, imported as
-    ``uastrack_other``."""
+    """``matcher``, ``warp`` and ``imagebuf`` of the source tree at ``root``,
+    imported as ``uastrack_other``."""
     pkg = root / "src" / "uastrack"
     spec = importlib.util.spec_from_file_location(
         "uastrack_other", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules["uastrack_other"] = module
     spec.loader.exec_module(module)
-    return tuple(importlib.import_module(f"uastrack_other.{name}") for name in ("matcher", "warp"))
+    return tuple(importlib.import_module(f"uastrack_other.{name}")
+                 for name in ("matcher", "warp", "imagebuf"))
 
 
 @contextmanager
@@ -141,10 +144,12 @@ def timed_stages(scan_module, spent, tally):
 
 def replay(tree, scans, made, override=None, stages=False):
     """One pass over the scans on fresh banks of the tree's own ``warp``, each
-    at its recorded threshold or at ``override``: ms per kind, ms per kind and
-    stage and counts per kind (zero without ``stages``), and every result."""
-    scan_module, warp_module = tree
+    over its recorded window as the tree's own ``Rect`` and at its recorded
+    threshold or at ``override``: ms per kind, ms per kind and stage and
+    counts per kind (zero without ``stages``), and every result."""
+    scan_module, warp_module, imagebuf_module = tree
     banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
+    windows = [imagebuf_module.Rect(w.x, w.y, w.w, w.h) for _, _, w, _ in scans]
     seen = set()
     ms = {kind: [] for kind in KINDS}
     spent = dict.fromkeys(STAGES, 0.0)
@@ -153,7 +158,7 @@ def replay(tree, scans, made, override=None, stages=False):
     counted = {kind: dict.fromkeys(COUNT_COLUMNS, 0) for kind in KINDS}
     results = []
     with timed_stages(scan_module, spent, tally) if stages else nullcontext():
-        for key, img, window, threshold in scans:
+        for (key, img, window, threshold), own_window in zip(scans, windows):
             bank = banks[key]
             whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
                                                               img.width, img.height))
@@ -161,7 +166,7 @@ def replay(tree, scans, made, override=None, stages=False):
             seen.add((key, whole))
             before, counted_before = dict(spent), dict(tally)
             t0 = time.perf_counter()
-            points = scan_module.scan(img, bank, window, threshold if override is None else override)
+            points = scan_module.scan(img, bank, own_window, threshold if override is None else override)
             ms[kind].append((time.perf_counter() - t0) * 1e3)
             for name in STAGES:
                 staged[kind][name] += spent[name] - before[name]
@@ -186,7 +191,7 @@ def main(argv=None) -> int:
     if args.smoke:
         args.scenarios, args.seeds, args.frames, args.rounds = args.scenarios[:1], args.seeds[:1], 3, 1
     scans, made = record(args.scenarios, args.seeds, args.frames)
-    trees = {"this": (matcher, warp)}
+    trees = {"this": (matcher, warp, imagebuf)}
     if args.other is not None:
         trees["other"] = import_tree(args.other.resolve())
     means = {(tree, kind): [] for tree in trees for kind in KINDS}

@@ -230,8 +230,8 @@ def run_bench(
     bank = build_bank(template)
     full = matcher.valid_center_rect(template.width, template.height, width, height)
     win = Rect(
-        int(gx) - window_px // 2,
-        int(gy) - window_px // 2,
+        matcher.template_origin(int(gx), window_px),
+        matcher.template_origin(int(gy), window_px),
         window_px,
         window_px,
     )

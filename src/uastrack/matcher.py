@@ -221,8 +221,9 @@ def _kernel(bank: TemplateBank) -> _Kernel:
     to ``_BASIS_RANK`` of these are made orthonormal by Gram-Schmidt, with
     a second pass wherever the first removed more than half the norm
     (Daniel, Gragg, Kaufman & Stewart 1976); an image with almost nothing
-    left is skipped. Each image sums to 0, as the weights do, and keeps its
-    mode, for the per-mode position test. A residual comes from ||w_k||**2
+    left is skipped. Each pass centres the image, so it sums to 0 as the
+    weights do (a mode of rounding noise alone need not), and each keeps
+    its mode, for the per-mode position test. A residual comes from ||w_k||**2
     - ||a_k||**2 plus an allowance, so it bounds the exact ||w_k - a_k B||
     from above. Element-wise products and sums only: no BLAS call.
     """
@@ -248,6 +249,7 @@ def _kernel(bank: TemplateBank) -> _Kernel:
         norm = left = math.sqrt(float((v * v).sum()))
         for _ in range(2):  # a second pass only if the first removed much (DGKS)
             v -= ((images[:r] * v).sum(axis=1)[:, None] * images[:r]).sum(axis=0)
+            v -= v.mean()
             before, left = left, math.sqrt(float((v * v).sum()))
             if left > 0.5 * before:
                 break
@@ -339,20 +341,15 @@ def _band_shape(size: tuple, th: int) -> tuple:
     return _smooth5(hi - lo + th - 1), _smooth5(size[1])
 
 
-def _fill_spectra(images: np.ndarray, shape: tuple, whole: bool) -> np.ndarray:
-    """The conjugate basis spectra at ``shape``, all filled before any correlation
-    reads them: a whole frame's one run of images per worker, a window's inline,
-    each run a chunk of at most ``_CHUNK_ELEMS`` // (padded area) images at a
-    time, as the correlations take them."""
+def _fill_spectra(images: np.ndarray, shape: tuple) -> np.ndarray:
+    """The conjugate basis spectra at ``shape``, all filled on the calling
+    thread before any correlation reads them, a chunk of at most
+    ``_CHUNK_ELEMS`` // (padded area) images at a time, as the correlations
+    take them."""
     spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
     step = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
-
-    def fill(k0, k1):
-        for k in range(k0, k1, step):
-            j = min(k + step, k1)
-            np.conjugate(_bank_spectra(images[k:j], shape), out=spectra[k:j])
-
-    _on_workers(fill, _parts(len(images)) if whole else [(0, len(images))])
+    for k in range(0, len(images), step):
+        np.conjugate(_bank_spectra(images[k : k + step], shape), out=spectra[k : k + step])
     return spectra
 
 
@@ -365,7 +362,7 @@ def _spectra(kernel: _Kernel, shape: tuple, whole: bool) -> np.ndarray:
     name = "frame" if whole else "window"
     slot = getattr(kernel, name)
     if slot is None or slot[0] != shape:
-        slot = (shape, _fill_spectra(kernel.images, shape, whole))
+        slot = (shape, _fill_spectra(kernel.images, shape))
         setattr(kernel, name, slot)
     return slot[1]
 
@@ -389,7 +386,7 @@ def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, 
 
 
 def _executor():
-    """The scan worker pool, started on first use: importing starts no thread."""
+    """The scan worker pool, started by the first whole frame that splits."""
     return _pool.get(_WORKERS)
 
 
@@ -594,9 +591,9 @@ def scan(
 
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
-    """Build the bank's kernel and the spectra a whole frame_w x frame_h frame
-    scans with (``_spectra`` at ``_band_shape``), as that scan would build
-    them. Does nothing when they are kept, or the template does not fit."""
+    """Build the bank's kernel and, on the calling thread, the spectra a whole
+    frame_w x frame_h frame scans with (``_spectra`` at ``_band_shape``), as that
+    scan would build them. Does nothing when they are kept, or the template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
     _spectra(_kernel(bank), _band_shape((frame_h, frame_w), bank.base_height), True)

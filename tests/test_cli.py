@@ -292,7 +292,8 @@ class TestBench:
     def test_plants_the_template_it_is_given(self, monkeypatch):
         """The bench frame holds the template the bank is built from, not the
         default seed-11 pattern, so the windowed scan finds it at the truth:
-        a static target at the frame's centre."""
+        a static target at the frame's centre, about which the window is
+        placed as a template is (``template_origin``)."""
         patch = scenesim.default_target_patch(7)
         real_scan = matcher.scan
         scans = []
@@ -305,9 +306,9 @@ class TestBench:
         monkeypatch.setattr(matcher, "scan", recording)
         run_bench(160, 120, patch, window_px=48, reps=1)
         img, window, points = scans[-1]
-        assert window.area == 48 * 48
         best = max(points, key=lambda p: p.score)
         assert (best.u, best.v, best.angle_deg) == ((160 - 1) // 2, (120 - 1) // 2, 0.0)
+        assert window == Rect(matcher.template_origin(best.u, 48), matcher.template_origin(best.v, 48), 48, 48)
         assert matcher.zmncc(img, patch, best.u, best.v) == 1.0
 
     def test_first_window_scan_is_timed_apart(self, monkeypatch):

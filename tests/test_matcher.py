@@ -447,24 +447,40 @@ class TestScanExactness:
         assert len(points) == 11815 and (60, 50, 1.0) in {(p.u, p.v, p.score) for p in points}
 
     def test_pool_starts_on_the_first_split_scan(self, rng, checker22x36, monkeypatch):
+        """Importing, installing a bank (a session's construction and
+        ``apply_template``, each of which prepares it) and a window scan
+        import no ``concurrent.futures`` and start no thread, on two
+        workers; the first whole frame that splits starts the pool."""
         probe = (
             "import sys, threading\n"
             "import numpy as np\n"
             "import uastrack.cli\n"
             "from uastrack import matcher, warp\n"
-            "from uastrack.imagebuf import GrayImage\n"
-            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+            "from uastrack.imagebuf import GrayImage, Rect\n"
+            "from uastrack.tracker import OpticsConfig, TrackerConfig, TrackerSession\n"
+            "def state():\n"
+            "    print('concurrent.futures' in sys.modules, threading.active_count())\n"
+            "state()\n"
             "matcher._WORKERS = 2\n"
             "img = GrayImage(np.arange(1600, dtype=np.uint8).reshape(40, 40))\n"
-            "matcher.scan(img, warp.build_bank(GrayImage(img.pixels[:5, :7]), 4, 90.0), img.rect)\n"
-            "print(threading.active_count())\n"
+            "cfg = TrackerConfig(optics=OpticsConfig(frame_w=40, frame_h=40))\n"
+            "session = TrackerSession(warp.build_bank(GrayImage(img.pixels[:5, :7]), 4, 90.0), cfg)\n"
+            "state()\n"
+            "session.apply_template(GrayImage(img.pixels[3:8, 2:9]))\n"
+            "state()\n"
+            "assert session.bank.kernel.frame is not None\n"
+            "matcher.scan(img, session.bank, Rect(10, 10, 9, 9))\n"
+            "state()\n"
+            "matcher.scan(img, session.bank, img.rect)\n"
+            "state()\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(matcher.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
-        imported, before, after = out.stdout.split()
-        assert (imported, before) == ("False", "1")  # importing starts no thread
-        assert int(after) > 1
+        states = [tuple(line.split()) for line in out.stdout.splitlines()]
+        # imported, constructed, template applied, window scanned: no pool
+        assert states[:4] == [("False", "1")] * 4
+        assert states[4][0] == "True" and int(states[4][1]) > 1
         monkeypatch.setattr(matcher, "_executor", lambda: pytest.fail("one worker started a pool"))
         frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
         scan_with(frame, build_bank(checker22x36, 4, 90.0), frame.rect, 0.9, workers=1, chunk_elems=1)
@@ -525,6 +541,12 @@ class TestScanExactness:
                 box = f[v : v + th, u : u + tw]
                 assert (sf[v, u], sff[v, u]) == (box.sum(), (box * box).sum())
         assert (sf[-1, -1], sff[-1, -1]) == (tw * th * 255, tw * th * 255**2)
+
+
+# A point-symmetric template whose basis images of rounding noise summed to
+# 5.0 and 0.15 when they were not centred.
+UNCENTRED_NOISE_5X5 = np.array([[235, 235, 223, 223, 223], [235, 235, 223, 223, 223], [71] * 5,
+                                [223, 223, 223, 235, 235], [223, 223, 223, 235, 235]], dtype=np.uint8)
 
 
 def scanned(img, bank, window):
@@ -707,9 +729,8 @@ class TestReusedBuffersAndWhereChunksRun:
     def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
         """``prepare``, a bare bank's first whole frame and each window of
         another padded shape than the last fill their spectra through
-        ``_fill_spectra``, every image before any correlation reads one: a
-        whole frame's on the workers, one run of images each, a window's on
-        the calling thread, each run in chunks of at most
+        ``_fill_spectra``, every image before any correlation reads one, on
+        the calling thread with two workers, in chunks of at most
         ``_CHUNK_ELEMS`` // (padded area) images (3 at 144x320, all 12 at
         90x54). Warm scans fill nothing. What they keep are C-contiguous
         complex128 arrays of shape (r, padded rows, padded columns // 2 +
@@ -724,7 +745,7 @@ class TestReusedBuffersAndWhereChunksRun:
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 150, 100))
         prepared, bare = build_bank(patch), build_bank(patch)
         matcher.prepare(prepared, 320, 240)
-        assert events == [(144, 320)] and len(threads) == 4 and on_workers(threads)
+        assert events == [(144, 320)] and threads == [threading.main_thread()] * 4
         common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 90x54, 96x72
         scans = [(prepared, frame.rect, []), (bare, frame.rect, [(144, 320)]),
                  (bare, frame.rect, []), (bare, common, [(90, 54)]), (bare, common, []),
@@ -736,10 +757,8 @@ class TestReusedBuffersAndWhereChunksRun:
             # a whole frame: 2 bands at 144x320, each correlating 4 chunks of 3 images
             chunks = 8 if window == frame.rect else 1
             assert events == filled + ["c"] * chunks  # filled whole, then correlated
-            if window == frame.rect:
-                assert len(threads) == 4 * len(filled) and (not filled or on_workers(threads))
-            else:
-                assert threads == [threading.main_thread()] * len(filled)
+            fills = 4 if window == frame.rect else 1  # transforms of 3 images, or of all 12
+            assert threads == [threading.main_thread()] * (fills * len(filled))
             assert got == rank_k_scan(frame, bank, window, 0.9)
         assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
         kept = [prepared.kernel.frame, bare.kernel.frame, bare.kernel.window, prepared.kernel.window]
@@ -797,9 +816,8 @@ class TestReusedBuffersAndWhereChunksRun:
         kernel = matcher._kernel(build_bank(default_target_patch(7)))
         weights = kernel.weights
         assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
-        expected = np.conj(np.fft.rfft2(kernel.images, shape))
-        for whole in (False, True):  # in chunks of images, on this thread or on the workers
-            assert np.array_equal(matcher._fill_spectra(kernel.images, shape, whole), expected)
+        expected = np.conj(np.fft.rfft2(kernel.images, shape))  # filled in chunks of images
+        assert np.array_equal(matcher._fill_spectra(kernel.images, shape), expected)
 
 
 def low_rank_calls(monkeypatch):
@@ -870,14 +888,27 @@ class TestLowRankRoute:
 
     def test_basis_of_a_point_symmetric_template_is_orthonormal(self):
         """Its odd angle modes are rounding noise, nearly parallel to the
-        images before them, so one Gram-Schmidt pass is not enough."""
+        images before them, so one Gram-Schmidt pass is not enough, and
+        need not sum to 0 as the weights do: each image is made to, so a
+        window's coordinates do not depend on the mean it was centred on."""
         tpx = np.array([[209, 209, 209, 82, 82], [209, 209, 209, 82, 82], [209, 209, 209, 209, 209],
                         [82, 82, 209, 209, 209], [82, 82, 209, 209, 209]], dtype=np.uint8)
-        bank = build_bank(GrayImage(tpx))
-        images = matcher._kernel(bank).images.reshape(-1, 25)
-        gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
-        assert len(images) == 12
-        assert np.abs(gram - np.eye(12)).max() < 1e-14
+        for patch in (tpx, UNCENTRED_NOISE_5X5):
+            images = matcher._kernel(build_bank(GrayImage(patch))).images.reshape(-1, 25)
+            gram = (images[:, None, :] * images[None, :, :]).sum(axis=2)
+            assert len(images) == 12
+            assert np.abs(gram - np.eye(12)).max() < 1e-14
+            assert np.abs(images.sum(axis=1)).max() < 1e-14
+
+    def test_window_of_a_point_symmetric_template_is_exact(self):
+        """A window whose sub-image mean is far from its windows' means, with
+        ``UNCENTRED_NOISE_5X5``: every threshold scans without an
+        ``ArithmeticError`` and equals brute force."""
+        px = np.full((10, 10), 7, np.uint8)
+        px[:6, :5] = [*UNCENTRED_NOISE_5X5, [229, 167, 88, 20, 243]]
+        img, bank, window = GrayImage(px), build_bank(GrayImage(UNCENTRED_NOISE_5X5)), Rect(2, 2, 1, 2)
+        for threshold in (0.0126540465, 0.5, -1.0):
+            assert scan(img, bank, window, threshold) == expected_points(img, bank, window, threshold)
 
     @settings(max_examples=30, deadline=None)
     @given(low_rank_cases())

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts run end to end, also at horizons too short for some columns."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -100,6 +101,42 @@ def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
         )
     lines = output_lines("replay_scans.py", "--smoke", "--other", str(tmp_path))
     assert [line.split()[0] for line in lines[2:]] == ["this"] * 3 + ["other"] * 3
+
+
+def test_replay_scans_other_tree_scans_whole_frames_as_whole_frames():
+    """An A/A replay hands the other tree windows of its own ``Rect``, so its
+    whole frames keep their spectra in ``kernel.frame`` (the window slot
+    stays empty until a window), and its warm whole frame, as this tree's,
+    fills no spectra."""
+    probe = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'scripts')!r})\n"
+        "import replay_scans as rs\n"
+        "from uastrack import imagebuf, matcher, warp\n"
+        "scans, made = rs.record(['cv'], [1], 3)\n"
+        "scans.append(scans[0])  # the whole frame again, warm\n"
+        f"other = rs.import_tree(rs.Path({str(ROOT)!r}))\n"
+        "slots, scan = [], other[0].scan\n"
+        "def recording(img, bank, window, threshold):\n"
+        "    points = scan(img, bank, window, threshold)\n"
+        "    slots.append([slot and list(slot[0]) for slot in (bank.kernel.frame, bank.kernel.window)])\n"
+        "    return points\n"
+        "other[0].scan = recording\n"
+        "fills = [{kind: staged[kind]['_fill_spectra'] > 0.0 for kind in ('frame_cold', 'frame_warm')}\n"
+        "         for staged in (rs.replay(tree, scans, made, stages=True)[1]\n"
+        "                        for tree in ((matcher, warp, imagebuf), other))]\n"
+        "print(json.dumps([fills, slots]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fills, slots = json.loads(proc.stdout)
+    assert fills == [{"frame_cold": True, "frame_warm": False}] * 2
+    whole = [240, 320]  # one worker's band: the whole 320x240 frame's padded shape
+    assert slots[0] == [whole, None]  # the cold whole frame, in the frame slot
+    assert [frame for frame, _ in slots] == [whole] * 4 and slots[1][1] is not None
+    assert slots[3] == slots[2]  # the warm whole frame left both slots as they were
 
 
 def test_replay_scans_times_each_stage():
