@@ -27,15 +27,31 @@ def table_rows(script: str, *args: str) -> list[list[str]]:
 
 
 def test_run_scenarios_shorter_than_settling_time():
-    rows = table_rows("run_scenarios.py", "--frames", "20")
-    assert [r[0] for r in rows] == list(scenesim.BUILTIN_NAMES)
-    assert all(r[5] == "nanpx" for r in rows)   # centering counts from frame 30
+    rows = table_rows("run_scenarios.py", "--frames", "20", "--seed", "7")
+    assert [r[:3] for r in rows] == [["0.40", "7", name] for name in scenesim.BUILTIN_NAMES]
+    assert all(r[7] == "nanpx" for r in rows)   # centering counts from frame 30
 
 
 def test_sigma_sweep_single_frame():
-    rows = table_rows("sigma_sweep.py", "--frames", "1")
-    assert [float(r[0]) for r in rows] == [0.1, 0.2, 0.4, 0.8, 1.6]
-    assert all(r[2:4] == ["nan", "nan"] for r in rows)  # no stepped frames
+    """``--sigmas`` sweeps every builtin and seed, in sigma order; a one-frame
+    run has no Kalman-sized window, so the area columns read ``nan``."""
+    rows = table_rows("run_scenarios.py", "--frames", "1", "--sigmas", "0.1,1.6", "--seeds", "1,3")
+    assert [(float(r[0]), r[1], r[2]) for r in rows] == [
+        (sigma, seed, name) for sigma in (0.1, 1.6) for seed in ("1", "3")
+        for name in scenesim.BUILTIN_NAMES]
+    assert all(r[8:10] == ["nan", "nan"] for r in rows)  # frame 0 scans the whole frame
+    assert all(float(r[11]) > 0.0 for r in rows)
+
+
+def test_run_scenarios_window_areas_leave_out_whole_frames():
+    """``redetect`` re-scans whole frames after its misses; they are not windows."""
+    rows = table_rows("run_scenarios.py", "--frames", "50")
+    row = next(r for r in rows if r[2] == "redetect")
+    sc = scenesim.make_scenario("redetect")
+    patch = scenesim.target_patch(sc)
+    full = matcher.valid_center_rect(patch.width, patch.height, sc.frame_w, sc.frame_h)
+    assert int(row[5]) > 0   # a re-detection, so a whole-frame scan after frame 0
+    assert float(row[8]) <= float(row[9]) < full.area
 
 
 def test_behaviour_digest_is_repeatable():
