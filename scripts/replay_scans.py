@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Record the closed loop's scans once, then replay them and time them apart.
 
-Runs the given builtin scenarios at the given seeds through ``run_sim`` with
-the default tracker config, recording every ``matcher.scan`` call (frame,
-bank, window, threshold) through a wrapper, as ``behaviour_digest.py`` does.
-Each round then replays every recorded scan in its recorded order on fresh
-banks built from the recorded ones, so the kernel each bank keeps (its
-template terms, basis and spectra) fills as it did in the loop. A scan is
-timed as one of four kinds: a whole frame (its window holds every valid
-centre) or a window, and cold (its bank's first scan of that kind, which
-builds the basis or spectra) or warm. The banks are bare: unlike a
-``TrackerSession``'s, they are not prepared (``matcher.prepare``) before
-their first whole frame. ``--threshold T`` replays every scan at T in
-place of its recorded threshold.
+Runs the given builtin scenarios at the given seeds and frame size
+(``--frame WxH``) through ``run_sim`` with the default tracker config,
+recording every ``matcher.scan`` call (frame, bank, window, threshold)
+through a wrapper, as ``behaviour_digest.py`` does. The source ``planted``
+runs no loop: each seed's frame is its uniform 8-bit noise with entry 5 of
+its default target's bank planted at the centre, scanned 8 times at 0.9 as
+the whole frame and 8 times as a settled filter's 11x11-position window,
+each case on its own bank. Each round then replays every recorded scan in
+its recorded order on fresh banks built from the recorded ones, so the
+kernel each bank keeps (its template terms, basis and spectra) fills as
+it did in the loop. A scan is timed as one of four kinds: a whole frame
+(its window holds every valid centre) or a window, and cold (its bank's
+first scan of that kind, which builds the basis or spectra) or warm. The
+banks are bare: unlike a ``TrackerSession``'s, they are not prepared
+(``matcher.prepare``) before their first whole frame. ``--threshold T`` replays every scan at T in
+place of its recorded threshold. Each tree must return the same match
+points in every round (else the exit code is 1).
 
 With ``--other DIR``, that source tree is imported under another package
 name and replayed in the same process, in turn with this tree, the side
@@ -24,7 +29,9 @@ one. The two must return equal match points for every scan (else the
 exit code is 1).
 
 Each row prints, for one tree and one kind, the number of scans and the
-median and range over the rounds of the mean ms per scan.
+median and range over the rounds of the mean ms per scan. The closing
+``#`` line prints the process's peak resident set size and, for each tree,
+the largest spectra its banks kept in each slot, in MiB.
 
 With ``--stages``, every tree replays on one scan worker, with each of the
 scan's stages (``STAGES``) timed through a wrapper on its ``matcher``, and
@@ -38,19 +45,23 @@ test, the positions it keeps, the candidate pairs of position and entry,
 and the positions given a top exact score. The counts do not depend on
 timing, so the trees must count alike too (else the exit code is 1).
 
-    PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect]
-        [--seeds 1 2] [--frames 120] [--rounds 5] [--threshold 0.7]
-        [--other ../parent] [--stages] [--smoke]
+    PYTHONPATH=src python3 scripts/replay_scans.py [--scenarios cv redetect planted]
+        [--seeds 1 2] [--frames 120] [--frame 640x480] [--rounds 5]
+        [--threshold 0.7] [--other ../parent] [--stages] [--smoke]
 """
 
 import argparse
 import importlib
 import importlib.util
+import itertools
+import resource
 import statistics
 import sys
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
+
+import numpy as np
 
 from uastrack import imagebuf, matcher, scenesim, warp
 from uastrack.sim import run_sim, scenario_optics
@@ -67,24 +78,48 @@ COUNTS = {
     "_exact_top": (("tops", lambda args, out: len(out[0])),),
 }
 COUNT_COLUMNS = tuple(column for counts in COUNTS.values() for column, _ in counts)
+PLANTED = "planted"  # the source of noise frames with the target planted, beside the builtins
 
 
-def record(names, seeds, frames):
-    """Every scan of the runs: (bank index, frame, window, threshold), and the
-    (patch, count) each bank index was built from."""
+def planted(seed, w, h, whole):
+    """A bare bank of ``seed``'s default target, a ``w`` x ``h`` frame of
+    ``seed``'s uniform noise with the bank's entry 5 planted at its centre,
+    and the window to scan: the whole frame or the 11x11 positions about the
+    centre, a settled filter's window (``ekf.search_window``)."""
+    bank = warp.build_bank(scenesim.default_target_patch(seed))
+    patch = bank.entries[5].patch
+    px = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+    u, v = w // 2, h // 2
+    x0, y0 = matcher.template_origin(u, patch.width), matcher.template_origin(v, patch.height)
+    px[y0 : y0 + patch.height, x0 : x0 + patch.width] = patch.pixels
+    img = imagebuf.GrayImage(px)
+    return bank, img, img.rect if whole else imagebuf.Rect(u - 5, v - 5, 11, 11)
+
+
+def record(names, seeds, frames, size=(scenesim.Scenario.frame_w, scenesim.Scenario.frame_h)):
+    """Every scan of the runs at ``size`` (w, h), ``PLANTED``'s cases where
+    it is named: (bank index, frame, window, threshold), and the (patch,
+    count) each bank index was built from."""
     scans, banks = [], {}
     scan = matcher.scan
 
+    def key(bank):
+        return banks.setdefault(id(bank), (len(banks), bank))[0]
+
     def recording(img, bank, window, threshold=matcher.DEFAULT_THRESHOLD):
-        key = banks.setdefault(id(bank), (len(banks), bank))[0]
-        scans.append((key, img, window, threshold))
+        scans.append((key(bank), img, window, threshold))
         return scan(img, bank, window, threshold)
 
     matcher.scan = recording
     try:
         for name in names:
+            if name == PLANTED:  # every seed's whole frame, then every seed's window
+                for whole, seed in itertools.product((True, False), seeds):
+                    bank, img, window = planted(seed, *size, whole)
+                    scans += [(key(bank), img, window, matcher.DEFAULT_THRESHOLD)] * 8  # 1 cold, 7 warm
+                continue
             for seed in seeds:
-                sc = scenesim.make_scenario(name, frames=frames, seed=seed)
+                sc = scenesim.make_scenario(name, *size, frames, seed)
                 run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
     finally:
         matcher.scan = scan
@@ -146,7 +181,8 @@ def replay(tree, scans, made, override=None, stages=False):
     """One pass over the scans on fresh banks of the tree's own ``warp``, each
     over its recorded window as the tree's own ``Rect`` and at its recorded
     threshold or at ``override``: ms per kind, ms per kind and stage and
-    counts per kind (zero without ``stages``), and every result."""
+    counts per kind (zero without ``stages``), every result, and the most
+    bytes of spectra a bank kept after any scan, per slot."""
     scan_module, warp_module, imagebuf_module = tree
     banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
     windows = [imagebuf_module.Rect(w.x, w.y, w.w, w.h) for _, _, w, _ in scans]
@@ -156,6 +192,7 @@ def replay(tree, scans, made, override=None, stages=False):
     staged = {kind: dict.fromkeys(STAGES, 0.0) for kind in KINDS}
     tally = dict.fromkeys(COUNT_COLUMNS, 0)
     counted = {kind: dict.fromkeys(COUNT_COLUMNS, 0) for kind in KINDS}
+    kept = {"frame": 0, "window": 0}
     results = []
     with timed_stages(scan_module, spent, tally) if stages else nullcontext():
         for (key, img, window, threshold), own_window in zip(scans, windows):
@@ -173,14 +210,19 @@ def replay(tree, scans, made, override=None, stages=False):
             for column in COUNT_COLUMNS:
                 counted[kind][column] += tally[column] - counted_before[column]
             results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
-    return ms, staged, counted, results
+            for slot in kept:  # (padded shape, spectra), or None; a tree may have no such slot
+                held = getattr(getattr(bank, "kernel", None), slot, None)
+                kept[slot] = max(kept[slot], held[1].nbytes if held else 0)
+    return ms, staged, counted, results, kept
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--scenarios", nargs="+", default=list(scenesim.BUILTIN_NAMES))
+    ap.add_argument("--scenarios", nargs="+", default=list(scenesim.BUILTIN_NAMES),
+                    help=f"builtins, or {PLANTED} for noise frames with the target planted")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--frames", type=int, default=120)
+    ap.add_argument("--frames", type=int, default=120, help="the horizon of each builtin run")
+    ap.add_argument("--frame", default="320x240", help="frame size WxH")
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--threshold", type=float, help="replay every scan at this threshold")
     ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
@@ -190,20 +232,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.smoke:
         args.scenarios, args.seeds, args.frames, args.rounds = args.scenarios[:1], args.seeds[:1], 3, 1
-    scans, made = record(args.scenarios, args.seeds, args.frames)
+    size = tuple(int(x) for x in args.frame.split("x"))
+    scans, made = record(args.scenarios, args.seeds, args.frames, size)
     trees = {"this": (matcher, warp, imagebuf)}
     if args.other is not None:
         trees["other"] = import_tree(args.other.resolve())
     means = {(tree, kind): [] for tree in trees for kind in KINDS}
     stage_means = {(tree, kind): [] for tree in trees for kind in KINDS}
     counts, stage_counts = {}, {}
-    same = counted_alike = True
+    first, kept = {}, {}  # each tree's results in its first round, its banks' largest spectra
+    same = counted_alike = repeated = True
     for i in range(args.rounds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         results, tallies = [], []
         for tree in order:
-            ms, staged, counted, got = replay(trees[tree], scans, made, args.threshold, args.stages)
+            ms, staged, counted, got, kept[tree] = replay(trees[tree], scans, made, args.threshold,
+                                                          args.stages)
             results.append(got)
+            repeated = repeated and first.setdefault(tree, got) == got
             tallies.append(counted)
             for kind in KINDS:
                 stage_counts[tree, kind] = counted[kind]
@@ -233,11 +279,16 @@ def main(argv=None) -> int:
                 print(tree, kind, *(f"{statistics.median(r[name] for r in rounds):.2f}"
                                     for name in columns),
                       *(stage_counts[tree, kind][column] for column in COUNT_COLUMNS))
+    print(f"# peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}",
+          *(f"{tree} " + " ".join(f"{slot}_spectra_mib {n / 2**20:.1f}" for slot, n in kept[tree].items())
+            for tree in trees))
     if not same:
         print("# the trees returned different match points", file=sys.stderr)
+    if not repeated:
+        print("# a tree returned different match points in different rounds", file=sys.stderr)
     if not counted_alike:
         print("# the trees' stages counted different positions or pairs", file=sys.stderr)
-    return 0 if same and counted_alike else 1
+    return 0 if same and repeated and counted_alike else 1
 
 
 if __name__ == "__main__":

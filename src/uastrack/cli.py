@@ -287,13 +287,16 @@ def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise UsageError(f"expected host:port, got {text!r}")
+    if int(port) > 65535:
+        raise UsageError(f"port must be in 0-65535, got {text!r}")
     return host, int(port)
 
 
 def cmd_serve(args) -> int:
     cfg_map, scenario, cfg = _scenario_setup(args)
-    sock = groundlink.open_socket(_parse_addr(args.listen))
+    listen = _parse_addr(args.listen)
     peer = _parse_addr(args.peer) if args.peer else None
+    sock = groundlink.open_socket(listen)
     link = LinkRuntime(
         sock, int(cfg_map["sample_every"]), peer=peer, await_roi=args.await_roi
     )
@@ -315,9 +318,10 @@ def cmd_roi(args) -> int:
     except ValueError:
         raise UsageError(f"--rect expects integers, got {args.rect!r}") from None
     payload = groundlink.encode_roi_select(args.frame, Rect(x, y, w, h))
+    addr = _parse_addr(args.send)
     sock = groundlink.open_socket()
     try:
-        sock.sendto(payload, _parse_addr(args.send))
+        sock.sendto(payload, addr)
     finally:
         sock.close()
     print(f"sent roi {args.rect} for frame {args.frame} to {args.send}")

@@ -172,11 +172,16 @@ def rescale_rect(r: Rect, factor: int) -> Rect:
 
 
 def open_socket(listen: Optional[tuple[str, int]] = None) -> socket.socket:
-    """Non-blocking UDP socket, optionally bound to (host, port)."""
+    """Non-blocking UDP socket, optionally bound to (host, port); closed again
+    if the bind fails."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    if listen is not None:
-        sock.bind(listen)
-    sock.setblocking(False)
+    try:
+        if listen is not None:
+            sock.bind(listen)
+        sock.setblocking(False)
+    except BaseException:
+        sock.close()
+        raise
     return sock
 
 

@@ -608,7 +608,8 @@ def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD,
     false match elsewhere in the window does not pull the centroid; with no
     box it is every point. ``support`` is the cluster's size. Returns None
     on an empty list. Ties on score keep the earliest point in scan order,
-    so output is deterministic.
+    so output is deterministic. ``threshold`` is not read: ``scan`` has
+    already dropped every point below it.
     """
     if not points:
         return None

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import socket
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +425,37 @@ class TestServe:
         assert len(rows) > 2
         assert any(",tracking," in row for row in rows)
         ground.close()
+
+    @pytest.mark.parametrize("args", [
+        ["serve", "--listen", "127.0.0.1:99999", "--scenario", "cv", "--frames", "1", "--quiet"],
+        ["serve", "--listen", "127.0.0.1:0", "--peer", "127.0.0.1:70000", "--scenario", "cv",
+         "--frames", "1", "--quiet"],
+        ["roi", "--send", "127.0.0.1:70000", "--frame", "0", "--rect", "1,2,3,4"],
+    ], ids=["listen", "peer", "send"])
+    def test_out_of_range_port_is_a_usage_error(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "uastrack.cli", *args],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "error: port must be in 0-65535" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_serve_on_a_bound_port_closes_its_socket(self, capsys):
+        taken = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        taken.bind(("127.0.0.1", 0))
+        port = taken.getsockname()[1]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["serve", "--listen", f"127.0.0.1:{port}", "--scenario", "cv",
+                             "--frames", "1", "--quiet"])
+                gc.collect()
+        finally:
+            taken.close()
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_roi_command_sends_datagram(self):
         sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts run end to end, also at horizons too short for some columns."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uastrack import matcher, scenesim
+from uastrack import imagebuf, matcher, scenesim, warp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,31 +64,13 @@ def test_behaviour_digest_is_repeatable():
     assert output_lines("behaviour_digest.py", "--frames", "3") == lines
 
 
-def test_scan_table_smoke():
-    lines = output_lines("scan_table.py", "--smoke")
-    rows = [line.split() for line in lines[1:-1]]
-    assert lines[0].split() == ["scan", "threshold", "seed", "cold_ms", "warm_ms", "points"]
-    assert [r[:3] for r in rows] == [["frame320x240", "0.9", "1"], ["window11x11", "0.9", "1"]]
-    for r in rows:
-        assert all(float(x) > 0.0 for span in r[3:5] for x in span.split("-"))
-        assert r[5] == "1"  # the planted entry, alone above 0.9 in noise
-    tail = lines[-1].split()
-    assert tail[:2] == ["#", "peak_rss_mb"] and tail[3::2] == ["frame_spectra_mib", "window_spectra_mib"]
-    frame_mib, window_mib = (float(x) for x in tail[4::2])
-    # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
-    # at the 48x32 of the window
-    shape = matcher._band_shape((240, 320), 36)
-    assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
-    assert window_mib == round(12 * 48 * (32 // 2 + 1) * 16 / 2**20, 1)
-
-
 def test_replay_scans_smoke():
     """One builtin's scans recorded, then replayed on this tree and on the
     same tree imported under another package name, with equal match points."""
     lines = output_lines("replay_scans.py", "--smoke", "--other", str(ROOT))
     assert lines[0].startswith("# 3 scans of cv at seeds 1, 3 frames, 1 rounds")
     assert lines[1].split() == ["tree", "kind", "scans", "median_ms", "range_ms"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:] if not line.startswith("#")]
     assert [r[:3] for r in rows] == [["this", "frame_cold", "1"], ["this", "window_cold", "1"],
                                      ["this", "window_warm", "1"], ["other", "frame_cold", "1"],
                                      ["other", "window_cold", "1"], ["other", "window_warm", "1"]]
@@ -98,7 +81,7 @@ def test_replay_scans_at_a_given_threshold():
     """Every recorded scan replayed at 0.5 in both trees, with equal match points."""
     lines = output_lines("replay_scans.py", "--smoke", "--threshold", "0.5", "--other", str(ROOT))
     assert lines[0].endswith(", 3 frames, 1 rounds, threshold 0.5")
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:] if not line.startswith("#")]
     assert [r[:3] for r in rows] == [[tree, kind, "1"] for tree in ("this", "other")
                                      for kind in ("frame_cold", "window_cold", "window_warm")]
 
@@ -116,7 +99,7 @@ def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
             "    return _scan(img, bank, window, threshold)\n"
         )
     lines = output_lines("replay_scans.py", "--smoke", "--other", str(tmp_path))
-    assert [line.split()[0] for line in lines[2:]] == ["this"] * 3 + ["other"] * 3
+    assert [line.split()[0] for line in lines[2:] if not line.startswith("#")] == ["this"] * 3 + ["other"] * 3
 
 
 def test_replay_scans_other_tree_scans_whole_frames_as_whole_frames():
@@ -164,7 +147,7 @@ def test_replay_scans_times_each_stage():
     assert lines[8].split() == ["tree", "kind", "window_sums", "fill_spectra", "correlation",
                                 "kept_positions", "candidate_pairs", "exact_top", "other",
                                 "positions", "kept", "pairs", "tops"]
-    rows = [line.split() for line in lines[9:]]
+    rows = [line.split() for line in lines[9:] if not line.startswith("#")]
     assert [r[:2] for r in rows] == [[tree, kind] for tree in ("this", "other")
                                      for kind in ("frame_cold", "window_cold", "window_warm")]
     assert all(float(x) >= 0.0 for r in rows for x in r[2:9])  # stages nest inside the scan
@@ -195,3 +178,60 @@ def test_replay_scans_fails_when_the_trees_count_differently(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr == "# the trees' stages counted different positions or pairs\n"
+
+
+def test_replay_scans_planted_smoke():
+    """``planted`` scans noise frames with the target planted, each case on its
+    own bank: one row per kind, the planted entry alone above 0.9 in every
+    scan, and the spectra the banks kept in the closing line."""
+    lines = output_lines("replay_scans.py", "--smoke", "--scenarios", "planted")
+    assert lines[0].startswith("# 16 scans of planted at seeds 1, ")
+    rows = [line.split() for line in lines[2:-1]]
+    assert [r[:3] for r in rows] == [["this", "frame_cold", "1"], ["this", "frame_warm", "7"],
+                                     ["this", "window_cold", "1"], ["this", "window_warm", "7"]]
+    assert all(float(x) > 0.0 for r in rows for x in [r[3], *r[4].split("-")])
+    tail = lines[-1].split()
+    assert tail[:2] == ["#", "peak_rss_mb"] and tail[3] == "this"
+    assert tail[4::2] == ["frame_spectra_mib", "window_spectra_mib"]
+    frame_mib, window_mib = (float(x) for x in tail[5::2])
+    # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
+    # at the 48x32 of the 11x11-position window
+    shape = matcher._band_shape((240, 320), 36)
+    assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
+    assert window_mib == round(12 * 48 * (32 // 2 + 1) * 16 / 2**20, 1)
+    spec = importlib.util.spec_from_file_location("replay_scans", ROOT / "scripts" / "replay_scans.py")
+    replay_scans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay_scans)
+    scans, made = replay_scans.record(["planted"], [1], 3)
+    results = replay_scans.replay((matcher, warp, imagebuf), scans, made)[3]
+    assert [len(points) for points in results] == [1] * 16
+
+
+def test_replay_scans_records_frames_of_the_given_size():
+    """``--frame 640x480`` runs the builtins at 640x480: a whole frame's
+    positions are those of a 22x36 template in 640x480."""
+    lines = output_lines("replay_scans.py", "--smoke", "--stages", "--frame", "640x480")
+    row = next(line.split() for line in lines[6:] if line.startswith("this frame_cold"))
+    assert int(row[9]) == (640 - 22 + 1) * (480 - 36 + 1)
+
+
+def test_replay_scans_fails_when_a_tree_differs_between_rounds(tmp_path):
+    """A tree whose ``scan`` drops a point on every other call returns other
+    points in the second round than in the first, and that fails the replay."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    with open(tmp_path / "src" / "uastrack" / "matcher.py", "a") as f:
+        f.write(
+            "\n_scan = scan\n_calls = [0]\n\n\n"
+            "def scan(img, bank, window, threshold=DEFAULT_THRESHOLD):\n"
+            "    _calls[0] += 1\n"
+            "    points = _scan(img, bank, window, threshold)\n"
+            "    return points[1:] if _calls[0] % 2 else points\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "replay_scans.py"), "--scenarios", "cv",
+         "--frames", "3", "--rounds", "2"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "# a tree returned different match points in different rounds\n"
