@@ -11,10 +11,11 @@ the whole frame and 8 times as a settled filter's 11x11-position window,
 each case on its own bank. Each round then replays every recorded scan in
 its recorded order on fresh banks built from the recorded ones, so the
 kernel each bank keeps (its template terms, basis and spectra) fills as
-it did in the loop. A scan is timed as one of four kinds: a whole frame
-(its window holds every valid centre) or a window, and cold (its bank's
-first scan of that kind, which builds the basis or spectra) or warm. The
-banks are bare: unlike a ``TrackerSession``'s, they are not prepared
+it did in the loop. A bank is built just before its first recorded scan
+and dropped after its last. A scan is timed as one of four kinds: a whole
+frame (its window holds every valid centre) or a window, and cold (its
+bank's first scan of that kind, which may build the basis or spectra) or
+warm. The banks are bare: unlike a ``TrackerSession``'s, they are not prepared
 (``matcher.prepare``) before their first whole frame. ``--threshold T`` replays every scan at T in
 place of its recorded threshold. Each tree must return the same match
 points in every round (else the exit code is 1).
@@ -31,7 +32,9 @@ exit code is 1).
 Each row prints, for one tree and one kind, the number of scans and the
 median and range over the rounds of the mean ms per scan. The closing
 ``#`` line prints the process's peak resident set size and, for each tree,
-the largest spectra its banks kept in each slot, in MiB.
+the largest spectra its banks kept in each slot of their kernel (an
+attribute holding a (shape, spectra) pair, or None), in MiB: this tree's
+one, ``frame``, and as many as another tree's kernel has.
 
 With ``--stages``, every tree replays on one scan worker, with each of the
 scan's stages (``STAGES``) timed through a wrapper on its ``matcher``, and
@@ -177,14 +180,27 @@ def timed_stages(scan_module, spent, tally):
             setattr(scan_module, name, value)
 
 
+def spectra_bytes(bank) -> dict:
+    """The bytes of spectra in each slot of ``bank``'s kernel: each attribute
+    holding a (shape, spectra) pair, or None (0 bytes). A tree may name its
+    slots as it likes, or have none."""
+    kernel = getattr(bank, "kernel", None)
+    return {slot: held[1].nbytes if held else 0
+            for slot, held in (vars(kernel) if kernel is not None else {}).items()
+            if held is None or isinstance(held, tuple) and isinstance(held[1], np.ndarray)}
+
+
 def replay(tree, scans, made, override=None, stages=False):
     """One pass over the scans on fresh banks of the tree's own ``warp``, each
     over its recorded window as the tree's own ``Rect`` and at its recorded
     threshold or at ``override``: ms per kind, ms per kind and stage and
     counts per kind (zero without ``stages``), every result, and the most
-    bytes of spectra a bank kept after any scan, per slot."""
+    bytes of spectra a bank kept after any scan, per slot. A bank is built
+    at its first scan and dropped after its last, so a round holds only the
+    banks that have scans left."""
     scan_module, warp_module, imagebuf_module = tree
-    banks = [warp_module.build_bank(patch, count, 360.0 / count) for patch, count in made]
+    last = {key: i for i, (key, _, _, _) in enumerate(scans)}
+    banks = {}
     windows = [imagebuf_module.Rect(w.x, w.y, w.w, w.h) for _, _, w, _ in scans]
     seen = set()
     ms = {kind: [] for kind in KINDS}
@@ -192,10 +208,13 @@ def replay(tree, scans, made, override=None, stages=False):
     staged = {kind: dict.fromkeys(STAGES, 0.0) for kind in KINDS}
     tally = dict.fromkeys(COUNT_COLUMNS, 0)
     counted = {kind: dict.fromkeys(COUNT_COLUMNS, 0) for kind in KINDS}
-    kept = {"frame": 0, "window": 0}
+    kept = {}
     results = []
     with timed_stages(scan_module, spent, tally) if stages else nullcontext():
-        for (key, img, window, threshold), own_window in zip(scans, windows):
+        for i, ((key, img, window, threshold), own_window) in enumerate(zip(scans, windows)):
+            if key not in banks:
+                patch, count = made[key]
+                banks[key] = warp_module.build_bank(patch, count, 360.0 / count)
             bank = banks[key]
             whole = window.contains(matcher.valid_center_rect(bank.base_width, bank.base_height,
                                                               img.width, img.height))
@@ -210,9 +229,10 @@ def replay(tree, scans, made, override=None, stages=False):
             for column in COUNT_COLUMNS:
                 counted[kind][column] += tally[column] - counted_before[column]
             results.append([(p.u, p.v, p.score, p.angle_deg) for p in points])
-            for slot in kept:  # (padded shape, spectra), or None; a tree may have no such slot
-                held = getattr(getattr(bank, "kernel", None), slot, None)
-                kept[slot] = max(kept[slot], held[1].nbytes if held else 0)
+            for slot, nbytes in spectra_bytes(bank).items():
+                kept[slot] = max(kept.get(slot, 0), nbytes)
+            if last[key] == i:
+                del banks[key]  # freed once ``bank`` names the next scan's
     return ms, staged, counted, results, kept
 
 

@@ -305,8 +305,7 @@ def cmd_serve(args) -> int:
         result = run_sim(scenario, cfg, dt=args.dt, quiet=args.quiet, link=link)
     finally:
         sock.close()
-    _finish(args, result.outcomes, result.report)
-    return 0
+    return _finish(args, result.outcomes, result.report)
 
 
 def cmd_roi(args) -> int:

@@ -193,8 +193,8 @@ def _smooth5(size: int) -> int:
 class _Kernel:
     """What every scan of one bank shares, built by ``prepare`` or on its
     first scan (``_kernel``): the template-side terms of the score, the
-    low-rank basis, and the basis spectra of the last padded shape each scan
-    kind filled, a whole frame's in ``frame`` and a window's in ``window``."""
+    low-rank basis, and in ``frame`` the basis spectra at the band shape of
+    the last frame size scanned, which every band and window reads (``_band``)."""
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
@@ -205,9 +205,7 @@ class _Kernel:
     mode: np.ndarray      # (r,) each image's angle mode; a mode's images are consecutive
     starts: np.ndarray    # (G,) the first image of each mode g
     amp: np.ndarray       # (G,) max over entries of ||a_k,g|| / ||w_k||, a_k's part in mode g
-    # (padded shape, spectra) of each scan kind, written by ``_spectra`` only
-    frame: tuple | None = None
-    window: tuple | None = None
+    frame: tuple | None = None  # (band shape, spectra), written by ``_spectra`` only
 
 
 def _kernel(bank: TemplateBank) -> _Kernel:
@@ -283,14 +281,17 @@ def _kernel(bank: TemplateBank) -> _Kernel:
 def _fft_error(x: np.ndarray, area: int, n: int) -> float:
     """eta: the bound on an FFT correlation's error per unit of the kernel's norm.
 
-    A correlation with a kernel b is computed by three transforms of
-    ``area`` points and a product. Each transform stage adds at most about
-    7u (u = 2**-53) of the norm (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, sec. 24.1), and the kernel's spectrum is at
-    most ||b||_1 <= sqrt(n) ||b|| in size, so the correlation is within
-    eta * ||b|| of its exact value, eta = 32u * log2(area) * ||x|| * sqrt(n),
-    where x is the centred sub-image. The largest error measured, on 0/255
-    noise at 320x240, is 3.3e-13 for a unit kernel, under 1e-4 of eta there.
+    A correlation with a kernel b is computed by three transforms and a
+    product: the kernel's at the band shape, which a window reads sampled
+    (``_band``), and the sub-image's and the inverse at its padded shape,
+    which has no more points. So ``area`` is the band's, the most points
+    of the three. Each transform stage adds at most about 7u (u = 2**-53)
+    of the norm (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, sec. 24.1), and the kernel's spectrum is at most ||b||_1 <=
+    sqrt(n) ||b|| in size, so the correlation is within eta * ||b|| of its
+    exact value, eta = 32u * log2(area) * ||x|| * sqrt(n), where x is the
+    centred sub-image. The largest error measured, on 0/255 noise at
+    320x240, is 3.3e-13 for a unit kernel, under 1e-4 of eta there.
 
     A flat window is never scored. Any other has var_f >= n - 1, an
     integer, so ||f_c||**2 = var_f / n >= 1/2: a projected score, the
@@ -314,20 +315,6 @@ def _basis_margin(eta: float, r: int) -> float:
     return math.sqrt(2.0) * r * eta + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
 
 
-def _bank_spectra(weights: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.fft.rfft2(weights, shape)`` bit for bit, by a cheaper route.
-
-    The padded rows past the template's height are zero and transform to
-    zero, so the width transform runs on the template's rows only; the
-    height transform then runs along contiguous memory of a transposed copy.
-    Each is the same one-dimensional transform of the same values as in
-    ``rfft2``. Returns a transposed view.
-    """
-    rows = np.fft.rfft(weights, shape[1], axis=2)
-    cols = np.fft.fft(np.ascontiguousarray(rows.transpose(0, 2, 1)), shape[0], axis=2)
-    return cols.transpose(0, 2, 1)
-
-
 def _parts(n: int) -> list[tuple[int, int]]:
     """``range(n)`` in one run ``[lo, hi)`` per worker, sizes differing by at most one."""
     k = max(1, min(_WORKERS, n))
@@ -342,29 +329,27 @@ def _band_shape(size: tuple, th: int) -> tuple:
 
 
 def _fill_spectra(images: np.ndarray, shape: tuple) -> np.ndarray:
-    """The conjugate basis spectra at ``shape``, all filled on the calling
-    thread before any correlation reads them, a chunk of at most
-    ``_CHUNK_ELEMS`` // (padded area) images at a time, as the correlations
-    take them."""
-    spectra = np.empty((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
-    step = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))
-    for k in range(0, len(images), step):
-        np.conjugate(_bank_spectra(images[k : k + step], shape), out=spectra[k : k + step])
-    return spectra
+    """``np.conj(np.fft.rfft2(images, shape))`` bit for bit, on the calling thread.
+
+    The padded rows past the template's height are zero and transform to
+    zero, so the width transform runs on the template's rows only, into a
+    buffer zero-padded to the height; the height transform and the
+    conjugate then run in place. Each is the same one-dimensional transform
+    of the same values as in ``rfft2``.
+    """
+    spectra = np.zeros((len(images), shape[0], shape[1] // 2 + 1), np.complex128)
+    spectra[:, : images.shape[1]] = np.fft.rfft(images, shape[1], axis=2)
+    np.fft.fft(spectra, axis=1, out=spectra)
+    return np.conjugate(spectra, out=spectra)
 
 
-def _spectra(kernel: _Kernel, shape: tuple, whole: bool) -> np.ndarray:
-    """The basis spectra at ``shape`` for a whole frame (``whole``, kept in
-    ``kernel.frame``) or a window (kept in ``kernel.window``): the slot's own
-    when it holds that shape, else filled by ``_fill_spectra`` and kept at
-    once, before any correlation reads them. The one writer of both slots, so
-    each scan kind keeps the spectra of the last padded shape it filled."""
-    name = "frame" if whole else "window"
-    slot = getattr(kernel, name)
-    if slot is None or slot[0] != shape:
-        slot = (shape, _fill_spectra(kernel.images, shape))
-        setattr(kernel, name, slot)
-    return slot[1]
+def _spectra(kernel: _Kernel, band: tuple) -> np.ndarray:
+    """The basis spectra at band shape ``band``: ``kernel.frame``'s when
+    they are kept at that shape, else filled by ``_fill_spectra`` and kept
+    at once, before any correlation reads them. The store's one writer."""
+    if kernel.frame is None or kernel.frame[0] != band:
+        kernel.frame = (band, _fill_spectra(kernel.images, band))
+    return kernel.frame[1]
 
 
 def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, nu: int) -> np.ndarray:
@@ -489,23 +474,33 @@ def _exact_top(pairs, exact, at):
     return pos[first], scores[first], ks[first]
 
 
-def _band(sub, kernel, spectra, shape, threshold, first):
+def _band(sub, kernel, spectra, band, threshold, first):
     """Each position's top exact score in one band of sub-image ``sub``, a
-    window's or a row band of a whole frame's: (positions, counted from
-    ``first``, top, entry, var_f). Its own window sums, transform, margin
-    and bar; its correlations, a chunk of images at a time; one position
-    test; then the entry bound and the exact stage on chunks of at most
-    ``_CHUNK_ELEMS // K`` kept positions, so it holds one chunk's pairs at a
-    time."""
+    window's or a row band of a whole frame's, at most ``band[0]`` rows:
+    (positions, counted from ``first``, top, entry, var_f).
+
+    Its padded shape is, on each axis, the smallest divisor of the band
+    shape's length that holds the sub-image. The transform of a template
+    zero-padded to H x W is its transform at the band shape Hb x Wb sampled
+    every Hb // H rows and Wb // W columns, so the band reads the kept
+    spectra at that stride. Its own window sums, transform, margin (at the
+    band's area, whose transform made the spectra) and bar; its
+    correlations, a chunk of images at a time; one position test; then the
+    entry bound and the exact stage on chunks of at most ``_CHUNK_ELEMS //
+    K`` kept positions, so it holds one chunk's pairs at a time."""
     th, tw = kernel.weights.shape[1:]
     nv, nu, n = sub.shape[0] - th + 1, sub.shape[1] - tw + 1, tw * th
+    sy, sx = (max(s for s in range(1, b // size + 1) if b % s == 0)
+              for b, size in zip(band, sub.shape))
+    shape = (band[0] // sy, band[1] // sx)
+    spectra = spectra[:, ::sy, ::sx]
     sf, sff = _window_sums(sub, tw, th)
     var_f = (n * sff - sf * sf).astype(np.float64).ravel()
     norm_f = np.sqrt(var_f / n)  # ||f_c||, exact from the running sums
     centred = sub - sub.mean()
     frame = np.fft.rfft2(centred, shape)
     r = len(spectra)
-    margin = _basis_margin(_fft_error(centred, shape[0] * shape[1], n), r)
+    margin = _basis_margin(_fft_error(centred, band[0] * band[1], n), r)
     bar = np.where(var_f > 0.0, (threshold - margin) * norm_f, np.inf)
     c = np.empty((r, nv * nu))
     step = max(1, _CHUNK_ELEMS // (shape[0] * shape[1]))  # basis images a chunk
@@ -543,12 +538,13 @@ def scan(
     Every scan correlates the bank's basis images (``_kernel``), which
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
-    A whole-frame scan, one whose clipped window is every valid centre,
-    splits its rows of positions into one band per worker at the frame's
-    band shape (``_band_shape``); any other is one band on the calling
-    thread at its own padded shape. Each band runs as a window runs
-    (``_band``), with the spectra its scan kind keeps (``_spectra``), the
-    call ``prepare`` makes for a whole frame.
+    Every scan reads the one spectra array the bank keeps, at the frame's
+    band shape (``_band_shape``, ``_spectra``), as ``prepare`` fills it. A
+    whole-frame scan, one whose clipped window is every valid centre, splits
+    its rows of positions into one band per worker; any other runs on the
+    calling thread, as one band, or as row parts of at most a band's rows
+    of positions when its sub-image is taller than a band. Each band or
+    part runs ``_band``.
     """
     tw, th = bank.base_width, bank.base_height
     if tw > img.width or th > img.height:
@@ -561,14 +557,15 @@ def scan(
     ox, oy = template_origin(u0, tw), template_origin(v0, th)
     sub = img.pixels[oy : oy + nv + th - 1, ox : ox + nu + tw - 1]
     kernel = _kernel(bank)
-    whole = window == full
-    if whole:
-        shape = _band_shape((img.height, img.width), th)
+    band = _band_shape((img.height, img.width), th)
+    spectra = _spectra(kernel, band)
+    if window == full:
+        tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, band, threshold, lo * nu)
+                                   for lo, hi in _parts(nv)])
     else:
-        shape = (_smooth5(sub.shape[0]), _smooth5(sub.shape[1]))
-    spectra = _spectra(kernel, shape, whole)
-    tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, shape, threshold, lo * nu)
-                               for lo, hi in (_parts(nv) if whole else [(0, nv)])])
+        rows = band[0] - th + 1  # positions a band holds
+        tops = [_band(sub[lo : lo + rows + th - 1], kernel, spectra, band, threshold, lo * nu)
+                for lo in range(0, nv, rows)]
     at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
 
     best = np.full(nv * nu, -np.inf)
@@ -591,12 +588,13 @@ def scan(
 
 
 def prepare(bank: TemplateBank, frame_w: int, frame_h: int) -> None:
-    """Build the bank's kernel and, on the calling thread, the spectra a whole
-    frame_w x frame_h frame scans with (``_spectra`` at ``_band_shape``), as that
-    scan would build them. Does nothing when they are kept, or the template does not fit."""
+    """Build the bank's kernel and, on the calling thread, the spectra every
+    scan of a frame_w x frame_h frame reads (``_spectra`` at ``_band_shape``),
+    as that scan would build them. Does nothing when they are kept, or the
+    template does not fit."""
     if bank.base_width > frame_w or bank.base_height > frame_h:
         return
-    _spectra(_kernel(bank), _band_shape((frame_h, frame_w), bank.base_height), True)
+    _spectra(_kernel(bank), _band_shape((frame_h, frame_w), bank.base_height))
 
 
 def detect(points: list[MatchPoint], threshold: float = DEFAULT_THRESHOLD,

@@ -42,33 +42,29 @@ class RunReport:
     miss_count: int
     redetect_count: int
     mean_abs_pixel_error: Optional[float]
-    ms_per_frame: float
+    ms_per_frame: Optional[float]  # None for a run of no frames
 
     @classmethod
     def of(cls, outcomes: list[TrackOutcome], errors: list[float], elapsed_s: float) -> "RunReport":
         """Status counts, mean of ``errors`` and per-frame time of a run."""
         counts = Counter(o.status for o in outcomes)
         mean_err = sum(errors) / len(errors) if errors else None
-        n = max(len(outcomes), 1)
         return cls(
             len(outcomes),
             counts[STATUS_TRACKING],
             counts[STATUS_MISS],
             counts[STATUS_REDETECTING],
             mean_err,
-            1000.0 * elapsed_s / n,
+            1000.0 * elapsed_s / len(outcomes) if outcomes else None,
         )
 
     def summary(self) -> str:
-        err = (
-            f"{self.mean_abs_pixel_error:.2f}px"
-            if self.mean_abs_pixel_error is not None
-            else "n/a"
-        )
+        err = "n/a" if self.mean_abs_pixel_error is None else f"{self.mean_abs_pixel_error:.2f}px"
+        ms = "n/a" if self.ms_per_frame is None else f"{self.ms_per_frame:.2f}"
         return (
             f"frames={self.frames_processed} tracked={self.tracked_count} "
             f"miss={self.miss_count} redetect={self.redetect_count} "
-            f"mean_abs_err={err} ms_per_frame={self.ms_per_frame:.2f}"
+            f"mean_abs_err={err} ms_per_frame={ms}"
         )
 
 

@@ -426,6 +426,16 @@ class TestServe:
         assert any(",tracking," in row for row in rows)
         ground.close()
 
+    def test_serve_that_never_acquires_exits_3(self, capsys):
+        """With ``--await-roi`` and no operator, no frame is processed: the
+        run prints a summary with no per-frame time and exits 3, as it does
+        for ``sim`` and ``track`` when nothing was acquired."""
+        code = main(["serve", "--listen", "127.0.0.1:0", "--scenario", "cv", "--frames", "5",
+                     "--await-roi", "--quiet"])
+        assert code == 3
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "frames=0 tracked=0 miss=0 redetect=0 mean_abs_err=n/a ms_per_frame=n/a"
+
     @pytest.mark.parametrize("args", [
         ["serve", "--listen", "127.0.0.1:99999", "--scenario", "cv", "--frames", "1", "--quiet"],
         ["serve", "--listen", "127.0.0.1:0", "--peer", "127.0.0.1:70000", "--scenario", "cv",

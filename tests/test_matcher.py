@@ -315,34 +315,48 @@ class TestScanExactness:
         assert "kernel" not in repr(bank)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("img_size, patch_size, rect", [
-        ((320, 240), (22, 36), (0, 20, 320, 195)),  # 230 rows of pixels: pads to the frame's 240
-        ((72, 72), (2, 2), (-5, -5, 70, 70)),  # 66 rows: pads to the frame's 72
+    @pytest.mark.parametrize("img_size, patch_size, rect, parts", [
+        # 195 rows of 299 positions, 230 rows of pixels: one band at one
+        # worker's 240x320, two parts of 109 and 86 rows at two workers' 144x320
+        ((320, 240), (22, 36), (0, 20, 320, 195),
+         {1: [(0, (240, 320))], 2: [(0, (144, 320)), (109 * 299, (144, 320))]}),
+        # 65 rows of 65 positions, 66 rows of pixels: one band at 72x72, or
+        # two parts of 39 and 26 rows at two workers' 40x72, the second padded
+        # from 27 rows to 40, the divisor of 40 that holds them
+        ((72, 72), (2, 2), (-5, -5, 70, 70),
+         {1: [(0, (72, 72))], 2: [(0, (40, 72)), (39 * 65, (40, 72))]}),
     ])
     def test_near_whole_window_scans_as_a_window(self, rng, workers, img_size, patch_size,
-                                                 rect, monkeypatch):
-        """A window whose sub-image pads to the frame's shape, with fewer rows
-        of positions than the frame, is a window: one band on the calling
-        thread, which fills its spectra once, at its own padded shape, and
-        keeps them in ``window``; the spectra ``prepare`` kept stay."""
+                                                 rect, parts, monkeypatch):
+        """A window with fewer rows of positions than the frame is a window,
+        on the calling thread: one band when its sub-image fits the band
+        shape, else row parts of at most a band's rows of positions. Each
+        pads to the smallest divisors of the band shape that hold its
+        sub-image and reads the spectra ``prepare`` kept, filling none."""
         monkeypatch.setattr(matcher, "_WORKERS", workers)
         img = GrayImage(rng.integers(0, 256, img_size[::-1], dtype=np.uint8))
         patch = GrayImage(rng.integers(0, 256, patch_size[::-1], dtype=np.uint8))
         bank = build_bank(patch, 4, 90.0)
         matcher.prepare(bank, *img_size)
         kept = bank.kernel.frame
-        fills = chunk_threads(monkeypatch, "_bank_spectra")
+        assert kept[0] == frame_slot(img, bank)
+        fills = chunk_threads(monkeypatch, "_fill_spectra")
+        threads = chunk_threads(monkeypatch)
+        bands = []  # [first position, band shape, padded shape of each correlation]
+        band, correlation = matcher._band, matcher._correlation
+        monkeypatch.setattr(matcher, "_band", lambda *a: bands.append([a[5], a[3]]) or band(*a))
+        monkeypatch.setattr(matcher, "_correlation",
+                            lambda *a: bands[-1].append(a[2]) or correlation(*a))
         window = Rect(*rect)
-        sub = scanned(img, bank, window)
-        sub_rows, sub_cols = sub.h + patch_size[1] - 1, sub.w + patch_size[0] - 1
-        assert sub_rows < img_size[1] and matcher._smooth5(sub_rows) == matcher._smooth5(img_size[1])
+        assert scanned(img, bank, window).h < valid_center_rect(*patch_size, *img_size).h
         assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
-        padded = (matcher._smooth5(sub_rows), matcher._smooth5(sub_cols))
-        step = matcher._CHUNK_ELEMS // (padded[0] * padded[1])  # images a fill chunk
-        runs = [threading.main_thread()] * -(-len(bank.kernel.images) // step)
-        assert fills == runs and bank.kernel.window[0] == padded
+        assert [(first, set(shapes)) for first, _, *shapes in bands] == [
+            (first, {shape}) for first, shape in parts[workers]]
+        assert all(shape == kept[0] for _, shape, *_ in bands)
+        assert set(threads) == {threading.main_thread()}
+        assert fills == [] and bank.kernel.frame is kept
         assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
-        assert fills == runs and bank.kernel.frame is kept
+        assert fills == [] and bank.kernel.frame is kept
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, workers):
@@ -595,10 +609,11 @@ def frame_slot(img, bank):
 
 
 def split_calls(monkeypatch):
-    """What scans run from now on: the (first position, padded shape) of every
-    band, the number of basis images of every correlation, and the number of
-    positions of every position test, of every chunk of the entry bound and
-    of every chunk of the exact stage."""
+    """What scans run from now on: the (first position, band shape) of every
+    band, the shape a whole frame's bands pad to, the number of basis images
+    of every correlation, and the number of positions of every position
+    test, of every chunk of the entry bound and of every chunk of the exact
+    stage."""
     calls = ([], [], [], [], [])
     names = ("_band", "_correlation", "_kept_positions", "_candidate_pairs", "_exact_top")
     for ran, name, record in zip(calls, names, (lambda a: (a[5], a[3]), lambda a: len(a[1]),
@@ -682,8 +697,8 @@ class TestReusedBuffersAndWhereChunksRun:
         threads = chunk_threads(monkeypatch)
         calls = low_rank_calls(monkeypatch)
         _, _, _, entries, _ = split_calls(monkeypatch)
-        common = Rect(100, 80, 33, 47)  # 12 images at 90x54
-        wide = Rect(40, 40, 121, 91)  # 12 images at 144x128
+        common = Rect(100, 80, 33, 47)  # 12 images at 144x64
+        wide = Rect(40, 40, 121, 91)  # 12 images at 144x160
         scans = [(common, 0.9), (common, 0.9), (wide, 0.9), (wide, 0.9), (common, 0.0), (common, -1.0)]
         got = []
         with monkeypatch.context() as mp:
@@ -711,8 +726,8 @@ class TestReusedBuffersAndWhereChunksRun:
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
         bands = chunk_threads(monkeypatch, "_band")
-        common = Rect(100, 80, 33, 47)  # 90x54
-        grown = Rect(90, 70, 51, 61)  # 96x72
+        common = Rect(100, 80, 33, 47)  # 144x64
+        grown = Rect(90, 70, 51, 61)  # 144x80
         for window, threshold in ((common, 0.0), (grown, 0.9), (grown, 0.9)):
             threads.clear()
             bands.clear()
@@ -727,29 +742,30 @@ class TestReusedBuffersAndWhereChunksRun:
             assert on_workers(threads) and on_workers(bands) and len(bands) == 2
 
     def test_every_spectra_fill_takes_one_path(self, rng, monkeypatch):
-        """``prepare``, a bare bank's first whole frame and each window of
-        another padded shape than the last fill their spectra through
-        ``_fill_spectra``, every image before any correlation reads one, on
-        the calling thread with two workers, in chunks of at most
-        ``_CHUNK_ELEMS`` // (padded area) images (3 at 144x320, all 12 at
-        90x54). Warm scans fill nothing. What they keep are C-contiguous
-        complex128 arrays of shape (r, padded rows, padded columns // 2 +
-        1), which the correlations read along their rows."""
+        """``prepare``, a bare bank's first whole frame and a bare bank's first
+        window each fill the bank's one spectra array through
+        ``_fill_spectra``, at the frame's band shape, 144x320, on the calling
+        thread with two workers, before any correlation reads it. Every later
+        scan, a window of any padded shape too, fills nothing. What is kept
+        is a C-contiguous complex128 array of shape (r, band rows, band
+        columns // 2 + 1), which whole frames read along their rows and
+        windows at a stride."""
         events = []
         fill, correlation = matcher._fill_spectra, matcher._correlation
         monkeypatch.setattr(matcher, "_fill_spectra", lambda *args: events.append(args[1]) or fill(*args))
         monkeypatch.setattr(matcher, "_correlation", lambda *args: events.append("c") or correlation(*args))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
-        threads = chunk_threads(monkeypatch, "_bank_spectra")
+        threads = chunk_threads(monkeypatch, "_fill_spectra")
         patch = default_target_patch(7)
         frame = GrayImage(plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), patch, 150, 100))
-        prepared, bare = build_bank(patch), build_bank(patch)
+        prepared, bare, windowed = build_bank(patch), build_bank(patch), build_bank(patch)
         matcher.prepare(prepared, 320, 240)
-        assert events == [(144, 320)] and threads == [threading.main_thread()] * 4
-        common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 90x54, 96x72
+        assert events == [(144, 320)] and threads == [threading.main_thread()]
+        common, grown = Rect(140, 90, 33, 47), Rect(130, 80, 51, 61)  # padded 144x64, 144x80
         scans = [(prepared, frame.rect, []), (bare, frame.rect, [(144, 320)]),
-                 (bare, frame.rect, []), (bare, common, [(90, 54)]), (bare, common, []),
-                 (bare, grown, [(96, 72)]), (bare, common, [(90, 54)]), (prepared, common, [(90, 54)])]
+                 (bare, frame.rect, []), (bare, common, []), (bare, common, []),
+                 (bare, grown, []), (bare, common, []), (prepared, common, []),
+                 (windowed, grown, [(144, 320)]), (windowed, frame.rect, []), (windowed, common, [])]
         for bank, window, filled in scans:
             events.clear()
             threads.clear()
@@ -757,67 +773,124 @@ class TestReusedBuffersAndWhereChunksRun:
             # a whole frame: 2 bands at 144x320, each correlating 4 chunks of 3 images
             chunks = 8 if window == frame.rect else 1
             assert events == filled + ["c"] * chunks  # filled whole, then correlated
-            fills = 4 if window == frame.rect else 1  # transforms of 3 images, or of all 12
-            assert threads == [threading.main_thread()] * (fills * len(filled))
+            assert threads == [threading.main_thread()] * len(filled)
             assert got == rank_k_scan(frame, bank, window, 0.9)
-        assert np.array_equal(prepared.kernel.frame[1], bare.kernel.frame[1])
-        kept = [prepared.kernel.frame, bare.kernel.frame, bare.kernel.window, prepared.kernel.window]
-        assert [shape for shape, _ in kept] == [(144, 320)] * 2 + [(90, 54)] * 2
+        kept = [bank.kernel.frame for bank in (prepared, bare, windowed)]
+        assert np.array_equal(kept[0][1], kept[1][1]) and np.array_equal(kept[0][1], kept[2][1])
         for shape, spectra in kept:
+            assert shape == (144, 320)
             assert spectra.dtype == np.complex128 and spectra.flags.c_contiguous
             assert spectra.shape == (12, shape[0], shape[1] // 2 + 1)
 
     def test_large_windows_take_rank_r(self, rng, monkeypatch):
-        """A window runs on the calling thread whatever its size, one position
-        test over all its positions and the later stages in chunks of at most
-        4,860 kept positions, and equals the reference."""
+        """A window runs on the calling thread whatever its size. One taller
+        than a band, more than 109 rows of positions with a 36-row template
+        in two workers' 144-row band, runs as row parts of at most 109 rows,
+        each with one position test over its positions and the later stages
+        in chunks of at most 4,860 kept positions, each as the part alone
+        scans as a window, and the whole equals the reference."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 150, 120)
         frame = GrayImage(px)
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         calls = low_rank_calls(monkeypatch)
         _, _, _, entries, exacts = split_calls(monkeypatch)
-        for window in (Rect(40, 40, 130, 110), Rect(60, 45, 200, 150)):  # padded 150x160, 192x225
+        for window in (Rect(40, 40, 130, 110), Rect(60, 45, 200, 150)):
             with monkeypatch.context() as mp:
                 mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
                 got = scan(frame, bank, window, 0.9)
             assert any((p.u, p.v, p.score) == (150, 120, 1.0) for p in got)
             assert got == rank_k_scan(frame, bank, window, 0.9)
-        assert [len(args[2]) for args in calls] == [130 * 110, 200 * 150]
-        assert entries == exacts and len(entries) == 2 and all(0 < n <= 4860 for n in entries)
+        parts = [Rect(40, 40, 130, 109), Rect(40, 149, 130, 1), Rect(60, 45, 200, 109),
+                 Rect(60, 154, 200, 41)]
+        assert [len(args[2]) for args in calls] == [part.area for part in parts]
+        assert entries == exacts and len(entries) == 4 and 0 < sum(entries) and max(entries) <= 4860
+        kept = entries[:]
+        entries.clear()
+        for part in parts:
+            scan(frame, bank, part, 0.9)
+        assert entries == kept
 
-    def test_each_scan_kind_keeps_its_last_shape(self, rng, checker22x36):
-        """A whole frame of another size replaces the frame slot's spectra, and a
-        window of another padded shape the window slot's, each leaving the
-        other slot as it was; a warm rescan of either kind reuses the array
-        it kept."""
+    def test_bank_keeps_the_spectra_of_the_last_frame_size(self, rng, checker22x36):
+        """A bank keeps one spectra array, at the band shape of the last frame
+        size it scanned, equal to a fresh bank's: a whole frame or a window
+        of another frame size replaces it, and any scan of the same size, a
+        window of any padded shape too, reuses the array it kept."""
         bank = build_bank(checker22x36, 4, 90.0)
         small = GrayImage(rng.integers(0, 256, (60, 80), dtype=np.uint8))
         large = GrayImage(rng.integers(0, 256, (120, 160), dtype=np.uint8))
-        frames, windows = [], []
-        for img in (small, large, small, small):
+        kept = []
+        for img, window in ((small, small.rect), (large, large.rect), (small, small.rect),
+                            (small, small.rect), (large, Rect(40, 40, 5, 5)), (large, Rect(40, 40, 9, 9)),
+                            (large, Rect(40, 40, 5, 5)), (small, Rect(20, 20, 9, 9)), (small, small.rect)):
             fresh = build_bank(checker22x36, 4, 90.0)
-            assert scan(img, bank, img.rect, 0.5) == scan(img, fresh, img.rect, 0.5)
-            assert bank.kernel.frame[0] == frame_slot(img, bank) and bank.kernel.window is None
-            frames.append(bank.kernel.frame[1])
-        for side in (5, 9, 5, 5):
-            rect = Rect(40, 40, side, side)
-            assert scan(large, bank, rect, 0.5) == scan(large, build_bank(checker22x36, 4, 90.0), rect, 0.5)
-            assert bank.kernel.window[0] == (matcher._smooth5(side + 35), matcher._smooth5(side + 21))
-            assert bank.kernel.frame[1] is frames[-1]
-            windows.append(bank.kernel.window[1])
-        assert [frames[i] is frames[i - 1] for i in (1, 2, 3)] == [False, False, True]
-        assert [windows[i] is windows[i - 1] for i in (1, 2, 3)] == [False, False, True]
-        scan(small, bank, small.rect, 0.5)  # a warm whole frame leaves the window slot
-        assert bank.kernel.frame[1] is frames[-1] and bank.kernel.window[1] is windows[-1]
+            assert scan(img, bank, window, 0.5) == scan(img, fresh, window, 0.5)
+            assert bank.kernel.frame[0] == fresh.kernel.frame[0] == frame_slot(img, bank)
+            assert np.array_equal(bank.kernel.frame[1], fresh.kernel.frame[1])
+            kept.append(bank.kernel.frame[1])
+        assert [kept[i] is kept[i - 1] for i in range(1, len(kept))] == [
+            False, False, True, False, True, True, False, True]
 
-    @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640)])
+    @pytest.mark.parametrize("shape", [(90, 54), (240, 320), (480, 640), (144, 320), (48, 32),
+                                       (270, 640)])
     def test_pruned_bank_spectra_equal_rfft2(self, shape):
+        """The fill transforms the template's rows alone, then the height in
+        place: bit for bit the conjugate of ``rfft2``, of the basis images and
+        of the bank's weights, whose transforms are larger."""
         kernel = matcher._kernel(build_bank(default_target_patch(7)))
-        weights = kernel.weights
-        assert np.array_equal(matcher._bank_spectra(weights, shape), np.fft.rfft2(weights, shape))
-        expected = np.conj(np.fft.rfft2(kernel.images, shape))  # filled in chunks of images
-        assert np.array_equal(matcher._fill_spectra(kernel.images, shape), expected)
+        for images in (kernel.images, kernel.weights):
+            expected = np.conj(np.fft.rfft2(images, shape))
+            assert np.array_equal(matcher._fill_spectra(images, shape), expected)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from([(144, 320), (90, 54), (40, 72), (36, 24), (75, 200)]))
+    def test_band_spectra_sampled_at_a_divisor_shape_equal_rfft2(self, seed, tw, th, band):
+        """At every H x W that holds the template, H dividing the band's rows
+        Hb and W its columns Wb, the spectra kept at the band shape sampled
+        every Hb // H rows and Wb // W columns, the slice a band padded to
+        H x W reads, equal ``conj(rfft2)`` at H x W within 32u log2(Hb Wb)
+        ||b||_1 per value, u = 2**-53: the error ``_fft_error`` allows a
+        kernel's spectrum. (Measured: under 3e-16 of the largest value.)"""
+        rng = np.random.default_rng(seed)
+        bank = build_bank(GrayImage(rng.integers(0, 256, (th, tw), dtype=np.uint8)), 12, 30.0)
+        images = matcher._kernel(bank).images
+        kept = matcher._fill_spectra(images, band)
+        bound = matcher._FFT_ERROR * math.log2(band[0] * band[1]) * np.abs(images).sum(axis=(1, 2))
+        shapes = [(h, w) for h in range(th, band[0] + 1) if band[0] % h == 0
+                  for w in range(tw, band[1] + 1) if band[1] % w == 0]
+        assert (band[0], band[1]) in shapes
+        for h, w in shapes:
+            got = kept[:, :: band[0] // h, :: band[1] // w]
+            expected = np.conj(np.fft.rfft2(images, (h, w)))
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= bound[:, None, None])
+
+    @settings(max_examples=15, deadline=None)
+    @given(scan_cases(min_frame=24, max_frame=40), st.sampled_from([2, 3]), st.data())
+    def test_window_taller_than_a_band_equals_brute_force(self, case, workers, data):
+        """A window of every row of positions but the last, from a drawn
+        column on, has a sub-image taller than a band of two or three
+        workers: it runs on the calling thread as row parts of at most
+        ``band rows - th + 1`` positions each, and equals ``zmncc`` at every
+        position."""
+        img, bank, threshold = case
+        full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
+        x = data.draw(st.integers(full.x, full.x2 - 1))
+        window = Rect(x, full.y, full.x2 - x, full.h - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "_WORKERS", workers)
+            mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
+            bands = []
+            band = matcher._band
+            mp.setattr(matcher, "_band", lambda *a: bands.append((a[5], a[0].shape[0])) or band(*a))
+            got = scan(img, bank, window, threshold)
+            shape = frame_slot(img, bank)
+        assert got == expected_points(img, bank, window, threshold)
+        rows = shape[0] - bank.base_height + 1  # positions a band holds
+        assert len(bands) == -(-window.h // rows) >= 2
+        assert [first for first, _ in bands] == [lo * window.w for lo in range(0, window.h, rows)]
+        assert all(sub_rows <= shape[0] for _, sub_rows in bands)
 
 
 def low_rank_calls(monkeypatch):
@@ -999,7 +1072,7 @@ class TestLowRankRoute:
         if case == "whole frame":  # 64x80, smaller than many windows
             frame = GrayImage(frame.pixels[:64, :80].copy())
             window = frame.rect
-        elif case == "large window":  # 12 images at 160x150
+        elif case == "large window":  # parts of 109 rows and 1, padded 144x160 and 36x160
             window = Rect(40, 40, 130, 110)
         threshold = {"threshold 0": 0.0, "threshold -1": -1.0, "flat windows": 0.0, "flat bank": 0.0}.get(case, 0.9)
         if "residual" in case:
@@ -1047,8 +1120,7 @@ class TestLowRankRoute:
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         if warm:
             assert scan(frame, bank, window, 0.9) == expected
-        kernel = matcher._kernel(bank)
-        kept_frame, kept_window = kernel.frame, kernel.window
+        kept = matcher._kernel(bank).frame
         raised = []
         exact_top = matcher._exact_top
 
@@ -1068,21 +1140,14 @@ class TestLowRankRoute:
         assert any(excinfo.value is exc for exc, _ in raised)  # an error raised, unchanged
         on_worker = [thread is not threading.main_thread() for _, thread in raised]
         assert on_worker == [where == "frame"] * len(raised)
-        # a slot's spectra are filled and kept before any correlation, so the
-        # failed scan's kind keeps sound spectra and the other kind its own
-        if where == "frame":  # as ``prepare`` fills them
-            prepared = build_bank(default_target_patch(7))
-            matcher.prepare(prepared, frame.width, frame.height)
-            assert bank.kernel.frame[0] == prepared.kernel.frame[0]
-            assert np.array_equal(bank.kernel.frame[1], prepared.kernel.frame[1])
-            assert bank.kernel.window is kept_window
-        else:  # as a fresh bank's scan of the window fills them
-            fresh = build_bank(default_target_patch(7))
-            assert scan(frame, fresh, window, 0.9) == expected
-            assert bank.kernel.window[0] == fresh.kernel.window[0]
-            assert np.array_equal(bank.kernel.window[1], fresh.kernel.window[1])
-            assert bank.kernel.window is kept_window or not warm
-            assert bank.kernel.frame is kept_frame
+        # the spectra are filled and kept before any correlation, so a failed
+        # scan of either kind, cold or warm, leaves sound spectra: those
+        # ``prepare`` fills, and a warm scan's the very array it had
+        prepared = build_bank(default_target_patch(7))
+        matcher.prepare(prepared, frame.width, frame.height)
+        assert bank.kernel.frame[0] == prepared.kernel.frame[0]
+        assert np.array_equal(bank.kernel.frame[1], prepared.kernel.frame[1])
+        assert (bank.kernel.frame is kept) == warm
         assert scan(frame, bank, window, 0.9) == expected
         assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)
 
@@ -1120,8 +1185,11 @@ class TestLowRankRoute:
                       target_spin=-2.0, gain=Ramp((0.0, 4.0), (1.0, 0.7)), seed=12, frames=5), False)
     def test_generated_closed_loop_scans_equal_the_rank_k_route(self, sc, prepared):
         """Over generated scenes, every scan of a run, cold or warm and of any
-        window shape, equals the reference; a bank that is not prepared fills
-        its whole-frame spectra in its first whole-frame scan. Every frame
+        window shape, equals the reference, and at a sample of its positions,
+        its top point and four drawn ones, equals brute force: the top
+        ``zmncc`` over the bank, on ties the lowest angle, a match point
+        exactly when it reaches the threshold. A bank that is not prepared
+        fills its spectra in its first scan. Every frame
         has one status and a window inside the valid centres, holding its
         detection, and a finite, positive trace of P. A second run of the
         scene writes a byte-identical track log."""
@@ -1137,9 +1205,21 @@ class TestLowRankRoute:
                 write_log(result.outcomes, path)
                 return Path(path).read_bytes()
 
+        sampled = []
+
         def both(img, bank, window, threshold):
             got = scan(img, bank, window, threshold)
             assert got == rank_k_scan(img, bank, window, threshold)
+            r = scanned(img, bank, window)
+            rng = np.random.default_rng(len(sampled))
+            at = {(p.u, p.v): p for p in got}
+            top = [max(got, key=lambda p: p.score)] if got else []
+            for u, v in [(p.u, p.v) for p in top] + list(zip(rng.integers(r.x, r.x2, 4).tolist(),
+                                                              rng.integers(r.y, r.y2, 4).tolist())):
+                best, angle = best_of_bank(img, bank, u, v)
+                p = at.get((u, v))
+                assert (p and (p.score, p.angle_deg)) == ((best, angle) if best >= threshold else None)
+                sampled.append((u, v))
             return got
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1147,6 +1227,7 @@ class TestLowRankRoute:
             if not prepared:
                 mp.setattr(matcher, "prepare", lambda bank, w, h: None)
             result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))
+        assert len(sampled) >= 4 * sc.frames  # every scan sampled
         assert logged(run_sim(sc, TrackerConfig(optics=scenario_optics(sc)))) == logged(result)
         full = valid_center_rect(sc.patch_w, sc.patch_h, sc.frame_w, sc.frame_h)
         statuses = {STATUS_INITIALIZED, STATUS_TRACKING, STATUS_MISS, STATUS_REDETECTING, STATUS_LOST}

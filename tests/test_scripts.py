@@ -64,6 +64,75 @@ def test_behaviour_digest_is_repeatable():
     assert output_lines("behaviour_digest.py", "--frames", "3") == lines
 
 
+# ``behaviour_digest.py --frames 50``, field by field: each builtin at seeds
+# 1 and 7, the sha256 of its track log, of every scan's window, threshold
+# and match points, its scan count, and the sha256 of every rendered frame.
+# Any change that keeps the loop's behaviour prints these lines.
+DIGEST_50_FRAMES = (
+    ("cv", "1",
+     "98001b85284a60debf542ff958cc52452a7a1aee5ca3caa67963f622a28a1b78",
+     "23d235e236d4ccdd3e78ad9af825cbeb9bf9a00e148441ff80786c571c4380d3", "50",
+     "afda2aee43eab67d04811f89b15b0a0cb64a675d9808df43fb08ae3bbda4a6aa"),
+    ("cv", "7",
+     "170ce133a4d220e2aa45e41744e40943eaf8fa235dab5d4d2e1c5c10d180c4ab",
+     "c66636e78c6b8322414d898c3f8921e6b9787e23b5610742b044ab5cafbc4695", "50",
+     "6d6dea7658cdc6b3ba673c95879751c99be9d36469bc422cefa439cb71f713fa"),
+    ("turn", "1",
+     "bff0b5de74fb8960afac1acd01b930f23f515bc891a8eb0258fec02bae2e737a",
+     "7ab0ce05b11064f803ec99eeb17069983c7123f092bd54ac1983dc210451f77f", "50",
+     "9ba0509753ff429ac109d0360c1f2a09d4dbb6a6ad90b29baf0444e9c59e6286"),
+    ("turn", "7",
+     "11dac0629ad894123d3488c9d1c8646bf6b99e94a51c16b7e2ede593e3cdffa5",
+     "c4d5168010557c9a5d6b21bb9eb020cfd17df6c2ff3f2a3837cd1858c3f1833d", "50",
+     "e6d4a3eecd044cfde129d7804f88c707b9efecfeee6fea1ad9bfc6fbdf1edd1d"),
+    ("spin", "1",
+     "4d84c613fef6d4100a14b418679cedf4f4b550c245077125865d76ed1ad85233",
+     "dbb9fa8d5f86b16ad873ab3f3ed3471666e7eefaa5c7582c3923736935d83ebb", "50",
+     "fbe3ae4befe11a2c5630abed84baee563a87f98f55d2454ef6fa16031bf9b3b4"),
+    ("spin", "7",
+     "70d291276a5abf57d15e7a2e0a12b00c6cd8e7956397cacb6277f34f998476ae",
+     "3a3b9579a3f1b575f28c91915740b2d169d5b60395bcb46dad4fd6a108c5ec10", "50",
+     "1dbb67eb09fe525725dbda4de51edae402199849c3ebeb7d2a54326f9faa2bb9"),
+    ("occlude", "1",
+     "bc1bb5ee83d409120e53865671beef1ffc1931c4ed0c8d9b2a034f280de2907c",
+     "5fff9c29667d6434dc3024e39e83a72a666fa3fc95ebaa715ac79823d114721e", "50",
+     "711ccb345888032af7b50a529afa6bba1d99f0c867c301a5dd13ebeb2760c61f"),
+    ("occlude", "7",
+     "2abe8babc79fbb0694953741dd611a59d810333322679e3282937e82f7a51dad",
+     "92d2ee1eb939ecc9ec60660d286e0257adad68c2f67a80b1155a8a0b8a313581", "50",
+     "2d4a177ba36078f56e5a3a03e94496fd5bebbf41340466fc4a59e5db3b395083"),
+    ("relight", "1",
+     "0139f33d40c7a5629233979e8cc028cf16afe9fc64b6dc647faeb347700dc6d2",
+     "c19757f813cb5027883a1c740a48389e6c9278e2b8633dde6ad0f7669c070448", "50",
+     "5b161247afd4e33f3612e2d25c6ec2796ba539c5c2fb70b5f6a1110bcbef471f"),
+    ("relight", "7",
+     "22ce9ea27ac02f9e419f7bc610855ec16d07bf11a0650b9c835b52e33045fed1",
+     "09604b0c48d05b006804e328f0d4c62b59231864fdf20e7586de3f8c111f6c6e", "50",
+     "ba98f90c76de7f8e3721ef6f95138a1bad71e0cc68659f9d3e4f2b108618496b"),
+    ("blurless-stopstart", "1",
+     "3538f170c3e9c44b1823499d2397ba6e2d05ea78c8742e6d2aac59cdd7f918ec",
+     "4e14af1338b8d5663e7e425dcd26673ced22f1e2627af96099098d2c03f182f2", "50",
+     "232d3f03721026f5e1ca4f171d7584462d68c47e16227e4b7fa71e7882ffb3c0"),
+    ("blurless-stopstart", "7",
+     "525a220401cc6d4880c8aadb523f56e257c9362a6c7e99511c09299206b11c21",
+     "d69d3db0d8d2806297cab25c3fe15de632efc823da9d7d51278fd3765eb09759", "50",
+     "08fc3f769cc53504f79183c2cca422bb01c90ec4f5c0cddb0b0e607287fbb033"),
+    ("redetect", "1",
+     "ed775be22c4c7cbc44d67e69f013b5dfeb20040849e71d939f23f51d5fba82e8",
+     "ed8aa760874c48dc94f74fffea9ba2d0dcf57e0ee35c1822e683938cb7268ead", "50",
+     "18a4576235b2f36ef9455669956a7cc299261779af1d7e32f1d82c172853d09d"),
+    ("redetect", "7",
+     "a344c9d475d9a38a4c021a50f8093c71cd2ace5a12564f7df198cb659b4b74f5",
+     "79e41ae15f4df7c34ccc9dd246c047b34652bcd42309bcb37074994a11806fa5", "50",
+     "38dca9ca4a472d95b42f6dff9bc88cb7d1faeb83ca9d309aa9e11c301d18e2a7"),
+)
+
+
+def test_behaviour_digest_at_50_frames_is_pinned():
+    lines = output_lines("behaviour_digest.py", "--frames", "50")
+    assert [tuple(line.split()) for line in lines] == list(DIGEST_50_FRAMES)
+
+
 def test_replay_scans_smoke():
     """One builtin's scans recorded, then replayed on this tree and on the
     same tree imported under another package name, with equal match points."""
@@ -104,9 +173,9 @@ def test_replay_scans_builds_each_trees_banks_with_its_own_warp(tmp_path):
 
 def test_replay_scans_other_tree_scans_whole_frames_as_whole_frames():
     """An A/A replay hands the other tree windows of its own ``Rect``, so its
-    whole frames keep their spectra in ``kernel.frame`` (the window slot
-    stays empty until a window), and its warm whole frame, as this tree's,
-    fills no spectra."""
+    whole frame fills its bank's one spectra array, ``kernel.frame``, at the
+    band shape, and its windows and warm whole frame, as this tree's, fill
+    no spectra and keep that array."""
     probe = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'scripts')!r})\n"
@@ -118,10 +187,10 @@ def test_replay_scans_other_tree_scans_whole_frames_as_whole_frames():
         "slots, scan = [], other[0].scan\n"
         "def recording(img, bank, window, threshold):\n"
         "    points = scan(img, bank, window, threshold)\n"
-        "    slots.append([slot and list(slot[0]) for slot in (bank.kernel.frame, bank.kernel.window)])\n"
+        "    slots.append([list(bank.kernel.frame[0]), id(bank.kernel.frame[1])])\n"
         "    return points\n"
         "other[0].scan = recording\n"
-        "fills = [{kind: staged[kind]['_fill_spectra'] > 0.0 for kind in ('frame_cold', 'frame_warm')}\n"
+        "fills = [{kind: staged[kind]['_fill_spectra'] > 0.0 for kind in rs.KINDS}\n"
         "         for staged in (rs.replay(tree, scans, made, stages=True)[1]\n"
         "                        for tree in ((matcher, warp, imagebuf), other))]\n"
         "print(json.dumps([fills, slots]))\n"
@@ -131,11 +200,10 @@ def test_replay_scans_other_tree_scans_whole_frames_as_whole_frames():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     fills, slots = json.loads(proc.stdout)
-    assert fills == [{"frame_cold": True, "frame_warm": False}] * 2
+    kinds = {"frame_cold": True, "frame_warm": False, "window_cold": False, "window_warm": False}
+    assert fills == [kinds] * 2
     whole = [240, 320]  # one worker's band: the whole 320x240 frame's padded shape
-    assert slots[0] == [whole, None]  # the cold whole frame, in the frame slot
-    assert [frame for frame, _ in slots] == [whole] * 4 and slots[1][1] is not None
-    assert slots[3] == slots[2]  # the warm whole frame left both slots as they were
+    assert slots == [slots[0]] * 4 and slots[0][0] == whole  # one array, kept by every scan
 
 
 def test_replay_scans_times_each_stage():
@@ -152,7 +220,8 @@ def test_replay_scans_times_each_stage():
                                      for kind in ("frame_cold", "window_cold", "window_warm")]
     assert all(float(x) >= 0.0 for r in rows for x in r[2:9])  # stages nest inside the scan
     assert all(float(r[4]) > 0.0 for r in rows)  # every scan correlates
-    assert all(float(r[3]) > 0.0 for r in rows if r[1].endswith("_cold"))  # a bare bank fills
+    # a bare bank fills in its first scan, a whole frame here; no window fills
+    assert [float(r[3]) > 0.0 for r in rows] == [True, False, False] * 2
     counts = [[int(x) for x in r[9:]] for r in rows]
     assert counts[:3] == counts[3:]  # the same tree twice counts alike
     assert counts[0][0] == (320 - 22 + 1) * (240 - 36 + 1)  # a whole frame's positions
@@ -183,7 +252,7 @@ def test_replay_scans_fails_when_the_trees_count_differently(tmp_path):
 def test_replay_scans_planted_smoke():
     """``planted`` scans noise frames with the target planted, each case on its
     own bank: one row per kind, the planted entry alone above 0.9 in every
-    scan, and the spectra the banks kept in the closing line."""
+    scan, and the one spectra array the banks kept in the closing line."""
     lines = output_lines("replay_scans.py", "--smoke", "--scenarios", "planted")
     assert lines[0].startswith("# 16 scans of planted at seeds 1, ")
     rows = [line.split() for line in lines[2:-1]]
@@ -191,14 +260,12 @@ def test_replay_scans_planted_smoke():
                                      ["this", "window_cold", "1"], ["this", "window_warm", "7"]]
     assert all(float(x) > 0.0 for r in rows for x in [r[3], *r[4].split("-")])
     tail = lines[-1].split()
-    assert tail[:2] == ["#", "peak_rss_mb"] and tail[3] == "this"
-    assert tail[4::2] == ["frame_spectra_mib", "window_spectra_mib"]
-    frame_mib, window_mib = (float(x) for x in tail[5::2])
-    # 12 spectra at the padded shape of the bands of a whole 320x240 frame, and
-    # at the 48x32 of the 11x11-position window
+    assert tail[:2] == ["#", "peak_rss_mb"] and tail[3:5] == ["this", "frame_spectra_mib"]
+    assert len(tail) == 6  # one slot
+    # 12 spectra at the band shape of a whole 320x240 frame, which the
+    # 11x11-position window reads too
     shape = matcher._band_shape((240, 320), 36)
-    assert frame_mib == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
-    assert window_mib == round(12 * 48 * (32 // 2 + 1) * 16 / 2**20, 1)
+    assert float(tail[5]) == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
     spec = importlib.util.spec_from_file_location("replay_scans", ROOT / "scripts" / "replay_scans.py")
     replay_scans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(replay_scans)

@@ -5,7 +5,7 @@ import pytest
 from uastrack import groundlink, scenesim, tracker
 from uastrack.gimbal import GimbalState
 from uastrack.imagebuf import GrayImage, Rect, crop
-from uastrack.sim import HELD_SAMPLES, LinkRuntime, scenario_optics
+from uastrack.sim import HELD_SAMPLES, LinkRuntime, RunReport, scenario_optics
 from uastrack.tracker import TrackerConfig, TrackerSession
 from uastrack.warp import build_bank
 
@@ -22,6 +22,14 @@ def sockets():
 def uplink(operator, payload, data: bytes) -> None:
     operator.sendto(data, payload.getsockname())
     assert select.select([payload], [], [], 5.0)[0], "datagram not delivered on loopback"
+
+
+def test_report_of_no_frames_has_no_per_frame_time():
+    """A run of no frames reports ``n/a`` per frame, as for the error with no
+    truths, not its elapsed time over one frame."""
+    report = RunReport.of([], [], 0.027)
+    assert report.ms_per_frame is None
+    assert report.summary() == "frames=0 tracked=0 miss=0 redetect=0 mean_abs_err=n/a ms_per_frame=n/a"
 
 
 class TestLinkRuntime:

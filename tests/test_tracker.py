@@ -211,8 +211,8 @@ class TestPreparedBank:
             bare = TrackerSession(build_bank(patch), cfg)
         assert bare.bank.kernel is None
         calls = []
-        spectra = matcher._bank_spectra
-        monkeypatch.setattr(matcher, "_bank_spectra", lambda *a: calls.append(a) or spectra(*a))
+        spectra = matcher._fill_spectra
+        monkeypatch.setattr(matcher, "_fill_spectra", lambda *a: calls.append(a) or spectra(*a))
         out = prepared.process(frame)
         assert calls == []
         expected = bare.process(frame)
