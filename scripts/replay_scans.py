@@ -57,6 +57,7 @@ import argparse
 import importlib
 import importlib.util
 import itertools
+import re
 import resource
 import statistics
 import sys
@@ -236,13 +237,21 @@ def replay(tree, scans, made, override=None, stages=False):
     return ms, staged, counted, results, kept
 
 
+def frame_size(text: str) -> tuple[int, int]:
+    """``--frame``'s ``WxH`` as (W, H), two positive integers."""
+    match = re.fullmatch(r"0*([1-9][0-9]*)x0*([1-9][0-9]*)", text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"expected WxH, two positive integers, got {text!r}")
+    return int(match[1]), int(match[2])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--scenarios", nargs="+", default=list(scenesim.BUILTIN_NAMES),
                     help=f"builtins, or {PLANTED} for noise frames with the target planted")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--frames", type=int, default=120, help="the horizon of each builtin run")
-    ap.add_argument("--frame", default="320x240", help="frame size WxH")
+    ap.add_argument("--frame", type=frame_size, default="320x240", help="frame size WxH")
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--threshold", type=float, help="replay every scan at this threshold")
     ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
@@ -252,8 +261,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.smoke:
         args.scenarios, args.seeds, args.frames, args.rounds = args.scenarios[:1], args.seeds[:1], 3, 1
-    size = tuple(int(x) for x in args.frame.split("x"))
-    scans, made = record(args.scenarios, args.seeds, args.frames, size)
+    scans, made = record(args.scenarios, args.seeds, args.frames, args.frame)
     trees = {"this": (matcher, warp, imagebuf)}
     if args.other is not None:
         trees["other"] = import_tree(args.other.resolve())

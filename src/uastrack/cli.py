@@ -193,8 +193,8 @@ class BenchResult:
     windowed_ms: float      # mean windowed scan after the first one
     speedup: float          # full_ms / windowed_ms
     windowed_fps: float
-    full_cold_ms: float     # the bank's first full-frame scan, which fills its caches
-    windowed_cold_ms: float  # the first windowed scan, which fills the window's spectra
+    full_cold_ms: float     # the bank's first full-frame scan, which builds its kernel and spectra
+    windowed_cold_ms: float  # the first windowed scan, which reads the spectra kept, filling none
     workers: int            # scan worker threads: the CPUs this process may run on
     numpy: str              # numpy version, which sets the FFT's speed
 

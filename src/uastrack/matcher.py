@@ -41,7 +41,7 @@ def _cpu_count() -> int:
 
 
 # Scan worker threads: one per CPU this process may run on, and a whole
-# frame's bands. With one, a whole frame is one band on the calling thread.
+# frame's parts. With one, every scan is one part on the calling thread.
 _WORKERS = _cpu_count()
 _pool = LazyPool("uastrack-scan")
 
@@ -194,7 +194,7 @@ class _Kernel:
     """What every scan of one bank shares, built by ``prepare`` or on its
     first scan (``_kernel``): the template-side terms of the score, the
     low-rank basis, and in ``frame`` the basis spectra at the band shape of
-    the last frame size scanned, which every band and window reads (``_band``)."""
+    the last frame size scanned, which every part of a scan reads (``_band``)."""
 
     weights: np.ndarray   # (K, th, tw) w_k = n*t - sum(t): integers with sum 0
     var_t: np.ndarray     # (K,) n*sum(t*t) - sum(t)**2 = ||w_k||**2 / n, an integer
@@ -282,7 +282,7 @@ def _fft_error(x: np.ndarray, area: int, n: int) -> float:
     """eta: the bound on an FFT correlation's error per unit of the kernel's norm.
 
     A correlation with a kernel b is computed by three transforms and a
-    product: the kernel's at the band shape, which a window reads sampled
+    product: the kernel's at the band shape, which a part reads sampled
     (``_band``), and the sub-image's and the inverse at its padded shape,
     which has no more points. So ``area`` is the band's, the most points
     of the three. Each transform stage adds at most about 7u (u = 2**-53)
@@ -315,17 +315,18 @@ def _basis_margin(eta: float, r: int) -> float:
     return math.sqrt(2.0) * r * eta + math.sqrt(2.0 * spread + 2 * r * eta * eta) + _ROUND_MARGIN
 
 
-def _parts(n: int) -> list[tuple[int, int]]:
-    """``range(n)`` in one run ``[lo, hi)`` per worker, sizes differing by at most one."""
-    k = max(1, min(_WORKERS, n))
+def _parts(n: int, k: int) -> list[tuple[int, int]]:
+    """``range(n)`` in ``min(k, n)`` runs ``[lo, hi)``, sizes differing by at most one."""
+    k = min(k, n)
     return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _band_shape(size: tuple, th: int) -> tuple:
-    """The padded shape of every band of a whole frame of ``size``: its tallest
-    band's sub-image's (``_parts``)."""
-    lo, hi = _parts(size[0] - th + 1)[-1]
-    return _smooth5(hi - lo + th - 1), _smooth5(size[1])
+    """The band shape of a frame of ``size``: the padded shape of the
+    sub-image of a worker's share of its rows of positions, ``ceil((H - th
+    + 1) / _WORKERS)`` rows, the most any part of a scan has (``scan``)."""
+    rows = -(-(size[0] - th + 1) // _WORKERS)
+    return _smooth5(rows + th - 1), _smooth5(size[1])
 
 
 def _fill_spectra(images: np.ndarray, shape: tuple) -> np.ndarray:
@@ -370,19 +371,14 @@ def _correlation(frame: np.ndarray, spectra: np.ndarray, shape: tuple, nv: int, 
     return np.fft.irfft(spectrum[:, :nv], shape[1], axis=2)[:, :, :nu]
 
 
-def _executor():
-    """The scan worker pool, started by the first whole frame that splits."""
-    return _pool.get(_WORKERS)
-
-
 def _on_workers(task, parts: list) -> list:
-    """``task(*part)`` for every part, results in order: on the workers, or
-    on this thread when there is one worker or one part."""
-    if _WORKERS == 1 or len(parts) == 1:
-        return [task(*part) for part in parts]
+    """``task(*part)`` for every part, results in order: one part on this
+    thread, more on the workers, whose pool the first such call starts."""
+    if len(parts) == 1:
+        return [task(*parts[0])]
     from concurrent.futures import wait
 
-    futures = [_executor().submit(task, *part) for part in parts]
+    futures = [_pool.get(_WORKERS).submit(task, *part) for part in parts]
     wait(futures)
     return [f.result() for f in futures]
 
@@ -475,9 +471,9 @@ def _exact_top(pairs, exact, at):
 
 
 def _band(sub, kernel, spectra, band, threshold, first):
-    """Each position's top exact score in one band of sub-image ``sub``, a
-    window's or a row band of a whole frame's, at most ``band[0]`` rows:
-    (positions, counted from ``first``, top, entry, var_f).
+    """Each position's top exact score in sub-image ``sub``, one row part
+    of a scan's, at most ``band[0]`` rows: (positions, counted from
+    ``first``, top, entry, var_f).
 
     Its padded shape is, on each axis, the smallest divisor of the band
     shape's length that holds the sub-image. The transform of a template
@@ -539,12 +535,12 @@ def scan(
     only pick candidate pairs of position and entry (``_kept_positions``,
     ``_candidate_pairs``), and scores them from the pixels (``_exact_top``).
     Every scan reads the one spectra array the bank keeps, at the frame's
-    band shape (``_band_shape``, ``_spectra``), as ``prepare`` fills it. A
-    whole-frame scan, one whose clipped window is every valid centre, splits
-    its rows of positions into one band per worker; any other runs on the
-    calling thread, as one band, or as row parts of at most a band's rows
-    of positions when its sub-image is taller than a band. Each band or
-    part runs ``_band``.
+    band shape (``_band_shape``, ``_spectra``), as ``prepare`` fills it.
+    Every scan takes the workers in proportion to its share of the frame's
+    rows of positions: its ``nv`` rows split into ``ceil(nv * _WORKERS /
+    full.h)`` even parts (``_parts``), so a whole frame takes one per worker
+    and no part has more rows than a worker's share. Each part runs
+    ``_band``: one on the calling thread, more on the workers.
     """
     tw, th = bank.base_width, bank.base_height
     if tw > img.width or th > img.height:
@@ -559,13 +555,8 @@ def scan(
     kernel = _kernel(bank)
     band = _band_shape((img.height, img.width), th)
     spectra = _spectra(kernel, band)
-    if window == full:
-        tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, band, threshold, lo * nu)
-                                   for lo, hi in _parts(nv)])
-    else:
-        rows = band[0] - th + 1  # positions a band holds
-        tops = [_band(sub[lo : lo + rows + th - 1], kernel, spectra, band, threshold, lo * nu)
-                for lo in range(0, nv, rows)]
+    tops = _on_workers(_band, [(sub[lo : hi + th - 1], kernel, spectra, band, threshold, lo * nu)
+                               for lo, hi in _parts(nv, -(-nv * _WORKERS // full.h))])
     at, top, idx, var_f = (np.concatenate(a) for a in zip(*tops))
 
     best = np.full(nv * nu, -np.inf)

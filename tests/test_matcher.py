@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,22 +318,24 @@ class TestScanExactness:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("img_size, patch_size, rect, parts", [
-        # 195 rows of 299 positions, 230 rows of pixels: one band at one
-        # worker's 240x320, two parts of 109 and 86 rows at two workers' 144x320
+        # 195 of the frame's 205 rows of 299 positions: one part at one
+        # worker's 240x320, or ceil(195 * 2 / 205) = 2 parts of 97 and 98
+        # rows at two workers' 144x320, their 132 and 133 rows of pixels
+        # padded to 144
         ((320, 240), (22, 36), (0, 20, 320, 195),
-         {1: [(0, (240, 320))], 2: [(0, (144, 320)), (109 * 299, (144, 320))]}),
-        # 65 rows of 65 positions, 66 rows of pixels: one band at 72x72, or
-        # two parts of 39 and 26 rows at two workers' 40x72, the second padded
-        # from 27 rows to 40, the divisor of 40 that holds them
+         {1: [(0, (240, 320))], 2: [(0, (144, 320)), (97 * 299, (144, 320))]}),
+        # 65 of 71 rows of 65 positions: one part at 72x72, or two of 32 and
+        # 33 rows at two workers' 40x72, their 33 and 34 rows of pixels
+        # padded to 40, the divisor of 40 that holds them
         ((72, 72), (2, 2), (-5, -5, 70, 70),
-         {1: [(0, (72, 72))], 2: [(0, (40, 72)), (39 * 65, (40, 72))]}),
+         {1: [(0, (72, 72))], 2: [(0, (40, 72)), (32 * 65, (40, 72))]}),
     ])
     def test_near_whole_window_scans_as_a_window(self, rng, workers, img_size, patch_size,
                                                  rect, parts, monkeypatch):
-        """A window with fewer rows of positions than the frame is a window,
-        on the calling thread: one band when its sub-image fits the band
-        shape, else row parts of at most a band's rows of positions. Each
-        pads to the smallest divisors of the band shape that hold its
+        """A window with fewer rows of positions than the frame scans by the
+        rule every window takes: ``ceil(nv * workers / full.h)`` even parts,
+        here one a worker, one on the calling thread and two on the workers.
+        Each pads to the smallest divisors of the band shape that hold its
         sub-image and reads the spectra ``prepare`` kept, filling none."""
         monkeypatch.setattr(matcher, "_WORKERS", workers)
         img = GrayImage(rng.integers(0, 256, img_size[::-1], dtype=np.uint8))
@@ -341,22 +345,41 @@ class TestScanExactness:
         kept = bank.kernel.frame
         assert kept[0] == frame_slot(img, bank)
         fills = chunk_threads(monkeypatch, "_fill_spectra")
-        threads = chunk_threads(monkeypatch)
-        bands = []  # [first position, band shape, padded shape of each correlation]
-        band, correlation = matcher._band, matcher._correlation
-        monkeypatch.setattr(matcher, "_band", lambda *a: bands.append([a[5], a[3]]) or band(*a))
-        monkeypatch.setattr(matcher, "_correlation",
-                            lambda *a: bands[-1].append(a[2]) or correlation(*a))
+        calls = part_calls(monkeypatch)
         window = Rect(*rect)
         assert scanned(img, bank, window).h < valid_center_rect(*patch_size, *img_size).h
         assert scan(img, bank, window, 0.5) == rank_k_scan(img, bank, window, 0.5)
-        assert [(first, set(shapes)) for first, _, *shapes in bands] == [
+        assert sorted((c.first, c.shapes) for c in calls) == [
             (first, {shape}) for first, shape in parts[workers]]
-        assert all(shape == kept[0] for _, shape, *_ in bands)
-        assert set(threads) == {threading.main_thread()}
+        assert all(c.band == kept[0] for c in calls)
+        threads = {c.thread for c in calls}
+        assert threads == {threading.main_thread()} if workers == 1 else on_workers(threads)
         assert fills == [] and bank.kernel.frame is kept
         assert scan(img, bank, img.rect, 0.5) == rank_k_scan(img, bank, img.rect, 0.5)
         assert fills == [] and bank.kernel.frame is kept
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("h, th", [(240, 36), (8, 6), (8, 5)])
+    def test_whole_frame_parts_are_one_per_worker(self, rng, workers, h, th, monkeypatch):
+        """A whole frame's nv rows of positions split as ``_parts(nv,
+        workers)``: one part a worker, or a row when there are fewer rows,
+        on the workers when there is more than one part. Not as few parts as
+        the padded band holds: 8 rows of a 6-row template at two workers
+        pad 7 rows of pixels to 8, a band holding all 3 rows of positions,
+        and 8 rows of a 5-row template at three workers give a 6-row band
+        holding 2 of the 4."""
+        monkeypatch.setattr(matcher, "_WORKERS", workers)
+        img = GrayImage(rng.integers(0, 256, (h, 30), dtype=np.uint8))
+        bank = build_bank(GrayImage(rng.integers(0, 256, (th, 4), dtype=np.uint8)), 4, 90.0)
+        calls = part_calls(monkeypatch)
+        assert scan(img, bank, img.rect, 0.0) == rank_k_scan(img, bank, img.rect, 0.0)
+        nv, nu = h - th + 1, 30 - 4 + 1
+        parts = matcher._parts(nv, workers)
+        assert len(parts) == min(workers, nv)
+        assert sorted((c.first, c.rows - th + 1) for c in calls) == [
+            (lo * nu, hi - lo) for lo, hi in parts]
+        threads = {c.thread for c in calls}
+        assert threads == {threading.main_thread()} if len(parts) == 1 else on_workers(threads)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_threshold_equal_to_score_includes_next_float_excludes(self, rng, checker22x36, workers):
@@ -464,7 +487,8 @@ class TestScanExactness:
         """Importing, installing a bank (a session's construction and
         ``apply_template``, each of which prepares it) and a window scan
         import no ``concurrent.futures`` and start no thread, on two
-        workers; the first whole frame that splits starts the pool."""
+        workers; the first scan that splits, here a whole frame, starts the
+        pool. On one worker no scan starts it."""
         probe = (
             "import sys, threading\n"
             "import numpy as np\n"
@@ -495,7 +519,7 @@ class TestScanExactness:
         # imported, constructed, template applied, window scanned: no pool
         assert states[:4] == [("False", "1")] * 4
         assert states[4][0] == "True" and int(states[4][1]) > 1
-        monkeypatch.setattr(matcher, "_executor", lambda: pytest.fail("one worker started a pool"))
+        monkeypatch.setattr(matcher, "_pool", no_pool("one worker started a pool"))
         frame = GrayImage(rng.integers(0, 256, (80, 90), dtype=np.uint8))
         scan_with(frame, build_bank(checker22x36, 4, 90.0), frame.rect, 0.9, workers=1, chunk_elems=1)
 
@@ -602,6 +626,42 @@ def chunk_threads(monkeypatch, name="_correlation"):
     return threads
 
 
+@dataclass
+class PartCall:
+    """One ``_band`` call: its first position, band shape, rows of
+    sub-image and thread, and the padded shape of each of its correlations."""
+
+    first: int
+    band: tuple
+    rows: int
+    thread: threading.Thread
+    shapes: set = field(default_factory=set)
+
+
+def part_calls(monkeypatch):
+    """Every ``_band`` call from now on, a ``PartCall`` each, in the order they start."""
+    calls, local = [], threading.local()
+    band, correlation = matcher._band, matcher._correlation
+
+    def recording_band(*args):
+        local.call = PartCall(args[5], args[3], args[0].shape[0], threading.current_thread())
+        calls.append(local.call)
+        return band(*args)
+
+    def recording_correlation(*args):
+        local.call.shapes.add(args[2])
+        return correlation(*args)
+
+    monkeypatch.setattr(matcher, "_band", recording_band)
+    monkeypatch.setattr(matcher, "_correlation", recording_correlation)
+    return calls
+
+
+def no_pool(why):
+    """A stand-in for ``matcher._pool`` that fails the test with ``why`` if a scan starts it."""
+    return SimpleNamespace(get=lambda workers: pytest.fail(why))
+
+
 def frame_slot(img, bank):
     """The padded shape of the bands of a whole ``img``, at which ``bank`` keeps
     its whole-frame spectra."""
@@ -647,7 +707,7 @@ scan_steps = st.lists(
 class TestReusedBuffersAndWhereChunksRun:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), scan_steps)
-    def test_scan_sequences_stay_exact_on_reused_buffers(self, seed, steps):
+    def test_scan_sequences_equal_brute_force(self, seed, steps):
         rng = np.random.default_rng(seed)
         h, w = (int(x) for x in rng.integers(12, 30, 2))
         px = rng.integers(0, 256, (h, w), dtype=np.uint8)
@@ -702,7 +762,7 @@ class TestReusedBuffersAndWhereChunksRun:
         scans = [(common, 0.9), (common, 0.9), (wide, 0.9), (wide, 0.9), (common, 0.0), (common, -1.0)]
         got = []
         with monkeypatch.context() as mp:
-            mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
+            mp.setattr(matcher, "_pool", no_pool("a window scan split"))
             for window, threshold in scans:  # each shape cold, then warm
                 threads.clear()
                 got.append(scan(frame, bank, window, threshold))
@@ -717,16 +777,17 @@ class TestReusedBuffersAndWhereChunksRun:
         assert any((p.u, p.v, p.score) == (116, 103, 1.0) for p in got[0])
         assert len(got[-1]) == 33 * 47
 
-    def test_only_whole_frame_scans_split(self, rng, monkeypatch):
+    def test_only_scans_beyond_a_workers_share_split(self, rng, monkeypatch):
         """A whole frame hands its bands, each with its own correlation, to
-        the workers, cold or warm; a window of any size, at any threshold,
-        is one band on the calling thread."""
+        the workers, cold or warm; a window within a worker's share of the
+        frame's rows of positions, at any threshold, is one band on the
+        calling thread."""
         bank = build_bank(default_target_patch(7))
         frame = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         threads = chunk_threads(monkeypatch)
         bands = chunk_threads(monkeypatch, "_band")
-        common = Rect(100, 80, 33, 47)  # 144x64
+        common = Rect(100, 80, 33, 47)  # 144x64; a worker's share is 103 rows
         grown = Rect(90, 70, 51, 61)  # 144x80
         for window, threshold in ((common, 0.0), (grown, 0.9), (grown, 0.9)):
             threads.clear()
@@ -782,12 +843,13 @@ class TestReusedBuffersAndWhereChunksRun:
             assert spectra.dtype == np.complex128 and spectra.flags.c_contiguous
             assert spectra.shape == (12, shape[0], shape[1] // 2 + 1)
 
-    def test_large_windows_take_rank_r(self, rng, monkeypatch):
-        """A window runs on the calling thread whatever its size. One taller
-        than a band, more than 109 rows of positions with a 36-row template
-        in two workers' 144-row band, runs as row parts of at most 109 rows,
-        each with one position test over its positions and the later stages
-        in chunks of at most 4,860 kept positions, each as the part alone
+    def test_large_windows_split_over_the_workers(self, rng, monkeypatch):
+        """A window with more rows of positions than a worker's share, 103 of
+        a 320x240 frame's 205 with a 22x36 template on two workers, splits
+        into ceil(nv * 2 / 205) even parts on the workers: 110 rows into 55
+        and 55, 150 into 75 and 75. Each part's sub-image fits the 144-row
+        band; each runs one position test over its positions and the later
+        stages in chunks of at most 4,860 kept positions, as the part alone
         scans as a window, and the whole equals the reference."""
         bank = build_bank(default_target_patch(7))
         px = plant(rng.integers(0, 256, (240, 320), dtype=np.uint8), bank.entries[5].patch, 150, 120)
@@ -795,21 +857,29 @@ class TestReusedBuffersAndWhereChunksRun:
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         calls = low_rank_calls(monkeypatch)
         _, _, _, entries, exacts = split_calls(monkeypatch)
-        for window in (Rect(40, 40, 130, 110), Rect(60, 45, 200, 150)):
-            with monkeypatch.context() as mp:
-                mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
-                got = scan(frame, bank, window, 0.9)
+        runs = part_calls(monkeypatch)
+        parts = {Rect(40, 40, 130, 110): [Rect(40, 40, 130, 55), Rect(40, 95, 130, 55)],
+                 Rect(60, 45, 200, 150): [Rect(60, 45, 200, 75), Rect(60, 120, 200, 75)]}
+        for window, halves in parts.items():
+            runs.clear()
+            got = scan(frame, bank, window, 0.9)
             assert any((p.u, p.v, p.score) == (150, 120, 1.0) for p in got)
             assert got == rank_k_scan(frame, bank, window, 0.9)
-        parts = [Rect(40, 40, 130, 109), Rect(40, 149, 130, 1), Rect(60, 45, 200, 109),
-                 Rect(60, 154, 200, 41)]
-        assert [len(args[2]) for args in calls] == [part.area for part in parts]
-        assert entries == exacts and len(entries) == 4 and 0 < sum(entries) and max(entries) <= 4860
-        kept = entries[:]
+            assert sorted((c.first, c.rows - 35) for c in runs) == [
+                ((half.y - window.y) * window.w, half.h) for half in halves]
+            assert all(c.rows <= c.band[0] == 144 for c in runs)
+            assert on_workers({c.thread for c in runs})
+        halves = [half for pair in parts.values() for half in pair]
+        assert sorted(len(args[2]) for args in calls) == sorted(half.area for half in halves)
+        assert sorted(entries) == sorted(exacts) and len(entries) == 4
+        assert 0 < sum(entries) and max(entries) <= 4860
+        kept = sorted(entries)
         entries.clear()
-        for part in parts:
-            scan(frame, bank, part, 0.9)
-        assert entries == kept
+        with monkeypatch.context() as mp:
+            mp.setattr(matcher, "_pool", no_pool("a part alone split"))
+            for half in halves:
+                scan(frame, bank, half, 0.9)
+        assert sorted(entries) == kept
 
     def test_bank_keeps_the_spectra_of_the_last_frame_size(self, rng, checker22x36):
         """A bank keeps one spectra array, at the band shape of the last frame
@@ -871,30 +941,31 @@ class TestReusedBuffersAndWhereChunksRun:
     def test_window_taller_than_a_band_equals_brute_force(self, case, workers, data):
         """A window of every row of positions but the last, from a drawn
         column on, has a sub-image taller than a band of two or three
-        workers: it runs on the calling thread as row parts of at most
-        ``band rows - th + 1`` positions each, and equals ``zmncc`` at every
-        position."""
+        workers: it splits into ceil(nv * workers / full.h) = workers even
+        parts on the workers, each with at most a worker's share of rows,
+        within the band, and equals ``zmncc`` at every position and
+        ``rank_k_scan``."""
         img, bank, threshold = case
-        full = valid_center_rect(bank.base_width, bank.base_height, img.width, img.height)
+        th = bank.base_height
+        full = valid_center_rect(bank.base_width, th, img.width, img.height)
         x = data.draw(st.integers(full.x, full.x2 - 1))
         window = Rect(x, full.y, full.x2 - x, full.h - 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcher, "_WORKERS", workers)
-            mp.setattr(matcher, "_executor", lambda: pytest.fail("a window scan split"))
-            bands = []
-            band = matcher._band
-            mp.setattr(matcher, "_band", lambda *a: bands.append((a[5], a[0].shape[0])) or band(*a))
+            calls = part_calls(mp)
             got = scan(img, bank, window, threshold)
             shape = frame_slot(img, bank)
         assert got == expected_points(img, bank, window, threshold)
-        rows = shape[0] - bank.base_height + 1  # positions a band holds
-        assert len(bands) == -(-window.h // rows) >= 2
-        assert [first for first, _ in bands] == [lo * window.w for lo in range(0, window.h, rows)]
-        assert all(sub_rows <= shape[0] for _, sub_rows in bands)
+        assert got == rank_k_scan(img, bank, window, threshold)
+        assert window.h + th - 1 > shape[0]
+        assert sorted((c.first, c.rows - th + 1) for c in calls) == [
+            (lo * window.w, hi - lo) for lo, hi in matcher._parts(window.h, workers)]
+        assert len(calls) == workers and on_workers({c.thread for c in calls})
+        assert all(c.rows - th + 1 <= -(-full.h // workers) and c.rows <= shape[0] for c in calls)
 
 
 def low_rank_calls(monkeypatch):
-    """The arguments of every position test of the rank-r route from now on."""
+    """The arguments of every position test (``_kept_positions``) from now on."""
     calls = []
     top = matcher._kept_positions
 
@@ -1046,7 +1117,7 @@ class TestLowRankRoute:
                 got = scan(img, bank, window, threshold)
                 assert got == expected
                 assert got == rank_k_scan(img, bank, window, threshold)
-        assert len(calls) == len(thresholds)  # every scan above took the rank-r route
+        assert len(calls) == len(thresholds)  # one position test a scan
 
     @pytest.mark.parametrize(
         "case",
@@ -1054,9 +1125,10 @@ class TestLowRankRoute:
          "threshold 0", "threshold -1", "flat windows", "flat bank", "12 entries", "4x3 template"],
     )
     def test_route(self, rng, monkeypatch, case):
-        """Every scan takes the rank-r route, whatever its threshold, bank or
-        size, and equals brute force. Only a scan of every valid centre runs
-        on the workers; a window runs on the calling thread."""
+        """Every scan bounds each of its positions once, whatever its
+        threshold, bank or size, and equals brute force. A whole frame and a
+        window of more rows than a worker's share run on the workers; a
+        smaller window runs on the calling thread."""
         patch = default_target_patch(1)
         count = 12 if case == "12 entries" else 36
         if case == "4x3 template":
@@ -1072,7 +1144,7 @@ class TestLowRankRoute:
         if case == "whole frame":  # 64x80, smaller than many windows
             frame = GrayImage(frame.pixels[:64, :80].copy())
             window = frame.rect
-        elif case == "large window":  # parts of 109 rows and 1, padded 144x160 and 36x160
+        elif case == "large window":  # two parts of 55 rows, padded 144x160
             window = Rect(40, 40, 130, 110)
         threshold = {"threshold 0": 0.0, "threshold -1": -1.0, "flat windows": 0.0, "flat bank": 0.0}.get(case, 0.9)
         if "residual" in case:
@@ -1084,7 +1156,7 @@ class TestLowRankRoute:
         got = scan(frame, bank, window, threshold)
         positions = scanned(frame, bank, window).area
         assert sum(len(args[2]) for args in calls) == positions  # each bounded once
-        if case == "whole frame":
+        if case in ("whole frame", "large window"):
             assert on_workers(threads)
         else:  # a flat bank has no basis images to correlate
             assert set(threads) == ({threading.main_thread()} if case != "flat bank" else set())
@@ -1115,7 +1187,7 @@ class TestLowRankRoute:
         frame = GrayImage(plant(rng.integers(0, 256, (120, 160), dtype=np.uint8),
                                 bank.entries[5].patch, 80, 60))
         window = Rect(70, 50, 21, 21) if where == "window" else frame.rect
-        expected = expected_points(frame, bank, window, 0.9)
+        expected = rank_k_scan(frame, bank, window, 0.9)
         assert (80, 60, 1.0) in {(p.u, p.v, p.score) for p in expected}  # the planted entry matches
         monkeypatch.setattr(matcher, "_WORKERS", 2)
         if warm:
@@ -1149,12 +1221,11 @@ class TestLowRankRoute:
         assert np.array_equal(bank.kernel.frame[1], prepared.kernel.frame[1])
         assert (bank.kernel.frame is kept) == warm
         assert scan(frame, bank, window, 0.9) == expected
-        assert scan(frame, bank, window, 0.9) == rank_k_scan(frame, bank, window, 0.9)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_closed_loop_scans_equal_the_rank_k_route(self, name, monkeypatch):
-        """Every scan of a run equals the reference and takes the rank-r route,
-        the acquisition scan of the whole frame too."""
+        """Every scan of a run equals the reference and bounds each of its
+        positions once, the acquisition scan of the whole frame too."""
         from uastrack.scenesim import make_scenario
         from uastrack.sim import run_sim
         from uastrack.tracker import TrackerConfig

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from uastrack import imagebuf, matcher, scenesim, warp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +23,14 @@ def output_lines(script: str, *args: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def load_script(script: str):
+    """The script imported as a module, without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def table_rows(script: str, *args: str) -> list[list[str]]:
@@ -266,9 +276,7 @@ def test_replay_scans_planted_smoke():
     # 11x11-position window reads too
     shape = matcher._band_shape((240, 320), 36)
     assert float(tail[5]) == round(12 * shape[0] * (shape[1] // 2 + 1) * 16 / 2**20, 1)
-    spec = importlib.util.spec_from_file_location("replay_scans", ROOT / "scripts" / "replay_scans.py")
-    replay_scans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay_scans)
+    replay_scans = load_script("replay_scans.py")
     scans, made = replay_scans.record(["planted"], [1], 3)
     results = replay_scans.replay((matcher, warp, imagebuf), scans, made)[3]
     assert [len(points) for points in results] == [1] * 16
@@ -280,6 +288,17 @@ def test_replay_scans_records_frames_of_the_given_size():
     lines = output_lines("replay_scans.py", "--smoke", "--stages", "--frame", "640x480")
     row = next(line.split() for line in lines[6:] if line.startswith("this frame_cold"))
     assert int(row[9]) == (640 - 22 + 1) * (480 - 36 + 1)
+
+
+@pytest.mark.parametrize("frame", ["320x", "320X240", "0x240", "320x240x3", "x240", "-320x240"])
+def test_replay_scans_rejects_a_frame_not_of_two_positive_integers(frame, capsys):
+    """A ``--frame`` that is not ``WxH`` with two positive integers exits 2
+    with a usage line, before any scan is recorded."""
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("replay_scans.py").main([f"--frame={frame}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"expected WxH, two positive integers, got {frame!r}" in err
 
 
 def test_replay_scans_fails_when_a_tree_differs_between_rounds(tmp_path):
