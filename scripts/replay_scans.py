@@ -245,6 +245,13 @@ def frame_size(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
+def positive_int(text: str) -> int:
+    """``--rounds`` as an integer of at least 1."""
+    if re.fullmatch(r"0*[1-9][0-9]*", text) is None:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--scenarios", nargs="+", default=list(scenesim.BUILTIN_NAMES),
@@ -252,7 +259,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--frames", type=int, default=120, help="the horizon of each builtin run")
     ap.add_argument("--frame", type=frame_size, default="320x240", help="frame size WxH")
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=positive_int, default=5)
     ap.add_argument("--threshold", type=float, help="replay every scan at this threshold")
     ap.add_argument("--other", type=Path, help="a second source tree to replay in turn")
     ap.add_argument("--stages", action="store_true",

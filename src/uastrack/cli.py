@@ -14,20 +14,19 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import groundlink, matcher, scenesim
-from .ekf import NoiseConfig
-from .errors import ConfigError, ProtocolError, ScenarioError, UastrackError
+from .errors import ConfigError, UastrackError
 from .gimbal import GimbalState
 from .imagebuf import GrayImage, Rect, load_pgm, save_pgm
 from .sim import LinkRuntime, RunReport, print_outcome, run_sim
 from .tracker import (
     DEFAULT_HFOV_DEG,
-    OpticsConfig,
     TrackerConfig,
     TrackerSession,
     TrackOutcome,
@@ -44,22 +43,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+# The config file's tracker keys and the ``TrackerConfig`` field each sets.
+# ``hfov_deg`` is in degrees; ``OpticsConfig.hfov`` is in radians.
+_TRACKER_KEYS = {
+    "threshold": "threshold",
+    "sigma": "noise.sigma",
+    "r_pos": "noise.r_pos",
+    "kappa": "noise.kappa",
+    "miss_limit": "miss_limit",
+    "bank_count": "bank_count",
+    "hfov_deg": "optics.hfov",
+    "frame_w": "optics.frame_w",
+    "frame_h": "optics.frame_h",
+    "p0_vel_var": "p0_vel_var",
+}
+
+
 def _config_defaults() -> dict:
     """Config-file keys with the defaults of the tracker's config dataclasses."""
     cfg = TrackerConfig()
-    return {
-        "threshold": cfg.threshold,
-        "sigma": cfg.noise.sigma,
-        "r_pos": cfg.noise.r_pos,
-        "kappa": cfg.noise.kappa,
-        "miss_limit": cfg.miss_limit,
-        "bank_count": cfg.bank_count,
-        "hfov_deg": DEFAULT_HFOV_DEG,
-        "frame_w": cfg.optics.frame_w,
-        "frame_h": cfg.optics.frame_h,
-        "p0_vel_var": cfg.p0_vel_var,
-        "sample_every": 4,
-    }
+    defaults = {key: attrgetter(field)(cfg) for key, field in _TRACKER_KEYS.items()}
+    return {**defaults, "hfov_deg": DEFAULT_HFOV_DEG, "sample_every": 4}
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -93,22 +97,17 @@ def load_config(path: Optional[str]) -> dict:
 
 
 def tracker_config(cfg: dict) -> TrackerConfig:
-    return TrackerConfig(
-        threshold=float(cfg["threshold"]),
-        noise=NoiseConfig(
-            sigma=float(cfg["sigma"]),
-            r_pos=float(cfg["r_pos"]),
-            kappa=float(cfg["kappa"]),
-        ),
-        miss_limit=int(cfg["miss_limit"]),
-        bank_count=int(cfg["bank_count"]),
-        optics=OpticsConfig(
-            hfov=math.radians(cfg["hfov_deg"]),
-            frame_w=int(cfg["frame_w"]),
-            frame_h=int(cfg["frame_h"]),
-        ),
-        p0_vel_var=float(cfg["p0_vel_var"]),
-    )
+    """The ``TrackerConfig`` of a config map, each value cast to its default's type."""
+    defaults = _config_defaults()
+    parts: dict[str, dict] = {}  # "" holds TrackerConfig's own fields
+    for key, field in _TRACKER_KEYS.items():
+        part, _, name = field.rpartition(".")
+        value = type(defaults[key])(cfg[key])
+        parts.setdefault(part, {})[name] = math.radians(value) if key == "hfov_deg" else value
+    base = TrackerConfig()
+    nested = {part: dataclasses.replace(getattr(base, part), **fields)
+              for part, fields in parts.items() if part}
+    return TrackerConfig(**parts[""], **nested)
 
 
 def _read_pgm_file(path: str) -> GrayImage:
@@ -199,6 +198,17 @@ class BenchResult:
     numpy: str              # numpy version, which sets the FFT's speed
 
 
+def _timed_scans(frame: GrayImage, bank, rect: Rect, reps: int) -> tuple[float, float]:
+    """ms of the first scan of ``rect``, then the mean ms of the ``reps`` scans after it."""
+    t0 = time.perf_counter()
+    matcher.scan(frame, bank, rect, matcher.DEFAULT_THRESHOLD)
+    t1 = time.perf_counter()
+    for _ in range(reps):
+        matcher.scan(frame, bank, rect, matcher.DEFAULT_THRESHOLD)
+    t2 = time.perf_counter()
+    return 1000.0 * (t1 - t0), 1000.0 * (t2 - t1) / reps
+
+
 def run_bench(
     width: int,
     height: int,
@@ -235,26 +245,8 @@ def run_bench(
         window_px,
         window_px,
     )
-    reps = max(1, reps)
-
-    t0 = time.perf_counter()
-    matcher.scan(frame, bank, full, matcher.DEFAULT_THRESHOLD)
-    full_cold_ms = 1000.0 * (time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        matcher.scan(frame, bank, full, matcher.DEFAULT_THRESHOLD)
-    full_ms = 1000.0 * (time.perf_counter() - t0) / reps
-
-    t0 = time.perf_counter()
-    matcher.scan(frame, bank, win, matcher.DEFAULT_THRESHOLD)
-    windowed_cold_ms = 1000.0 * (time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        matcher.scan(frame, bank, win, matcher.DEFAULT_THRESHOLD)
-    windowed_ms = 1000.0 * (time.perf_counter() - t0) / reps
-
+    full_cold_ms, full_ms = _timed_scans(frame, bank, full, max(1, reps))
+    windowed_cold_ms, windowed_ms = _timed_scans(frame, bank, win, max(1, reps))
     return BenchResult(
         full_ms=full_ms,
         windowed_ms=windowed_ms,
@@ -382,10 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, ScenarioError, ProtocolError, ValueError) as e:
+    except (UsageError, ValueError) as e:  # every other package error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

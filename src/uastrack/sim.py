@@ -72,23 +72,7 @@ class RunReport:
 class SimResult:
     outcomes: list[TrackOutcome]
     truths: list[tuple[float, float, float]]      # per scenario frame
-    outcome_frames: list[int]                     # scenario frame per outcome
-    elapsed_s: float
-
-    @property
-    def errors(self) -> list[float]:
-        """Pixel distance from ground truth of every detection."""
-        errors = []
-        for o, k in zip(self.outcomes, self.outcome_frames):
-            if o.detection is None:
-                continue
-            gx, gy, _ = self.truths[k]
-            errors.append(math.hypot(o.detection.x - gx, o.detection.y - gy))
-        return errors
-
-    @property
-    def report(self) -> RunReport:
-        return RunReport.of(self.outcomes, self.errors, self.elapsed_s)
+    report: RunReport
 
 
 def scenario_optics(scenario: scenesim.Scenario) -> OpticsConfig:
@@ -175,15 +159,16 @@ def run_sim(
         session.apply_template(scenesim.target_patch(scenario))
     pose = gimbal.GimbalState()
     outcomes: list[TrackOutcome] = []
-    outcome_frames: list[int] = []
     truths: list[tuple[float, float, float]] = []
+    errors: list[float] = []  # pixel distance from its frame's truth of every detection
     dump = Path(dump_dir) if dump_dir else None
     if dump:
         dump.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     for k in range(scenario.frames):
         frame = scenesim.render(scenario, pose, k)
-        truths.append(scenesim.ground_truth(scenario, pose, k))
+        truth = scenesim.ground_truth(scenario, pose, k)
+        truths.append(truth)
         if dump:
             (dump / f"frame_{k:05d}.pgm").write_bytes(save_pgm(frame))
         if link is not None:
@@ -192,7 +177,8 @@ def run_sim(
             continue
         out = session.process(frame, dt)
         outcomes.append(out)
-        outcome_frames.append(k)
+        if out.detection is not None:
+            errors.append(math.hypot(out.detection.x - truth[0], out.detection.y - truth[1]))
         if not quiet:
             print_outcome(out)
         if out.gimbal_cmd is not None:
@@ -203,4 +189,4 @@ def run_sim(
             fh.write("frame,x,y,angle_deg\n")
             for k, (gx, gy, ga) in enumerate(truths):
                 fh.write(f"{k},{gx},{gy},{ga}\n")
-    return SimResult(outcomes, truths, outcome_frames, elapsed)
+    return SimResult(outcomes, truths, RunReport.of(outcomes, errors, elapsed))

@@ -140,11 +140,18 @@ class TrackerSession:
         one. With a track the filter predicts and the window comes from
         its covariance, or covers the whole frame after ``miss_limit``
         misses. The clock advances by ``dt``, which must be finite and
-        positive, on every frame after the first.
+        positive, on every frame after the first. The frame must be of the
+        configured size, as the gimbal is aimed from its centre.
         """
         ekf.check_positive("dt", dt)
         if self.bank is None:
             raise RuntimeError("no template installed; call apply_template first")
+        optics = self.cfg.optics
+        if (frame.width, frame.height) != (optics.frame_w, optics.frame_h):
+            raise ConfigError(
+                f"frame is {frame.width}x{frame.height}, but frame_w x frame_h is "
+                f"{optics.frame_w}x{optics.frame_h}"
+            )
         try:
             full = matcher.valid_center_rect(
                 self.bank.base_width, self.bank.base_height, frame.width, frame.height
@@ -167,7 +174,7 @@ class TrackerSession:
         )
         cmd = None
         if det is not None:
-            cmd = gimbal_offset(det, self.cfg.optics)
+            cmd = gimbal_offset(det, optics)
             if pred is None:
                 self.state = ekf.initial_state(det.x, det.y, self.cfg.noise, self.cfg.p0_vel_var)
                 status = STATUS_INITIALIZED

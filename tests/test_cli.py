@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import math
 import os
 import socket
 import subprocess
@@ -94,6 +96,49 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match=key):
                 load_config(str(p))
+
+
+def _flat_fields(obj, prefix=""):
+    """A config dataclass's leaf fields by dotted name, nested configs flattened."""
+    flat = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            flat.update(_flat_fields(value, f"{prefix}{f.name}."))
+        else:
+            flat[f"{prefix}{f.name}"] = value
+    return flat
+
+
+# every tracker key of the config file, a value other than its default and
+# the ``TrackerConfig`` field it sets, with that value as the field holds it
+TRACKER_KEYS = [
+    ("threshold", 0.75, "threshold", 0.75),
+    ("sigma", 1.5, "noise.sigma", 1.5),
+    ("r_pos", 2.0, "noise.r_pos", 2.0),
+    ("kappa", 2.5, "noise.kappa", 2.5),
+    ("miss_limit", 9, "miss_limit", 9),
+    ("bank_count", 24, "bank_count", 24),
+    ("hfov_deg", 45.0, "optics.hfov", math.radians(45.0)),
+    ("frame_w", 400, "optics.frame_w", 400),
+    ("frame_h", 300, "optics.frame_h", 300),
+    ("p0_vel_var", 16, "p0_vel_var", 16.0),
+]
+
+
+def test_the_tracker_keys_are_every_config_key_but_sample_every():
+    assert sorted(key for key, *_ in TRACKER_KEYS) == sorted(set(load_config(None)) - {"sample_every"})
+
+
+@pytest.mark.parametrize("key, value, field, held", TRACKER_KEYS, ids=[k[0] for k in TRACKER_KEYS])
+def test_each_tracker_key_sets_its_own_field(tmp_path, key, value, field, held):
+    """A key mapped to the wrong part of ``TrackerConfig`` changes another
+    field, or the right one with the wrong type."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: value}))
+    got, default = _flat_fields(tracker_config(load_config(str(p)))), _flat_fields(TrackerConfig())
+    assert {name for name in got if got[name] != default[name]} == {field}
+    assert got[field] == held and type(got[field]) is type(default[field])
 
 
 class TestExitCodes:
@@ -224,15 +269,21 @@ class TestSim:
 
 class TestTrack:
     def test_track_over_dumped_frames(self, tmp_path, template_file):
+        """``track`` over the frames ``sim`` dumped, with the scenario's own
+        target patch, logs what ``sim`` logged, byte for byte."""
         dump = tmp_path / "frames"
+        sim_log = tmp_path / "sim.csv"
         assert (
             main(
                 [
-                    "sim", "--scenario", "cv", "--frames", "12",
+                    "sim", "--scenario", "cv", "--frames", "12", "--log", str(sim_log),
                     "--dump-frames", str(dump), "--quiet",
                 ]
             )
             == 0
+        )
+        assert load_pgm(Path(template_file).read_bytes()) == scenesim.target_patch(
+            scenesim.make_scenario("cv", frames=12)
         )
         log = tmp_path / "track.csv"
         code = main(
@@ -249,6 +300,27 @@ class TestTrack:
         )
         assert code == 0
         assert len(log.read_text().splitlines()) == 13
+        assert log.read_bytes() == sim_log.read_bytes()
+
+    def test_track_takes_the_frame_size_of_its_config(self, tmp_path, template_file, capsys):
+        """640x480 frames dumped by ``sim`` track as ``sim`` logged them under
+        the same config; with no config, whose frames are 320x240, ``track``
+        exits 1 naming both sizes before it logs a frame, where it once aimed
+        the gimbal from the 320x240 centre."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"frame_w": 640, "frame_h": 480}))
+        dump, sim_log = tmp_path / "frames", tmp_path / "sim.csv"
+        assert main(["sim", "--scenario", "cv", "--frames", "12", "--config", str(cfg),
+                     "--log", str(sim_log), "--dump-frames", str(dump), "--quiet"]) == 0
+        track = ["track", "--frames", str(dump), "--template", template_file, "--quiet"]
+        log = tmp_path / "track.csv"
+        assert main([*track, "--config", str(cfg), "--log", str(log)]) == 0
+        assert log.read_bytes() == sim_log.read_bytes()
+        capsys.readouterr()
+        unsized = tmp_path / "unsized.csv"
+        assert main([*track, "--log", str(unsized)]) == 1
+        assert "error: frame is 640x480, but frame_w x frame_h is 320x240" in capsys.readouterr().err
+        assert not unsized.exists()
 
     def test_never_acquired_is_exit_3(self, tmp_path, template_file):
         frames = tmp_path / "frames"

@@ -301,6 +301,18 @@ def test_replay_scans_rejects_a_frame_not_of_two_positive_integers(frame, capsys
     assert err.startswith("usage: ") and f"expected WxH, two positive integers, got {frame!r}" in err
 
 
+@pytest.mark.parametrize("rounds", ["0", "-1", "two", "1.5"])
+def test_replay_scans_rejects_rounds_not_a_positive_integer(rounds, capsys):
+    """A ``--rounds`` below 1 once recorded every scan and then failed with a
+    ``KeyError`` in the closing line; now it exits 2 with a usage line, before
+    any scan is recorded."""
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("replay_scans.py").main([f"--rounds={rounds}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"expected a positive integer, got {rounds!r}" in err
+
+
 def test_replay_scans_fails_when_a_tree_differs_between_rounds(tmp_path):
     """A tree whose ``scan`` drops a point on every other call returns other
     points in the second round than in the first, and that fails the replay."""

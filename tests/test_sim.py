@@ -1,3 +1,4 @@
+import math
 import select
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from uastrack import groundlink, scenesim, tracker
 from uastrack.gimbal import GimbalState
 from uastrack.imagebuf import GrayImage, Rect, crop
-from uastrack.sim import HELD_SAMPLES, LinkRuntime, RunReport, scenario_optics
+from uastrack.sim import HELD_SAMPLES, LinkRuntime, RunReport, run_sim, scenario_optics
 from uastrack.tracker import TrackerConfig, TrackerSession
 from uastrack.warp import build_bank
 
@@ -30,6 +31,36 @@ def test_report_of_no_frames_has_no_per_frame_time():
     report = RunReport.of([], [], 0.027)
     assert report.ms_per_frame is None
     assert report.summary() == "frames=0 tracked=0 miss=0 redetect=0 mean_abs_err=n/a ms_per_frame=n/a"
+
+
+def test_errors_of_a_run_whose_first_frames_are_skipped_take_their_own_frames_truth(sockets):
+    """With the link awaiting a patch, frames 0-4 are rendered but not
+    processed, so a detection's frame of the scenario is five past its
+    ``frame_index``; its error is taken against that frame's truth."""
+    payload, operator = sockets
+    sc = scenesim.make_scenario("cv", frames=20)
+    skipped = 5
+
+    class LateUpload(LinkRuntime):
+        def on_frame(self, k, frame, session):
+            if k == skipped:
+                uplink(operator, payload, groundlink.encode_patch_upload(scenesim.target_patch(sc)))
+            super().on_frame(k, frame, session)
+
+    link = LateUpload(payload, sample_every=4, await_roi=True)
+    result = run_sim(sc, TrackerConfig(optics=scenario_optics(sc)), link=link)
+    assert [o.frame_index for o in result.outcomes] == list(range(sc.frames - skipped))
+    assert len(result.truths) == sc.frames
+
+    def mean_error(offset):
+        errors = [math.hypot(o.detection.x - result.truths[offset + o.frame_index][0],
+                             o.detection.y - result.truths[offset + o.frame_index][1])
+                  for o in result.outcomes if o.detection is not None]
+        return sum(errors) / len(errors)
+
+    assert result.report.frames_processed == sc.frames - skipped
+    assert result.report.mean_abs_pixel_error == mean_error(skipped) < 1.0
+    assert mean_error(0) > 1.0  # the truths of the frames the outcomes' indices name
 
 
 class TestLinkRuntime:

@@ -104,6 +104,15 @@ class TestInitialize:
         with pytest.raises(ConfigError):
             session.process(blank(16, 16))
 
+    @pytest.mark.parametrize("w, h", [(640, 480), (321, 240), (320, 239)])
+    def test_frame_of_another_size_than_configured(self, session, patch, rng, w, h):
+        """The gimbal is aimed from the configured frame's centre, so a frame
+        of any other size is refused, naming both sizes, and changes nothing."""
+        frame = plant(rng.integers(0, 256, (h, w), dtype=np.uint8), patch, 100, 80)
+        with pytest.raises(ConfigError, match=f"frame is {w}x{h}, but frame_w x frame_h is 320x240"):
+            session.process(frame)
+        assert (session.frame_index, session.clock, session.state) == (-1, 0.0, None)
+
     @pytest.mark.parametrize(
         "cls, name, value",
         [(TrackerConfig, "miss_limit", 2.7), (TrackerConfig, "bank_count", 36.0),
